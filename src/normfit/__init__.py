@@ -38,8 +38,6 @@ from .geometry import (
     PointCloud,
     angle_unoriented,
     build_index,
-    covariance,
-    eigen_sym3,
     fit_plane,
     point_plane_distance,
 )

@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .candidates import SamplingParams
 from .metrics import rms_angle
 from .pipeline import EstimationParams, estimate_all
 from .synth import SHAPE_KINDS, NoiseSpec, ShapeSpec, add_noise, gen_shape

@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import config as cfgmod
-from .errors import ConfigError, NormfitError
+from .errors import NormfitError
 from .io import read_cloud, write_cloud
-from .metrics import CSV_HEADER, chamfer, evaluate_normals, p2s as p2s_metric, rms_angle
+from .metrics import CSV_HEADER, chamfer, evaluate_normals, p2s as p2s_metric
 from .pipeline import denoise_all, estimate_all
 from .synth import SHAPE_KINDS, NoiseSpec, ShapeSpec, add_noise, gen_shape
 
@@ -31,11 +30,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_param_flags(p):
+    # every flag whose dest is a config key overrides that key
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int)
     p.add_argument("--candidates", type=int, dest="n_candidates")
     p.add_argument("--k-s", type=int, dest="k_s")
-    p.add_argument("--input-k", type=int, dest="input_k")
     p.add_argument("--denoise-k", type=int, dest="denoise_k")
     p.add_argument("--tau", type=float, dest="tau_normal")
     p.add_argument("--threads", type=int)
@@ -48,17 +47,8 @@ def _load_config(args) -> cfgmod.RunConfig:
     else:
         cfg = cfgmod.RunConfig()
     # explicit flags override config file values
-    overrides = {}
-    for key in ("seed", "n_candidates", "k_s", "input_k", "denoise_k", "tau_normal", "threads"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    if overrides:
-        flat = {k: v for k, v in cfgmod._items(cfg)}
-        flat.update(overrides)
-        flat = {k: v for k, v in flat.items() if not isinstance(v, str) or v}
-        cfg = cfgmod.from_values(flat)
-    return cfg
+    flags = {k: v for k, v in vars(args).items() if k in cfgmod.SCHEMA and v is not None}
+    return cfgmod.from_values(flags, base=cfg)
 
 
 def _cmd_synth(args) -> int:

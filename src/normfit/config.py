@@ -1,4 +1,12 @@
-"""Flat key-value run configuration mirroring every pipeline parameter.
+"""Flat key-value run configuration over every pipeline parameter.
+
+The keys are derived from the dataclasses: every leaf field of `RunConfig`
+(and of the parameter dataclasses nested in it) is one key named after the
+field, e.g. `seed`, `n_candidates`, `rejection_interval_max`.  A tuple
+field is one key per element, named by the field's `config_key` metadata:
+the adaptive thresholds are `adaptive_l0`..`adaptive_l4` and the sizes
+`adaptive_k1`..`adaptive_k4`.  Values are parsed as the field's annotated
+type.
 
 The file format is one `key = value` per line with '#' comments; unknown
 keys are errors so typos never pass silently.  Defaults are the method's
@@ -8,12 +16,10 @@ rejection, the four-interval neighborhood table, 64/12-NN denoise scales).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Optional, get_args, get_type_hints
 
-from .candidates import SamplingParams
-from .consensus import ConsensusParams
 from .errors import ConfigError
-from .noise import AdaptiveConfig
 from .pipeline import EstimationParams
 
 
@@ -25,46 +31,50 @@ class RunConfig:
     output_path: str = ""
 
 
-def _items(cfg: RunConfig):
-    p = cfg.params
-    a, s, c = p.adaptive, p.sampling, p.consensus
-    out = [
-        ("seed", p.seed),
-        ("input_k", p.input_k),
-        ("denoise_k", p.denoise_k),
-        ("noise_k", p.noise_k),
-        ("threads", cfg.threads),
-    ]
-    out += [(f"adaptive_l{i}", a.thresholds[i]) for i in range(len(a.thresholds))]
-    out += [(f"adaptive_k{i + 1}", a.sizes[i]) for i in range(len(a.sizes))]
-    out += [
-        ("k_s", s.k_s),
-        ("n_candidates", s.n_candidates),
-        ("rejection_fraction_normals", s.rejection_fraction_normals),
-        ("rejection_fraction_positions", s.rejection_fraction_positions),
-        ("max_resample_attempts", s.max_resample_attempts),
-        ("tau_normal", c.tau_normal),
-        ("max_iters", c.max_iters),
-        ("tol_deg", c.tol_deg),
-        ("tol_pos", c.tol_pos),
-        ("input_path", cfg.input_path),
-        ("output_path", cfg.output_path),
-    ]
-    return out
+def _tuple_keys(f, n: int) -> list:
+    pattern, first = f.metadata["config_key"]
+    return [pattern.format(first + i) for i in range(n)]
+
+
+def _leaves(obj):
+    """(key, type, value) of every leaf of dataclass `obj`, depth first."""
+    hints = get_type_hints(type(obj))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value)
+        elif isinstance(value, tuple):
+            item_type = get_args(hints[f.name])[0]
+            for key, item in zip(_tuple_keys(f, len(value)), value):
+                yield key, item_type, item
+        else:
+            yield f.name, hints[f.name], value
+
+
+# key -> value type, for every settable parameter
+SCHEMA = {key: typ for key, typ, _ in _leaves(RunConfig())}
+
+_TYPE_NAMES = {int: "an integer", float: "a number"}
+
+
+def _overlay(obj, values: dict):
+    """Copy of dataclass `obj` with the leaves named in `values` replaced."""
+    changes = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            changes[f.name] = _overlay(value, values)
+        elif isinstance(value, tuple):
+            keys = _tuple_keys(f, len(value))
+            changes[f.name] = tuple(values.get(k, item) for k, item in zip(keys, value))
+        else:
+            changes[f.name] = values.get(f.name, value)
+    return replace(obj, **changes)
 
 
 def serialize(cfg: RunConfig) -> str:
-    lines = [f"{k} = {v!r}" if isinstance(v, str) else f"{k} = {v}" for k, v in _items(cfg)]
+    lines = [f"{k} = {v!r}" if isinstance(v, str) else f"{k} = {v}" for k, _, v in _leaves(cfg)]
     return "\n".join(lines) + "\n"
-
-
-_INT_KEYS = {"seed", "input_k", "denoise_k", "noise_k", "threads", "k_s",
-             "n_candidates", "max_resample_attempts", "max_iters",
-             "adaptive_k1", "adaptive_k2", "adaptive_k3", "adaptive_k4"}
-_FLOAT_KEYS = {"rejection_fraction_normals", "rejection_fraction_positions",
-               "tau_normal", "tol_deg", "tol_pos",
-               "adaptive_l0", "adaptive_l1", "adaptive_l2", "adaptive_l3", "adaptive_l4"}
-_STR_KEYS = {"input_path", "output_path"}
 
 
 def parse(text: str) -> RunConfig:
@@ -76,67 +86,25 @@ def parse(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = (part.strip() for part in line.partition("="))
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} needs an integer, got {val!r}")
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} needs a number, got {val!r}")
-        elif key in _STR_KEYS:
-            values[key] = val.strip("'\"")
-        else:
+        typ = SCHEMA.get(key)
+        if typ is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if typ is str:
+            values[key] = val.strip("'\"")
+            continue
+        try:
+            values[key] = typ(val)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: {key} needs {_TYPE_NAMES[typ]}, got {val!r}")
     return from_values(values)
 
 
-def from_values(values: dict) -> RunConfig:
-    """Build a RunConfig from a flat key/value mapping over the defaults."""
-    base = RunConfig()
-    v = dict(values)
-
-    def take(key, default):
-        return v.pop(key, default)
-
+def from_values(values: dict, base: Optional[RunConfig] = None) -> RunConfig:
+    """Overlay a flat key/value mapping on `base` (the defaults when None)."""
+    unknown = sorted(set(values) - SCHEMA.keys())
+    if unknown:
+        raise ConfigError(f"unknown keys: {unknown}")
     try:
-        adaptive = AdaptiveConfig(
-            thresholds=tuple(take(f"adaptive_l{i}", base.params.adaptive.thresholds[i]) for i in range(5)),
-            sizes=tuple(take(f"adaptive_k{i + 1}", base.params.adaptive.sizes[i]) for i in range(4)),
-        )
-        sampling = SamplingParams(
-            k_s=take("k_s", base.params.sampling.k_s),
-            n_candidates=take("n_candidates", base.params.sampling.n_candidates),
-            rejection_fraction_normals=take("rejection_fraction_normals",
-                                            base.params.sampling.rejection_fraction_normals),
-            rejection_fraction_positions=take("rejection_fraction_positions",
-                                              base.params.sampling.rejection_fraction_positions),
-            max_resample_attempts=take("max_resample_attempts",
-                                       base.params.sampling.max_resample_attempts),
-        )
-        consensus = ConsensusParams(
-            tau_normal=take("tau_normal", base.params.consensus.tau_normal),
-            max_iters=take("max_iters", base.params.consensus.max_iters),
-            tol_deg=take("tol_deg", base.params.consensus.tol_deg),
-            tol_pos=take("tol_pos", base.params.consensus.tol_pos),
-        )
-        params = EstimationParams(
-            adaptive=adaptive, sampling=sampling, consensus=consensus,
-            input_k=take("input_k", base.params.input_k),
-            seed=take("seed", base.params.seed),
-            denoise_k=take("denoise_k", base.params.denoise_k),
-            noise_k=take("noise_k", base.params.noise_k),
-        )
+        return _overlay(RunConfig() if base is None else base, values)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    cfg = RunConfig(
-        params=params,
-        threads=take("threads", base.threads),
-        input_path=take("input_path", base.input_path),
-        output_path=take("output_path", base.output_path),
-    )
-    if v:
-        raise ConfigError(f"unknown keys: {sorted(v)}")
-    return cfg

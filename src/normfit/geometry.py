@@ -12,7 +12,7 @@ Conventions used throughout the library:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,13 +48,6 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     i = np.argmax(np.abs(v), axis=1)
     lead = v[np.arange(len(v)), i]
     return np.where((lead < 0)[:, None], -v, v)
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("cannot normalize zero vector")
-    return v / n
 
 
 @dataclass(frozen=True)
@@ -183,23 +176,20 @@ def build_index(cloud: PointCloud) -> NeighborIndex:
     return NeighborIndex(cloud)
 
 
-def covariance(points) -> tuple[np.ndarray, np.ndarray]:
-    """Centered second-moment matrix sum((p-c)(p-c)^T)/n and the centroid."""
-    pts = as_points(points)
-    c = pts.mean(axis=0)
-    q = pts - c
-    cov = q.T @ q / len(pts)
-    return cov, c
+def plane_fit(pts: np.ndarray):
+    """Total-least-squares planes through a batch of point sets.
 
-
-def eigen_sym3(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric 3x3 matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).
+    `pts` has shape (M, k, 3).  Solves each set's centred covariance
+    sum((p-c)(p-c)^T)/k and returns (normals (M, 3), centroids (M, 3),
+    eigenvalues (M, 3)).  Normals are the smallest-eigenvalue directions,
+    sign-canonicalized; eigenvalues are ascending and clamped at 0, since
+    round-off can push a vanishing one slightly negative.
     """
-    m = np.asarray(m, dtype=np.float64)
-    w, v = np.linalg.eigh(m)
-    return w, v
+    c = pts.mean(axis=1)
+    q = pts - c[:, None, :]
+    cov = np.einsum("mki,mkj->mij", q, q) / pts.shape[1]
+    w, v = np.linalg.eigh(cov)
+    return canonical_sign(v[:, :, 0]), c, np.maximum(w, 0.0)
 
 
 def fit_plane(points) -> Plane:
@@ -212,11 +202,10 @@ def fit_plane(points) -> Plane:
     pts = as_points(points)
     if len(pts) < 3:
         raise ValueError("need at least 3 points to fit a plane")
-    cov, c = covariance(pts)
-    w, v = eigen_sym3(cov)
-    if w[1] <= DEGENERACY_RTOL * max(w[2], 0.0) or w[2] <= 0.0:
+    normals, anchors, degenerate = fit_planes_batch(pts[None])
+    if degenerate[0]:
         raise DegenerateSample("points are collinear or coincident")
-    return Plane(normal=canonical_sign(v[:, 0]), anchor=c)
+    return Plane(normal=normals[0], anchor=anchors[0])
 
 
 def fit_planes_batch(pts: np.ndarray):
@@ -226,12 +215,8 @@ def fit_planes_batch(pts: np.ndarray):
     degenerate mask (M,)).  Degenerate rows carry an arbitrary normal and
     must be discarded by the caller.
     """
-    c = pts.mean(axis=1)
-    q = pts - c[:, None, :]
-    cov = np.einsum("mki,mkj->mij", q, q) / pts.shape[1]
-    w, v = np.linalg.eigh(cov)
-    degenerate = (w[:, 1] <= DEGENERACY_RTOL * np.maximum(w[:, 2], 0.0)) | (w[:, 2] <= 0.0)
-    normals = canonical_sign(v[:, :, 0])
+    normals, c, w = plane_fit(pts)
+    degenerate = (w[:, 1] <= DEGENERACY_RTOL * w[:, 2]) | (w[:, 2] <= 0.0)
     return normals, c, degenerate
 
 

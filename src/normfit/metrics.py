@@ -3,13 +3,13 @@ plus the classic PCA baseline estimator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import PointCloud, angles_unoriented, build_index, canonical_sign
+from .geometry import PointCloud, angles_unoriented, build_index, plane_fit
 from .synth import ShapeSpec, surface_distance
 
 RMS_TAU_LEVELS = (10.0, 15.0, 20.0)
@@ -107,9 +107,5 @@ def pca_baseline(cloud: PointCloud, k: int) -> PointCloud:
     index = build_index(cloud)
     idx, _ = index.knn_batch(k)
     pts = np.concatenate([cloud.points[idx], cloud.points[:, None, :]], axis=1)
-    c = pts.mean(axis=1)
-    q = pts - c[:, None, :]
-    cov = np.einsum("nki,nkj->nij", q, q) / pts.shape[1]
-    _, v = np.linalg.eigh(cov)
-    normals = canonical_sign(v[:, :, 0])
+    normals, _, _ = plane_fit(pts)
     return PointCloud(points=cloud.points.copy(), normals=normals)

@@ -12,28 +12,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import NeighborIndex, PointCloud, covariance, eigen_sym3
+from .geometry import NeighborIndex, PointCloud, plane_fit
 
 # size of the covariance neighborhood used for noise estimation; fixed and
 # independent of the adaptive size to avoid circularity
 DEFAULT_NOISE_K = 64
 
 
+def _strictly_increasing(values) -> bool:
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Thresholds on the cloud noise level and the sizes they select."""
+    """Thresholds on the cloud noise level and the sizes they select.
 
-    thresholds: tuple = (0.0, 0.02, 0.14, 0.16, 0.3)
-    sizes: tuple = (32, 128, 256, 450)
+    `config_key` names the config-file key of each element: (pattern, first index).
+    """
+
+    thresholds: tuple[float, ...] = field(default=(0.0, 0.02, 0.14, 0.16, 0.3),
+                                          metadata={"config_key": ("adaptive_l{}", 0)})
+    sizes: tuple[int, ...] = field(default=(32, 128, 256, 450),
+                                   metadata={"config_key": ("adaptive_k{}", 1)})
     rejection_interval_max: int = 2
 
     def __post_init__(self):
-        if list(self.thresholds) != sorted(self.thresholds):
+        if not _strictly_increasing(self.thresholds):
             raise ValueError("thresholds must be strictly increasing")
-        if list(self.sizes) != sorted(self.sizes):
+        if not _strictly_increasing(self.sizes):
             raise ValueError("sizes must be strictly increasing")
         if len(self.thresholds) != len(self.sizes) + 1:
             raise ValueError("need one more threshold than sizes")
+        if not 0 <= self.rejection_interval_max < len(self.thresholds):
+            raise ValueError("rejection_interval_max must index a threshold")
 
 
 @dataclass
@@ -42,35 +53,29 @@ class NoiseProfile:
     cloud_f: float
 
 
-def _surface_variation(eigvals: np.ndarray) -> float:
-    total = float(eigvals.sum())
-    if total <= 0.0:
-        return 0.0
-    return float(eigvals[0] / total)
+def _noise_levels(points: np.ndarray, nbr_idx: np.ndarray, query_idx: np.ndarray) -> np.ndarray:
+    """Surface variation of each query point together with its neighbors.
+
+    `nbr_idx` holds one row of neighbor indices per entry of `query_idx`.
+    A set whose eigenvalues all vanish (coincident points) gets 0.
+    """
+    pts = np.concatenate([points[nbr_idx], points[query_idx, None, :]], axis=1)
+    _, _, w = plane_fit(pts)
+    total = w.sum(axis=1)
+    return np.where(total > 0.0, w[:, 0] / np.where(total > 0.0, total, 1.0), 0.0)
 
 
 def point_noise_level(cloud: PointCloud, index: NeighborIndex, t: int, k_f: int = DEFAULT_NOISE_K) -> float:
     """Surface variation of point t's k_f neighbors plus the point itself."""
     idx, _ = index.knn(t, k_f)
-    pts = np.vstack([cloud.points[idx], cloud.points[t]])
-    cov, _ = covariance(pts)
-    w, _ = eigen_sym3(cov)
-    return _surface_variation(w)
+    return float(_noise_levels(cloud.points, idx[None], np.array([t]))[0])
 
 
 def cloud_noise_scale(cloud: PointCloud, index: NeighborIndex, k_f: int = DEFAULT_NOISE_K) -> NoiseProfile:
     """Per-point noise levels and their mean, computed in one vectorized pass."""
     n = len(cloud)
-    k_eff = min(k_f, n - 1)
-    idx, _ = index.knn_batch(k_eff)
-    nbrs = cloud.points[idx]                                   # (N, k, 3)
-    pts = np.concatenate([nbrs, cloud.points[:, None, :]], axis=1)
-    c = pts.mean(axis=1)
-    q = pts - c[:, None, :]
-    cov = np.einsum("nki,nkj->nij", q, q) / pts.shape[1]
-    w = np.linalg.eigvalsh(cov)
-    total = w.sum(axis=1)
-    f = np.where(total > 0.0, w[:, 0] / np.where(total > 0.0, total, 1.0), 0.0)
+    idx, _ = index.knn_batch(min(k_f, n - 1))
+    f = _noise_levels(cloud.points, idx, np.arange(n))
     return NoiseProfile(per_point_f=f, cloud_f=float(f.mean()))
 
 

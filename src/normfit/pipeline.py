@@ -9,7 +9,7 @@ count or scheduling order.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,14 +24,9 @@ class EstimationParams:
     adaptive: AdaptiveConfig = AdaptiveConfig()
     sampling: cand.SamplingParams = cand.SamplingParams()
     consensus: ConsensusParams = ConsensusParams()
-    input_k: int = 256             # neighborhood used by the PCA baseline
     seed: int = 0
     denoise_k: int = 64
     noise_k: int = DEFAULT_NOISE_K
-
-    def __post_init__(self):
-        if self.input_k < self.sampling.k_s:
-            raise ValueError("input_k must be >= sampling.k_s")
 
 
 @dataclass

@@ -7,12 +7,10 @@ from normfit import (
     PointCloud,
     angle_unoriented,
     build_index,
-    covariance,
-    eigen_sym3,
     fit_plane,
     point_plane_distance,
 )
-from normfit.geometry import canonical_sign
+from normfit.geometry import canonical_sign, plane_fit
 
 from conftest import brute_force_knn, random_units
 
@@ -92,52 +90,28 @@ class TestNeighborIndex:
 
 class TestCovarianceEigen:
     def test_single_point(self):
-        cov, c = covariance([[2.0, 3.0, 4.0]])
-        assert np.allclose(cov, 0.0)
-        assert np.allclose(c, [2, 3, 4])
+        _, c, w = plane_fit(np.array([[[2.0, 3.0, 4.0]]]))
+        assert np.allclose(w, 0.0)
+        assert np.allclose(c, [[2, 3, 4]])
 
     def test_two_symmetric_points(self):
-        cov, c = covariance([[1, 0, 0], [-1, 0, 0]])
-        assert np.allclose(cov, np.diag([1.0, 0.0, 0.0]))
+        _, c, w = plane_fit(np.array([[[1.0, 0, 0], [-1, 0, 0]]]))
+        assert np.allclose(w, [[0.0, 0.0, 1.0]])
         assert np.allclose(c, 0.0)
 
     def test_matches_direct_summation(self, rng):
         pts = rng.normal(size=(20, 3))
-        cov, c = covariance(pts)
+        normals, c, w = plane_fit(pts[None])
         c_ref = pts.sum(axis=0) / len(pts)
         cov_ref = np.zeros((3, 3))
         for p in pts:
             q = p - c_ref
             cov_ref += np.outer(q, q)
         cov_ref /= len(pts)
-        assert np.allclose(cov, cov_ref, atol=1e-12)
-        assert np.allclose(c, c_ref, atol=1e-12)
-
-    def test_eigen_identity(self):
-        w, v = eigen_sym3(np.eye(3))
-        assert np.allclose(w, 1.0)
-        assert np.allclose(v @ v.T, np.eye(3), atol=1e-8)
-
-    def test_eigen_diagonal(self):
-        w, v = eigen_sym3(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1, 2, 3])
-        assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]], atol=1e-12)
-
-    def test_eigen_reconstruction(self, rng):
-        a = rng.normal(size=(3, 3))
-        m = (a + a.T) / 2
-        w, v = eigen_sym3(m)
-        assert np.allclose(v @ np.diag(w) @ v.T, m, atol=1e-8)
-        for i in range(3):
-            assert np.linalg.norm(m @ v[:, i] - w[i] * v[:, i]) <= 1e-8 * max(1, np.linalg.norm(m))
-
-    def test_eigen_permutation_stable(self, rng):
-        a = rng.normal(size=(3, 3))
-        m = (a + a.T) / 2
-        w, _ = eigen_sym3(m)
-        perm = [2, 0, 1]
-        w2, _ = eigen_sym3(m[np.ix_(perm, perm)])
-        assert np.allclose(np.sort(w), np.sort(w2), atol=1e-10)
+        assert np.allclose(c[0], c_ref, atol=1e-12)
+        assert np.allclose(w[0], np.linalg.eigvalsh(cov_ref), atol=1e-12)
+        # the normal is the smallest-eigenvalue eigenvector of the reference
+        assert np.allclose(cov_ref @ normals[0], w[0, 0] * normals[0], atol=1e-12)
 
 
 class TestFitPlane:

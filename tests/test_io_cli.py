@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,30 @@ from normfit import (
     write_xyz,
 )
 from normfit import config as cfgmod
-from normfit.cli import cli_main
+from normfit.cli import _load_config, build_parser, cli_main
+
+# file-format names of the adaptive table's elements: (prefix, first index)
+TUPLE_KEYS = {"thresholds": ("adaptive_l", 0), "sizes": ("adaptive_k", 1)}
+
+
+def config_leaves(obj, path=()):
+    """(key, attribute path, value) of every leaf of a dataclass tree."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from config_leaves(value, path + (f.name,))
+        elif isinstance(value, tuple):
+            prefix, first = TUPLE_KEYS[f.name]
+            for i, item in enumerate(value):
+                yield f"{prefix}{first + i}", path + (f.name, i), item
+        else:
+            yield f.name, path + (f.name,), value
+
+
+def lookup(obj, path):
+    for step in path:
+        obj = obj[step] if isinstance(step, int) else getattr(obj, step)
+    return obj
 
 
 def make_cloud(rng, n=20, with_normals=True):
@@ -191,6 +216,39 @@ class TestConfig:
     def test_invalid_combination_rejected(self):
         with pytest.raises(ConfigError):
             cfgmod.parse("k_s = 2\n")    # fewer than 3 points cannot fix a plane
+        with pytest.raises(ConfigError):
+            cfgmod.parse("rejection_interval_max = 5\n")
+
+    def test_every_leaf_settable_from_file(self, tmp_path):
+        path = tmp_path / "leaf.cfg"
+        for key, attr_path, default in config_leaves(cfgmod.RunConfig()):
+            if isinstance(default, str):
+                value = "leaf.xyz"
+            elif isinstance(default, int):
+                value = default + 1
+            else:
+                value = default + 0.01
+            path.write_text(f"{key} = {value}\n")
+            cfg = cfgmod.parse(path.read_text())
+            assert lookup(cfg, attr_path) == value, key
+            assert cfg != cfgmod.RunConfig(), key
+
+    def test_keys_are_the_dataclass_leaves(self):
+        keys = [key for key, _, _ in config_leaves(cfgmod.RunConfig())]
+        assert len(set(keys)) == len(keys)
+        assert set(cfgmod.SCHEMA) == set(keys)
+        assert "rejection_interval_max" in cfgmod.SCHEMA
+        assert "input_k" not in cfgmod.SCHEMA
+
+    def test_every_param_flag_reaches_the_config(self):
+        args = build_parser().parse_args([
+            "estimate", "--in", "a.xyz", "--out", "b.xyz", "--seed", "5",
+            "--candidates", "7", "--k-s", "5", "--denoise-k", "9", "--tau", "0.25",
+            "--threads", "3"])
+        cfg = _load_config(args)
+        p = cfg.params
+        assert (p.seed, p.sampling.n_candidates, p.sampling.k_s, p.denoise_k,
+                p.consensus.tau_normal, cfg.threads) == (5, 7, 5, 9, 0.25, 3)
 
 
 class TestCli:
@@ -239,15 +297,21 @@ class TestCli:
     def test_config_file_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 9\nn_candidates = 30\n")
-        clean = tmp_path / "clean.xyz"
-        cli_main(["synth", "--shape", "plane", "--n", "100", "--out", str(clean)])
-        a = tmp_path / "a.xyz"
-        b = tmp_path / "b.xyz"
-        assert cli_main(["estimate", "--in", str(clean), "--out", str(a),
-                         "--config", str(cfg)]) == 0
-        # a different seed on the command line must override the file
-        assert cli_main(["estimate", "--in", str(clean), "--out", str(b),
-                         "--config", str(cfg), "--seed", "10"]) == 0
+        cfg10 = tmp_path / "run10.cfg"
+        cfg10.write_text("seed = 10\nn_candidates = 30\n")
+        noisy = tmp_path / "noisy.xyz"
+        cli_main(["synth", "--shape", "plane", "--n", "100", "--noise", "1.0",
+                  "--out", str(noisy)])
+        outs = {}
+        for name, extra in (("file", ["--config", str(cfg)]),
+                            ("flag", ["--config", str(cfg), "--seed", "10"]),
+                            ("file10", ["--config", str(cfg10)])):
+            out = tmp_path / f"{name}.xyz"
+            assert cli_main(["estimate", "--in", str(noisy), "--out", str(out)] + extra) == 0
+            outs[name] = out.read_bytes()
+        # the seed flag overrides the file; the file's other keys still apply
+        assert outs["flag"] != outs["file"]
+        assert outs["flag"] == outs["file10"]
         capsys.readouterr()
 
     def test_bad_config_is_data_error(self, tmp_path, capsys):

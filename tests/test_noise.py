@@ -3,12 +3,17 @@ import pytest
 
 from normfit import (
     AdaptiveConfig,
+    EstimationParams,
     PointCloud,
+    ShapeSpec,
     adaptive_k,
     build_index,
     cloud_noise_scale,
+    estimate_all,
+    gen_shape,
     point_noise_level,
     rejection_enabled,
+    rms_angle,
 )
 
 CFG = AdaptiveConfig()
@@ -16,6 +21,15 @@ CFG = AdaptiveConfig()
 
 def make_cloud(pts):
     return PointCloud(points=pts)
+
+
+def rotated_clean_planes(n_rotations=20):
+    """A clean 600-point plane in random general orientations: (cloud, true normals)."""
+    clean = gen_shape(ShapeSpec(kind="plane", n_points=600, seed=0))
+    rng = np.random.default_rng(2304)
+    for _ in range(n_rotations):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        yield make_cloud(clean.points @ q.T), clean.normals @ q.T
 
 
 class TestPointNoiseLevel:
@@ -85,6 +99,20 @@ class TestCloudNoiseScale:
         assert np.all(profile.per_point_f <= 1 / 3 + 1e-9)
 
 
+class TestRotatedCleanPlane:
+    # eigenvalue round-off on a tilted exact plane must not give a negative
+    # noise level, which made adaptive_k reject the cloud
+    def test_noise_levels_nonnegative(self):
+        for cloud, _ in rotated_clean_planes():
+            profile = cloud_noise_scale(cloud, build_index(cloud))
+            assert np.all(profile.per_point_f >= 0.0)
+
+    def test_estimate_completes(self):
+        for cloud, normals in rotated_clean_planes():
+            est, _ = estimate_all(cloud, EstimationParams(seed=0))
+            assert rms_angle(est.normals, normals) < 1e-3
+
+
 class TestAdaptiveK:
     @pytest.mark.parametrize("f,expected", [
         (0.01, 32),
@@ -125,3 +153,15 @@ class TestAdaptiveConfigValidation:
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             AdaptiveConfig(sizes=(128, 32, 256, 450))
+
+    def test_equal_thresholds(self):
+        with pytest.raises(ValueError):
+            AdaptiveConfig(thresholds=(0.0, 0.02, 0.02, 0.16, 0.3))
+
+    def test_equal_sizes(self):
+        with pytest.raises(ValueError):
+            AdaptiveConfig(sizes=(32, 128, 128, 450))
+
+    def test_rejection_interval_out_of_range(self):
+        with pytest.raises(ValueError):
+            AdaptiveConfig(rejection_interval_max=5)
