@@ -5,6 +5,15 @@ denoising) from a query point's neighborhood.  Stage 2 scores each
 hypothesis by how many neighbors it explains, via a Gaussian kernel on the
 point-to-plane (point-to-candidate) distance, and drops a fixed fraction of
 the lowest-scoring ones.
+
+Every stage works on a block of P query points at once: neighborhoods are
+(P, k, 3) arrays and candidates (P, M, 3).  The single-point functions are
+the block functions called on a block of one.
+
+Randomness is counter-based: each index draw is a pure function of the
+point's stream key (`point_rng`), the candidate slot, the redraw attempt and
+the position in the subset, so results do not depend on how points are
+grouped into blocks or threads.
 """
 
 from __future__ import annotations
@@ -16,6 +25,11 @@ import numpy as np
 
 from .errors import PersistentDegeneracy, TooFewNeighbors
 from .geometry import Plane, as_points, fit_planes_batch
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_U64 = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -62,48 +76,115 @@ class PositionCandidates:
         return len(self.positions)
 
 
-def _draw_index_sets(rng: np.random.Generator, n_sets: int, pool: int, k: int) -> np.ndarray:
-    """n_sets rows of k distinct indices drawn uniformly from range(pool)."""
-    # argsort of i.i.d. uniforms gives a uniform random k-subset per row
-    keys = rng.random((n_sets, pool))
-    return np.argsort(keys, axis=1, kind="stable")[:, :k]
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finaliser on a uint64 array (wraps modulo 2**64)."""
+    x = (x ^ (x >> np.uint64(30))) * _MIX1
+    x = (x ^ (x >> np.uint64(27))) * _MIX2
+    return x ^ (x >> np.uint64(31))
 
 
-def sample_normal_candidates(neighbors, params: SamplingParams, rng: np.random.Generator) -> CandidatePlanes:
-    """Fit one plane per candidate to k_s randomly chosen neighbors.
+def point_rng(seed: int, t):
+    """Stream key of query point t (an int or an array of ints): uint64.
 
-    Degenerate draws (collinear/coincident points) are redrawn up to
-    max_resample_attempts times per slot; if any slot stays degenerate the
-    neighborhood itself is pathological and PersistentDegeneracy is raised.
+    The key depends on (seed, t) only, so every point's draws are the same
+    whatever block or thread it runs in.
     """
-    nbrs = as_points(neighbors)
-    if len(nbrs) < params.k_s:
-        raise TooFewNeighbors(f"{len(nbrs)} neighbors < k_s={params.k_s}")
+    t = np.asarray(t)
+    base = _mix64(np.array([seed & _U64], dtype=np.uint64))
+    keys = _mix64(base + _GOLDEN * t.astype(np.uint64).reshape(-1))
+    return keys.reshape(t.shape)[()]
+
+
+def _draw_index_sets(keys: np.ndarray, counters: np.ndarray, pool: int, k: int) -> np.ndarray:
+    """One row of k distinct indices in range(pool) per (key, counter) pair.
+
+    Draw j of a row is the word mix64(key + golden * (counter * k + j)); its
+    top 32 bits pick r_j from range(pool - j) by multiply-shift (bias at most
+    pool / 2**32), and r_j is shifted past the indices already picked, so
+    the row is a uniform ordered k-subset with no argsort.
+    """
+    j = np.arange(k, dtype=np.uint64)
+    words = _mix64(keys[:, None] + _GOLDEN * (counters.astype(np.uint64)[:, None] * np.uint64(k) + j))
+    out = (((words >> np.uint64(32)) * (np.uint64(pool) - j)) >> np.uint64(32)).astype(np.intp)
+    for col in range(1, k):
+        picked = np.sort(out[:, :col], axis=1)
+        v = out[:, col]
+        for i in range(col):
+            v += v >= picked[:, i]
+    return out
+
+
+def sample_plane_block(nbrs: np.ndarray, keys: np.ndarray, params: SamplingParams):
+    """Fit one plane per candidate slot to k_s random neighbors, per point.
+
+    `nbrs` is (P, k, 3) and `keys` (P,).  Degenerate draws (collinear or
+    coincident points) are redrawn, each with the next attempt number, up to
+    max_resample_attempts times.  Returns (normals (P, M, 3), anchors
+    (P, M, 3), failed (P,)); a failed point has a slot that stayed
+    degenerate, and its rows are meaningless.
+    """
+    n_pts, pool = nbrs.shape[:2]
+    if pool < params.k_s:
+        raise TooFewNeighbors(f"{pool} neighbors < k_s={params.k_s}")
     m = params.n_candidates
-    normals = np.empty((m, 3))
-    anchors = np.empty((m, 3))
-    pending = np.arange(m)
-    for _ in range(params.max_resample_attempts):
-        sets = _draw_index_sets(rng, len(pending), len(nbrs), params.k_s)
-        nrm, anc, bad = fit_planes_batch(nbrs[sets])
+    normals = np.empty((n_pts * m, 3))
+    anchors = np.empty((n_pts * m, 3))
+    pending = np.arange(n_pts * m)
+    for attempt in range(params.max_resample_attempts):
+        p, slot = np.divmod(pending, m)
+        sets = _draw_index_sets(keys[p], attempt * m + slot, pool, params.k_s)
+        nrm, anc, bad = fit_planes_batch(nbrs[p[:, None], sets])
         ok = ~bad
         normals[pending[ok]] = nrm[ok]
         anchors[pending[ok]] = anc[ok]
         pending = pending[bad]
         if len(pending) == 0:
-            return CandidatePlanes(normals=normals, anchors=anchors)
-    raise PersistentDegeneracy(
-        f"{len(pending)} candidate slots stayed degenerate after "
-        f"{params.max_resample_attempts} attempts"
-    )
+            break
+    failed = np.zeros(n_pts, dtype=bool)
+    failed[pending // m] = True
+    return normals.reshape(n_pts, m, 3), anchors.reshape(n_pts, m, 3), failed
 
 
-def rejection_sigma(neighbor_distances) -> float:
-    """Kernel bandwidth: one percent of the neighborhood radius."""
+def sample_normal_candidates(neighbors, params: SamplingParams, key) -> CandidatePlanes:
+    """Plane candidates of one neighborhood; `key` is its `point_rng` key.
+
+    If any slot stays degenerate after max_resample_attempts redraws the
+    neighborhood itself is pathological and PersistentDegeneracy is raised.
+    """
+    nbrs = as_points(neighbors)
+    normals, anchors, failed = sample_plane_block(nbrs[None], np.array([key], dtype=np.uint64),
+                                                  params)
+    if failed[0]:
+        raise PersistentDegeneracy(
+            f"candidate slots stayed degenerate after {params.max_resample_attempts} attempts")
+    return CandidatePlanes(normals=normals[0], anchors=anchors[0])
+
+
+def rejection_sigma(neighbor_distances):
+    """Kernel bandwidth: one percent of the neighborhood radius (per row of
+    a (P, k) array of distances)."""
     d = np.asarray(neighbor_distances, dtype=np.float64)
     if d.size == 0:
         raise ValueError("need at least one neighbor distance")
-    return 0.01 * float(d.max())
+    return 0.01 * d.max(axis=-1)
+
+
+def _kernel_sum(d: np.ndarray, axis: int) -> np.ndarray:
+    """sum(exp(-d)) over `axis`, overwriting d."""
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    return d.sum(axis=axis)
+
+
+def score_plane_block(nbrs: np.ndarray, normals: np.ndarray, anchors: np.ndarray,
+                      sigma: np.ndarray) -> np.ndarray:
+    """Gaussian-kernel consensus score (P, M) of each plane over its point's
+    neighbors: (P, k, 3) neighbors, (P, M, 3) planes, (P,) bandwidths."""
+    d = np.matmul(nbrs, normals.transpose(0, 2, 1))              # (P, k, M)
+    d -= np.einsum("pmc,pmc->pm", anchors, normals)[:, None, :]
+    d /= sigma[:, None, None]
+    np.square(d, out=d)
+    return _kernel_sum(d, axis=1)
 
 
 def score_candidates(neighbors, cands: CandidatePlanes, sigma: float) -> np.ndarray:
@@ -111,9 +192,8 @@ def score_candidates(neighbors, cands: CandidatePlanes, sigma: float) -> np.ndar
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     nbrs = as_points(neighbors)
-    diff = nbrs[None, :, :] - cands.anchors[:, None, :]
-    d = np.abs(np.einsum("mkc,mc->mk", diff, cands.normals))
-    return np.exp(-(d / sigma) ** 2).sum(axis=1)
+    return score_plane_block(nbrs[None], cands.normals[None], cands.anchors[None],
+                             np.array([sigma], dtype=np.float64))[0]
 
 
 def score_candidate(neighbors, plane: Plane, sigma: float) -> float:
@@ -123,23 +203,20 @@ def score_candidate(neighbors, plane: Plane, sigma: float) -> float:
 
 
 def rejection_order(scores: np.ndarray, fraction: float) -> np.ndarray:
-    """Indices of survivors, sorted by descending score (stable on ties).
-
-    The lowest floor(fraction * n) scorers are dropped.
-    """
+    """Per row of (P, M) scores, the survivors' indices by descending score
+    (stable on ties); the lowest floor(fraction * M) of each row are dropped."""
     if not 0.0 <= fraction < 1.0:
         raise ValueError("fraction must lie in [0, 1)")
-    n = len(scores)
-    order = np.argsort(-scores, kind="stable")
-    n_drop = int(np.floor(fraction * n))
-    return order[: n - n_drop]
+    m = scores.shape[1]
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return order[:, : m - int(np.floor(fraction * m))]
 
 
 def reject_candidates(cands: CandidatePlanes, fraction: float) -> CandidatePlanes:
     """Drop the lowest-scoring fraction; survivors keep descending order."""
     if cands.scores is None:
         raise ValueError("scores must be computed before rejection")
-    keep = rejection_order(cands.scores, fraction)
+    keep = rejection_order(cands.scores[None], fraction)[0]
     return CandidatePlanes(
         normals=cands.normals[keep],
         anchors=cands.anchors[keep],
@@ -147,13 +224,34 @@ def reject_candidates(cands: CandidatePlanes, fraction: float) -> CandidatePlane
     )
 
 
-def sample_position_candidates(neighbors, params: SamplingParams, rng: np.random.Generator) -> PositionCandidates:
-    """Denoising hypotheses: centroids of 4 distinct random neighbors."""
+def sample_position_block(nbrs: np.ndarray, keys: np.ndarray, n_candidates: int) -> np.ndarray:
+    """Denoising hypotheses (P, M, 3): centroids of 4 distinct random neighbors."""
+    n_pts, pool = nbrs.shape[:2]
+    if pool < 4:
+        raise TooFewNeighbors(f"{pool} neighbors < 4")
+    p, slot = np.divmod(np.arange(n_pts * n_candidates), n_candidates)
+    sets = _draw_index_sets(keys[p], slot, pool, 4)
+    return nbrs[p[:, None], sets].mean(axis=1).reshape(n_pts, n_candidates, 3)
+
+
+def sample_position_candidates(neighbors, params: SamplingParams, key) -> PositionCandidates:
+    """Position candidates of one neighborhood; `key` is its `point_rng` key."""
     nbrs = as_points(neighbors)
-    if len(nbrs) < 4:
-        raise TooFewNeighbors(f"{len(nbrs)} neighbors < 4")
-    sets = _draw_index_sets(rng, params.n_candidates, len(nbrs), 4)
-    return PositionCandidates(positions=nbrs[sets].mean(axis=1))
+    positions = sample_position_block(nbrs[None], np.array([key], dtype=np.uint64),
+                                      params.n_candidates)
+    return PositionCandidates(positions=positions[0])
+
+
+def score_position_block(nbrs: np.ndarray, positions: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Gaussian-kernel density (P, M) of each point's neighbors (P, k, 3)
+    around its candidate positions (P, M, 3), for bandwidths (P,)."""
+    d = np.matmul(positions, nbrs.transpose(0, 2, 1))            # (P, M, k)
+    d *= -2.0
+    d += np.einsum("pmc,pmc->pm", positions, positions)[:, :, None]
+    d += np.einsum("pkc,pkc->pk", nbrs, nbrs)[:, None, :]
+    np.maximum(d, 0.0, out=d)
+    d /= (sigma**2)[:, None, None]
+    return _kernel_sum(d, axis=2)
 
 
 def score_position_candidates(neighbors, cands: PositionCandidates, sigma: float) -> np.ndarray:
@@ -161,12 +259,12 @@ def score_position_candidates(neighbors, cands: PositionCandidates, sigma: float
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     nbrs = as_points(neighbors)
-    d2 = ((cands.positions[:, None, :] - nbrs[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-d2 / sigma**2).sum(axis=1)
+    return score_position_block(nbrs[None], cands.positions[None],
+                                np.array([sigma], dtype=np.float64))[0]
 
 
 def reject_position_candidates(cands: PositionCandidates, fraction: float) -> PositionCandidates:
     if cands.scores is None:
         raise ValueError("scores must be computed before rejection")
-    keep = rejection_order(cands.scores, fraction)
+    keep = rejection_order(cands.scores[None], fraction)[0]
     return PositionCandidates(positions=cands.positions[keep], scores=cands.scores[keep])

@@ -22,6 +22,10 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 
 
+class _UsageError(Exception):
+    """A command line that names no input or output anywhere."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -38,6 +42,12 @@ def _add_param_flags(p):
     p.add_argument("--denoise-k", type=int, dest="denoise_k")
     p.add_argument("--tau", type=float, dest="tau_normal")
     p.add_argument("--threads", type=int)
+
+
+def _add_io_flags(p):
+    # dests are the config keys, so the flags override the file's paths
+    p.add_argument("--in", dest="input_path", help="input cloud (default: config input_path)")
+    p.add_argument("--out", dest="output_path", help="output cloud (default: config output_path)")
 
 
 def _load_config(args) -> cfgmod.RunConfig:
@@ -64,27 +74,40 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
+def _io_config(args) -> cfgmod.RunConfig:
+    """The run config; --in and --out override its input_path and output_path."""
     cfg = _load_config(args)
-    cloud = read_cloud(args.input)
+    missing = [flag for flag, path in (("--in", cfg.input_path), ("--out", cfg.output_path))
+               if not path]
+    if missing:
+        raise _UsageError(f"{args.command}: no {' or '.join(missing)} path in the flags "
+                          f"or the config file")
+    return cfg
+
+
+def _cmd_estimate(args) -> int:
+    cfg = _io_config(args)
+    cloud = read_cloud(cfg.input_path)
     est, diags = estimate_all(cloud, cfg.params, n_threads=cfg.threads)
-    write_cloud(est, args.out)
+    write_cloud(est, cfg.output_path)
     k_hats = [d.k_hat for d in diags]
     conv = sum(d.converged for d in diags)
     feas = [d.n_feasible for d in diags]
-    print(f"estimated normals for {len(est)} points -> {args.out}")
+    fallbacks = sum(d.fallback for d in diags)
+    print(f"estimated normals for {len(est)} points -> {cfg.output_path}")
     print(f"mean k_hat = {np.mean(k_hats):.1f}  "
           f"mean feasible candidates = {np.mean(feas):.1f}  "
-          f"solver convergence = {conv / len(diags):.1%}")
+          f"solver convergence = {conv / len(diags):.1%}  "
+          f"PCA fallbacks = {fallbacks}")
     return 0
 
 
 def _cmd_denoise(args) -> int:
-    cfg = _load_config(args)
-    cloud = read_cloud(args.input)
+    cfg = _io_config(args)
+    cloud = read_cloud(cfg.input_path)
     out = denoise_all(cloud, cfg.params, n_threads=cfg.threads)
-    write_cloud(out, args.out)
-    print(f"denoised {len(out)} points -> {args.out}")
+    write_cloud(out, cfg.output_path)
+    print(f"denoised {len(out)} points -> {cfg.output_path}")
     return 0
 
 
@@ -158,14 +181,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("estimate", help="estimate normals for a cloud")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", required=True)
+    _add_io_flags(p)
     _add_param_flags(p)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("denoise", help="denoise a cloud")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", required=True)
+    _add_io_flags(p)
     _add_param_flags(p)
     p.set_defaults(func=_cmd_denoise)
 
@@ -197,6 +218,9 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"normfit: error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -9,13 +9,17 @@ the adaptive thresholds are `adaptive_l0`..`adaptive_l4` and the sizes
 type.
 
 The file format is one `key = value` per line with '#' comments; unknown
-keys are errors so typos never pass silently.  Defaults are the method's
-standard hyperparameters (k_s=4, 100 candidates, tau=0.5, 20%/10%
-rejection, the four-interval neighborhood table, 64/12-NN denoise scales).
+keys are errors so typos never pass silently.  A quoted value is read as
+one Python string literal, so it may itself hold '#', quotes or spaces.
+Defaults are the method's standard hyperparameters (k_s=4, 100
+candidates, tau=0.5, 20%/10% rejection, the four-interval neighborhood
+table, 64/12-NN denoise scales).
 """
 
 from __future__ import annotations
 
+import ast
+import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Optional, get_args, get_type_hints
 
@@ -56,6 +60,9 @@ SCHEMA = {key: typ for key, typ, _ in _leaves(RunConfig())}
 
 _TYPE_NAMES = {int: "an integer", float: "a number"}
 
+# a quoted string literal as repr() writes it, then an optional comment
+_QUOTED = re.compile(r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")\s*(?:#.*)?""")
+
 
 def _overlay(obj, values: dict):
     """Copy of dataclass `obj` with the leaves named in `values` replaced."""
@@ -77,20 +84,32 @@ def serialize(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _string_literal(val: str) -> Optional[str]:
+    """The string a quoted value spells, or None when it is not one literal."""
+    quoted = _QUOTED.fullmatch(val)
+    if quoted is None:
+        return None
+    try:
+        return ast.literal_eval(quoted.group(1))
+    except (SyntaxError, ValueError):
+        return None
+
+
 def parse(text: str) -> RunConfig:
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        key, eq, val = (part.strip() for part in raw.partition("="))
+        if key.startswith("#") or not (key or eq):
             continue
-        if "=" not in line:
+        if not eq or "#" in key:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = (part.strip() for part in line.partition("="))
         typ = SCHEMA.get(key)
         if typ is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        literal = _string_literal(val) if typ is str else None
+        val = val.split("#", 1)[0].strip()
         if typ is str:
-            values[key] = val.strip("'\"")
+            values[key] = val.strip("'\"") if literal is None else literal
             continue
         try:
             values[key] = typ(val)

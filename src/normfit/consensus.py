@@ -6,6 +6,11 @@ minimizer is found by an iteratively reweighted eigenvector update.  For
 positions the loss is the classic Gaussian kernel on distance and the
 minimizer is a mean-shift fixed point.  Both solvers are safeguarded to keep
 the loss non-increasing.
+
+The solvers run on a batch of A points at once (`normal_mode_batch`,
+`position_mode_batch`); each point keeps its own iterate, halving
+safeguard, convergence test and iteration budget, and leaves the batch when
+it stops.  `normal_mode` and `position_mode` are batches of one.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCandidates
-from .geometry import angle_unoriented, as_points, canonical_sign
+from .geometry import angles_unoriented, as_points, canonical_sign
 
 # default kernel bandwidth: sin(30 degrees)
 DEFAULT_TAU = math.sin(math.pi / 6)
@@ -47,57 +52,77 @@ class ModeResult:
     converged: bool
 
 
+def _ccn_losses(m: np.ndarray, n: np.ndarray, tau2: float) -> np.ndarray:
+    """ccn_loss of each row: (A, M, 3) candidates at (A, 3) normals -> (A,)."""
+    c = np.einsum("amc,ac->am", m, n)
+    return -np.exp(-(1.0 - c**2) / tau2).sum(axis=1)
+
+
 def ccn_loss(n, candidates, tau: float = DEFAULT_TAU) -> float:
     """Candidate consensus loss for a trial normal."""
-    n = np.asarray(n, dtype=np.float64)
-    m = as_points(candidates)
-    sin2 = 1.0 - (m @ n) ** 2
-    return float(-np.exp(-sin2 / tau**2).sum())
+    n = np.asarray(n, dtype=np.float64).reshape(1, 3)
+    return float(_ccn_losses(as_points(candidates)[None], n, tau**2)[0])
 
 
 def _weighted_principal(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    mat = (m * w[:, None]).T @ m
+    """Principal direction of sum_i w_i m_i m_i^T per row: (A, M, 3), (A, M) -> (A, 3)."""
+    mat = np.matmul((m * w[:, :, None]).transpose(0, 2, 1), m)
     _, v = np.linalg.eigh(mat)
-    return canonical_sign(v[:, 2])
+    return canonical_sign(v[:, :, 2])
 
 
-def normal_mode(candidates, params: ConsensusParams, init) -> ModeResult:
-    """Minimize ccn_loss by reweighted principal-eigenvector iteration.
+def normal_mode_batch(m: np.ndarray, params: ConsensusParams, init: np.ndarray):
+    """Minimize ccn_loss for each row of (A, M, 3) candidates from (A, 3) inits.
 
     Each step weights candidates by their kernel value at the current
     normal and moves to the principal direction of the weighted outer-
     product sum.  If a step would increase the loss it is halved toward
-    the previous iterate (up to 8 times) before giving up.
+    the previous iterate (up to 8 times) before the point gives up.
+    Returns (normals (A, 3), losses (A,), iterations (A,), converged (A,)).
     """
+    tau2 = params.tau_normal**2
+    n = canonical_sign(np.array(init, dtype=np.float64))
+    loss = _ccn_losses(m, n, tau2)
+    iterations = np.zeros(len(m), dtype=np.int64)
+    converged = np.zeros(len(m), dtype=bool)
+    act = np.arange(len(m))
+    for _ in range(params.max_iters):
+        if len(act) == 0:
+            break
+        ma, na, la = m[act], n[act], loss[act]
+        iterations[act] += 1
+        w = np.exp(-(1.0 - np.einsum("amc,ac->am", ma, na) ** 2) / tau2)
+        n_new = _weighted_principal(ma, w)
+        new_loss = _ccn_losses(ma, n_new, tau2)
+        up = new_loss > la + _LOSS_SLACK
+        for _ in range(_MAX_HALVINGS):
+            i = np.flatnonzero(up)
+            if len(i) == 0:
+                break
+            flip = np.where(np.einsum("ac,ac->a", n_new[i], na[i]) < 0, -1.0, 1.0)
+            half = na[i] + flip[:, None] * n_new[i]
+            half /= np.linalg.norm(half, axis=1, keepdims=True)
+            n_new[i] = half
+            new_loss[i] = _ccn_losses(ma[i], half, tau2)
+            up[i] = new_loss[i] > la[i] + _LOSS_SLACK
+        moved = ~up
+        n[act[moved]] = canonical_sign(n_new[moved])
+        loss[act[moved]] = new_loss[moved]
+        done = moved & (angles_unoriented(n_new, na) < params.tol_deg)
+        converged[act[done]] = True
+        act = act[moved & ~done]
+    return n, loss, iterations, converged
+
+
+def normal_mode(candidates, params: ConsensusParams, init) -> ModeResult:
+    """Mode of one candidate set: `normal_mode_batch` on a batch of one."""
     m = as_points(candidates)
     if len(m) == 0:
         raise EmptyCandidates("normal_mode needs at least one candidate")
-    tau2 = params.tau_normal**2
-    n = canonical_sign(np.asarray(init, dtype=np.float64).copy())
-    loss = ccn_loss(n, m, params.tau_normal)
-    iterations = 0
-    converged = False
-    for _ in range(params.max_iters):
-        iterations += 1
-        w = np.exp(-(1.0 - (m @ n) ** 2) / tau2)
-        n_new = _weighted_principal(m, w)
-        new_loss = ccn_loss(n_new, m, params.tau_normal)
-        halvings = 0
-        while new_loss > loss + _LOSS_SLACK and halvings < _MAX_HALVINGS:
-            if n_new @ n < 0:
-                n_new = -n_new
-            n_new = (n + n_new) / np.linalg.norm(n + n_new)
-            new_loss = ccn_loss(n_new, m, params.tau_normal)
-            halvings += 1
-        if new_loss > loss + _LOSS_SLACK:
-            break
-        step_deg = angle_unoriented(n_new, n)
-        n = canonical_sign(n_new)
-        loss = new_loss
-        if step_deg < params.tol_deg:
-            converged = True
-            break
-    return ModeResult(value=n, loss=loss, iterations=iterations, converged=converged)
+    init = np.asarray(init, dtype=np.float64).reshape(1, 3)
+    n, loss, iterations, converged = normal_mode_batch(m[None], params, init)
+    return ModeResult(value=n[0], loss=float(loss[0]), iterations=int(iterations[0]),
+                      converged=bool(converged[0]))
 
 
 def mean_mode_normal(candidates) -> np.ndarray:
@@ -106,56 +131,82 @@ def mean_mode_normal(candidates) -> np.ndarray:
     m = as_points(candidates)
     if len(m) == 0:
         raise EmptyCandidates("mean_mode_normal needs at least one candidate")
-    return _weighted_principal(m, np.ones(len(m)))
+    return _weighted_principal(m[None], np.ones((1, len(m))))[0]
+
+
+def _ccp_losses(q: np.ndarray, x: np.ndarray, tau2: np.ndarray) -> np.ndarray:
+    """ccp_loss of each row: (A, M, 3) candidates at (A, 3) positions, (A,) squared bandwidths."""
+    d2 = ((q - x[:, None, :]) ** 2).sum(axis=2)
+    return -np.exp(-d2 / tau2[:, None]).sum(axis=1)
 
 
 def ccp_loss(x, candidates, tau: float) -> float:
     """Candidate consensus loss for a trial position."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    q = as_points(candidates)
-    d2 = ((q - x) ** 2).sum(axis=1)
-    return float(-np.exp(-d2 / tau**2).sum())
+    x = np.asarray(x, dtype=np.float64).reshape(1, 3)
+    return float(_ccp_losses(as_points(candidates)[None], x, np.array([tau**2]))[0])
+
+
+def position_mode_batch(q: np.ndarray, params: ConsensusParams, init: np.ndarray,
+                        tau: np.ndarray):
+    """Mean-shift each row of (A, M, 3) candidates from (A, 3) inits with
+    bandwidths tau (A,), all positive.
+
+    A point whose kernel weights all underflow to zero stops at its nearest
+    candidate, unconverged.  Returns (positions (A, 3), losses (A,),
+    iterations (A,), converged (A,)).
+    """
+    tau2 = tau**2
+    x = np.array(init, dtype=np.float64)
+    loss = _ccp_losses(q, x, tau2)
+    iterations = np.zeros(len(q), dtype=np.int64)
+    converged = np.zeros(len(q), dtype=bool)
+    act = np.arange(len(q))
+    for _ in range(params.max_iters):
+        if len(act) == 0:
+            break
+        iterations[act] += 1
+        qa, xa = q[act], x[act]
+        d2 = ((qa - xa[:, None, :]) ** 2).sum(axis=2)
+        w = np.exp(-d2 / tau2[act, None])
+        total = w.sum(axis=1)
+        empty = total == 0.0
+        if empty.any():
+            e = np.flatnonzero(empty)
+            x[act[e]] = qa[e, np.argmin(d2[e], axis=1)]
+            loss[act[e]] = _ccp_losses(qa[e], x[act[e]], tau2[act[e]])
+            live = ~empty
+            act, qa, xa, w, total = act[live], qa[live], xa[live], w[live], total[live]
+        la, t2 = loss[act], tau2[act]
+        x_new = (w[:, :, None] * qa).sum(axis=1) / total[:, None]
+        new_loss = _ccp_losses(qa, x_new, t2)
+        up = new_loss > la + _LOSS_SLACK
+        for _ in range(_MAX_HALVINGS):
+            i = np.flatnonzero(up)
+            if len(i) == 0:
+                break
+            x_new[i] = (xa[i] + x_new[i]) / 2.0
+            new_loss[i] = _ccp_losses(qa[i], x_new[i], t2[i])
+            up[i] = new_loss[i] > la[i] + _LOSS_SLACK
+        moved = ~up
+        x[act[moved]] = x_new[moved]
+        loss[act[moved]] = new_loss[moved]
+        done = moved & (np.linalg.norm(x_new - xa, axis=1) < params.tol_pos)
+        converged[act[done]] = True
+        act = act[moved & ~done]
+    return x, loss, iterations, converged
 
 
 def position_mode(candidates, params: ConsensusParams, init, tau: float) -> ModeResult:
-    """Mean-shift to the main mode of candidate positions.
-
-    If every kernel weight underflows to zero the nearest candidate is
-    returned with converged=False.
-    """
+    """Mode of one candidate set: `position_mode_batch` on a batch of one."""
     q = as_points(candidates)
     if len(q) == 0:
         raise EmptyCandidates("position_mode needs at least one candidate")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    x = np.asarray(init, dtype=np.float64).copy()
-    loss = ccp_loss(x, q, tau)
-    iterations = 0
-    converged = False
-    for _ in range(params.max_iters):
-        iterations += 1
-        d2 = ((q - x) ** 2).sum(axis=1)
-        w = np.exp(-d2 / tau**2)
-        total = w.sum()
-        if total == 0.0:
-            nearest = q[int(np.argmin(d2))]
-            return ModeResult(value=nearest, loss=ccp_loss(nearest, q, tau),
-                              iterations=iterations, converged=False)
-        x_new = (w[:, None] * q).sum(axis=0) / total
-        new_loss = ccp_loss(x_new, q, tau)
-        halvings = 0
-        while new_loss > loss + _LOSS_SLACK and halvings < _MAX_HALVINGS:
-            x_new = (x + x_new) / 2.0
-            new_loss = ccp_loss(x_new, q, tau)
-            halvings += 1
-        if new_loss > loss + _LOSS_SLACK:
-            break
-        step = float(np.linalg.norm(x_new - x))
-        x = x_new
-        loss = new_loss
-        if step < params.tol_pos:
-            converged = True
-            break
-    return ModeResult(value=x, loss=loss, iterations=iterations, converged=converged)
+    init = np.asarray(init, dtype=np.float64).reshape(1, 3)
+    x, loss, iterations, converged = position_mode_batch(q[None], params, init,
+                                                         np.array([tau], dtype=np.float64))
+    return ModeResult(value=x[0], loss=float(loss[0]), iterations=int(iterations[0]),
+                      converged=bool(converged[0]))

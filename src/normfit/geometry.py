@@ -22,6 +22,8 @@ from .errors import DegenerateSample
 
 # relative eigenvalue gap below which a point set is treated as collinear
 DEGENERACY_RTOL = 1e-12
+# query rows per chunk of NeighborIndex.knn_batch
+_KNN_BATCH_ROWS = 2048
 
 
 def as_points(a) -> np.ndarray:
@@ -155,20 +157,22 @@ class NeighborIndex:
         if not 1 <= k <= n - 1:
             raise ValueError(f"k={k} out of range for {n} points")
         kq = min(n, k + 3)
-        d, idx = self._tree.query(self._points, k=kq)
         out_i = np.empty((n, k), dtype=np.intp)
         out_d = np.empty((n, k), dtype=np.float64)
-        for t in range(n):
-            keep = idx[t] != t
-            dk, ik = d[t][keep], idx[t][keep]
-            order = np.lexsort((ik, dk))
-            dk, ik = dk[order], ik[order]
-            if kq < n and not dk[k - 1] < d[t][-1]:
+        # row chunks bound the (rows, kq) temporaries on large clouds
+        for start in range(0, n, _KNN_BATCH_ROWS):
+            rows = np.arange(start, min(start + _KNN_BATCH_ROWS, n))
+            d, idx = self._tree.query(self._points[rows], k=kq)
+            # the query point sorts last; the others by (distance, index)
+            dk = np.where(idx == rows[:, None], np.inf, d)
+            order = np.lexsort((idx, dk), axis=1)
+            dk = np.take_along_axis(dk, order, axis=1)[:, :k]
+            out_i[rows] = np.take_along_axis(idx, order, axis=1)[:, :k]
+            out_d[rows] = dk
+            if kq < n:
                 # boundary tie: fall back to the widening single query
-                ik, dk = self.knn(t, k)
-                out_i[t], out_d[t] = ik, dk
-            else:
-                out_i[t], out_d[t] = ik[:k], dk[:k]
+                for t in rows[~(dk[:, k - 1] < d[:, -1])]:
+                    out_i[t], out_d[t] = self.knn(int(t), k)
         return out_i, out_d
 
 

@@ -37,6 +37,7 @@ from normfit import (
 from normfit.candidates import CandidatePlanes
 from normfit.consensus import ConsensusParams, ccn_loss, normal_mode
 from normfit.noise import AdaptiveConfig, cloud_noise_scale
+from normfit.pipeline import point_rng
 
 from conftest import grid_min_normal
 
@@ -69,12 +70,12 @@ class TestAcceptance:
         nbrs = np.stack([r * np.cos(phi), r * np.sin(phi), np.zeros(n)], axis=1)
         params = SamplingParams(n_candidates=10000)
 
-        clean = sample_normal_candidates(nbrs, params, np.random.default_rng(1))
+        clean = sample_normal_candidates(nbrs, params, point_rng(1, 0))
         ang_clean = _angle(_principal(clean.normals), EZ)
 
         noisy = nbrs.copy()
         noisy[:, 2] = rng.normal(0, 0.01, n)      # std = 1% of patch radius
-        cands = sample_normal_candidates(noisy, params, np.random.default_rng(2))
+        cands = sample_normal_candidates(noisy, params, point_rng(2, 0))
         ang_noisy = _angle(_principal(cands.normals), EZ)
         dt = time.perf_counter() - t0
         ok = ang_clean < 1e-6 and ang_noisy < 2.0 and dt < 5.0

@@ -15,12 +15,13 @@ from normfit import (
     score_position_candidates,
 )
 from normfit.candidates import CandidatePlanes, reject_position_candidates
+from normfit.pipeline import point_rng
 
 PARAMS = SamplingParams()
 
 
 def gen(seed=0):
-    return np.random.default_rng(seed)
+    return point_rng(seed, 0)
 
 
 def plane_neighbors(rng, n=50, noise=0.0):

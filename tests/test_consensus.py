@@ -134,7 +134,7 @@ class TestMeanModeNormal:
         n = cands[0]
         for _ in range(200):
             w = np.exp(-(1.0 - (cands @ n) ** 2) / 100.0**2)
-            n = _weighted_principal(cands, w)
+            n = _weighted_principal(cands[None], w[None])[0]
         assert np.degrees(np.arccos(min(1, abs(out @ n)))) < 0.1
 
     def test_empty(self):

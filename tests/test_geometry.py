@@ -80,6 +80,19 @@ class TestNeighborIndex:
             assert np.array_equal(bi[t], si)
             assert np.allclose(bd[t], sd)
 
+    @pytest.mark.parametrize("k", [1, 6, 26, 60])
+    def test_knn_batch_matches_single_on_ties(self, k):
+        # integer grid: many equal distances, and 50 points duplicated
+        g = np.arange(5.0)
+        grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+        pts = np.vstack([grid, grid[::2][:50]])
+        idx = build_index(PointCloud(points=pts))
+        bi, bd = idx.knn_batch(k)
+        for t in range(len(pts)):
+            si, sd = idx.knn(t, k)
+            assert np.array_equal(bi[t], si), t
+            assert np.array_equal(bd[t], sd), t
+
     def test_k_out_of_range(self, rng):
         idx = build_index(PointCloud(points=rng.normal(size=(5, 3))))
         with pytest.raises(ValueError):

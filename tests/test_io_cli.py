@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normfit import (
     ConfigError,
@@ -213,6 +214,19 @@ class TestConfig:
         cfg = cfgmod.parse("# full comment\nseed = 3  # trailing\n")
         assert cfg.params.seed == 3
 
+    def test_quoted_value_keeps_hash(self):
+        cfg = cfgmod.RunConfig(input_path="scans/run#2.xyz")
+        assert cfgmod.parse(cfgmod.serialize(cfg)).input_path == "scans/run#2.xyz"
+        cfg = cfgmod.parse("input_path = 'a # b.xyz'  # trailing\nseed = 3  # trailing\n")
+        assert cfg.input_path == "a # b.xyz" and cfg.params.seed == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(*[st.text(st.one_of(st.sampled_from("#'\" \\=/."),
+                               st.characters(blacklist_categories=("Cs",))), max_size=24)] * 2)
+    def test_roundtrip_any_path(self, input_path, output_path):
+        cfg = cfgmod.RunConfig(input_path=input_path, output_path=output_path)
+        assert cfgmod.parse(cfgmod.serialize(cfg)) == cfg
+
     def test_invalid_combination_rejected(self):
         with pytest.raises(ConfigError):
             cfgmod.parse("k_s = 2\n")    # fewer than 3 points cannot fix a plane
@@ -313,6 +327,23 @@ class TestCli:
         assert outs["flag"] != outs["file"]
         assert outs["flag"] == outs["file10"]
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["estimate", "denoise"])
+    def test_paths_from_config_file(self, command, tmp_path, capsys):
+        src = tmp_path / "in put#1.xyz"
+        cli_main(["synth", "--shape", "plane", "--n", "100", "--out", str(src)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfgmod.serialize(cfgmod.RunConfig(input_path=str(src),
+                                                         output_path=str(tmp_path / "cfg.xyz"))))
+        assert cli_main([command, "--config", str(cfg)]) == 0
+        assert read_cloud(tmp_path / "cfg.xyz").points.shape == (100, 3)
+        # a flag overrides the file's path
+        assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "flag.xyz")]) == 0
+        assert (tmp_path / "flag.xyz").read_bytes() == (tmp_path / "cfg.xyz").read_bytes()
+        # no output path from either source is a usage error
+        cfg.write_text(f"input_path = {str(src)!r}\n")
+        assert cli_main([command, "--config", str(cfg)]) == 1
+        assert "--out" in capsys.readouterr().err
 
     def test_bad_config_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
