@@ -29,7 +29,7 @@ def main():
     noisy = add_noise(clean, NoiseSpec(std_pct_bbox_diag=0.5, seed=2))
     print(f"wedge with {len(noisy)} points, 0.5% Gaussian noise")
 
-    est, diags = estimate_all(noisy, EstimationParams(seed=3), n_threads=4)
+    est, report = estimate_all(noisy, EstimationParams(seed=3), n_threads=4)
 
     index = build_index(noisy)
     profile = cloud_noise_scale(noisy, index, 64)
@@ -49,8 +49,9 @@ def main():
     print(f"{'pgp10 near edge':>18} "
           f"{pgp(est.normals[near_edge], clean.normals[near_edge], 10):8.2f} "
           f"{pgp(base.normals[near_edge], clean.normals[near_edge], 10):8.2f}")
-    conv = np.mean([d.converged for d in diags])
-    print(f"\nmode solver converged for {conv:.1%} of points")
+    print(f"\nmode solver converged for {report.converged.mean():.1%} of points "
+          f"({report.survivors.mean():.0f} of 100 candidates survive rejection, "
+          f"{report.fallback.sum()} PCA fallbacks)")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from .candidates import (
     rejection_sigma,
     sample_normal_candidates,
     sample_position_candidates,
-    score_candidate,
     score_candidates,
     score_position_candidates,
 )
@@ -18,7 +17,6 @@ from .consensus import (
     ModeResult,
     ccn_loss,
     ccp_loss,
-    mean_mode_normal,
     normal_mode,
     position_mode,
 )
@@ -34,19 +32,16 @@ from .errors import (
 )
 from .geometry import (
     NeighborIndex,
-    Plane,
     PointCloud,
     angle_unoriented,
     build_index,
-    fit_plane,
-    point_plane_distance,
 )
 from .io import read_cloud, read_ply, read_xyz, write_cloud, write_ply, write_xyz
 from .metrics import EvalReport, chamfer, evaluate_normals, p2s, pca_baseline, pgp, rms_angle, rms_tau
-from .noise import AdaptiveConfig, NoiseProfile, adaptive_k, cloud_noise_scale, point_noise_level, rejection_enabled
+from .noise import AdaptiveConfig, NoiseProfile, adaptive_k, cloud_noise_scale, rejection_enabled
 from .pipeline import (
     EstimationParams,
-    PointDiagnostics,
+    RunReport,
     denoise_all,
     denoise_point,
     estimate_all,

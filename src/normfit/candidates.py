@@ -24,12 +24,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import PersistentDegeneracy, TooFewNeighbors
-from .geometry import Plane, as_points, fit_planes_batch
+from .geometry import as_points, fit_planes_batch
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = 0xFFFFFFFFFFFFFFFF
+# neighbors averaged into one position candidate
+POSITION_SUBSET = 4
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,6 @@ class CandidatePlanes:
 
     def __len__(self):
         return len(self.normals)
-
-    def plane(self, i: int) -> Plane:
-        return Plane(normal=self.normals[i], anchor=self.anchors[i])
 
 
 @dataclass
@@ -196,12 +195,6 @@ def score_candidates(neighbors, cands: CandidatePlanes, sigma: float) -> np.ndar
                              np.array([sigma], dtype=np.float64))[0]
 
 
-def score_candidate(neighbors, plane: Plane, sigma: float) -> float:
-    """Score of a single plane hypothesis; see score_candidates."""
-    single = CandidatePlanes(normals=plane.normal[None, :], anchors=plane.anchor[None, :])
-    return float(score_candidates(neighbors, single, sigma)[0])
-
-
 def rejection_order(scores: np.ndarray, fraction: float) -> np.ndarray:
     """Per row of (P, M) scores, the survivors' indices by descending score
     (stable on ties); the lowest floor(fraction * M) of each row are dropped."""
@@ -225,12 +218,13 @@ def reject_candidates(cands: CandidatePlanes, fraction: float) -> CandidatePlane
 
 
 def sample_position_block(nbrs: np.ndarray, keys: np.ndarray, n_candidates: int) -> np.ndarray:
-    """Denoising hypotheses (P, M, 3): centroids of 4 distinct random neighbors."""
+    """Denoising hypotheses (P, M, 3): centroids of POSITION_SUBSET distinct
+    random neighbors."""
     n_pts, pool = nbrs.shape[:2]
-    if pool < 4:
-        raise TooFewNeighbors(f"{pool} neighbors < 4")
+    if pool < POSITION_SUBSET:
+        raise TooFewNeighbors(f"{pool} neighbors < {POSITION_SUBSET}")
     p, slot = np.divmod(np.arange(n_pts * n_candidates), n_candidates)
-    sets = _draw_index_sets(keys[p], slot, pool, 4)
+    sets = _draw_index_sets(keys[p], slot, pool, POSITION_SUBSET)
     return nbrs[p[:, None], sets].mean(axis=1).reshape(n_pts, n_candidates, 3)
 
 

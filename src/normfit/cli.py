@@ -9,8 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import config as cfgmod
 from .errors import NormfitError
 from .io import read_cloud, write_cloud
@@ -88,17 +86,13 @@ def _io_config(args) -> cfgmod.RunConfig:
 def _cmd_estimate(args) -> int:
     cfg = _io_config(args)
     cloud = read_cloud(cfg.input_path)
-    est, diags = estimate_all(cloud, cfg.params, n_threads=cfg.threads)
+    est, report = estimate_all(cloud, cfg.params, n_threads=cfg.threads)
     write_cloud(est, cfg.output_path)
-    k_hats = [d.k_hat for d in diags]
-    conv = sum(d.converged for d in diags)
-    feas = [d.n_feasible for d in diags]
-    fallbacks = sum(d.fallback for d in diags)
     print(f"estimated normals for {len(est)} points -> {cfg.output_path}")
-    print(f"mean k_hat = {np.mean(k_hats):.1f}  "
-          f"mean feasible candidates = {np.mean(feas):.1f}  "
-          f"solver convergence = {conv / len(diags):.1%}  "
-          f"PCA fallbacks = {fallbacks}")
+    print(f"k_hat = {report.k_hat}  "
+          f"mean survivors = {report.survivors.mean():.1f}  "
+          f"solver convergence = {report.converged.mean():.1%}  "
+          f"PCA fallbacks = {report.fallback.sum()}")
     return 0
 
 

@@ -125,15 +125,6 @@ def normal_mode(candidates, params: ConsensusParams, init) -> ModeResult:
                       converged=bool(converged[0]))
 
 
-def mean_mode_normal(candidates) -> np.ndarray:
-    """Sign-invariant least-squares direction: the exact minimizer of
-    sum ||z x m||^2 on the unit sphere (principal eigenvector of sum m m^T)."""
-    m = as_points(candidates)
-    if len(m) == 0:
-        raise EmptyCandidates("mean_mode_normal needs at least one candidate")
-    return _weighted_principal(m[None], np.ones((1, len(m))))[0]
-
-
 def _ccp_losses(q: np.ndarray, x: np.ndarray, tau2: np.ndarray) -> np.ndarray:
     """ccp_loss of each row: (A, M, 3) candidates at (A, 3) positions, (A,) squared bandwidths."""
     d2 = ((q - x[:, None, :]) ** 2).sum(axis=2)

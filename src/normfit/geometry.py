@@ -18,8 +18,6 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateSample
-
 # relative eigenvalue gap below which a point set is treated as collinear
 DEGENERACY_RTOL = 1e-12
 # query rows per chunk of NeighborIndex.knn_batch
@@ -50,20 +48,6 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     i = np.argmax(np.abs(v), axis=1)
     lead = v[np.arange(len(v)), i]
     return np.where((lead < 0)[:, None], -v, v)
-
-
-@dataclass(frozen=True)
-class Plane:
-    """A plane given by a unit normal and a point on the plane."""
-
-    normal: np.ndarray
-    anchor: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", np.asarray(self.normal, dtype=np.float64))
-        object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=np.float64))
-        if abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
-            raise ValueError("plane normal must be unit length")
 
 
 @dataclass
@@ -112,29 +96,20 @@ class NeighborIndex:
     def n_points(self) -> int:
         return len(self._points)
 
-    def _query_raw(self, xyz, kq):
-        d, idx = self._tree.query(xyz, k=kq)
-        return np.atleast_1d(d), np.atleast_1d(idx)
+    def knn(self, query_idx: int, k: int):
+        """k nearest neighbors of point `query_idx`, excluding itself.
 
-    def query_point(self, xyz, k: int, exclude: Optional[int] = None):
-        """k nearest neighbors of an arbitrary position.
-
-        Returns (indices, distances) sorted by (distance, index).  When
-        `exclude` is given that point index is omitted from the result.
+        Returns (indices, distances) sorted by (distance, index).
         """
         n = self.n_points
-        budget = n - (1 if exclude is not None else 0)
-        if not 1 <= k <= budget:
+        if not 1 <= k <= n - 1:
             raise ValueError(f"k={k} out of range for {n} points")
-        xyz = np.asarray(xyz, dtype=np.float64).reshape(3)
-        kq = min(n, k + (2 if exclude is None else 3))
+        kq = min(n, k + 3)
         while True:
-            d, idx = self._query_raw(xyz, kq)
-            if exclude is not None:
-                keep = idx != exclude
-                dk, ik = d[keep], idx[keep]
-            else:
-                dk, ik = d, idx
+            d, idx = self._tree.query(self._points[query_idx], k=kq)
+            d, idx = np.atleast_1d(d), np.atleast_1d(idx)
+            keep = idx != query_idx
+            dk, ik = d[keep], idx[keep]
             order = np.lexsort((ik, dk))
             dk, ik = dk[order], ik[order]
             # safe to cut at k only if every point at the k-th distance was
@@ -142,10 +117,6 @@ class NeighborIndex:
             if kq == n or dk[k - 1] < d[-1]:
                 return ik[:k].copy(), dk[:k].copy()
             kq = min(n, kq * 2)
-
-    def knn(self, query_idx: int, k: int):
-        """k nearest neighbors of point `query_idx`, excluding itself."""
-        return self.query_point(self._points[query_idx], k, exclude=query_idx)
 
     def knn_batch(self, k: int):
         """k-NN of every point at once, self excluded.
@@ -196,22 +167,6 @@ def plane_fit(pts: np.ndarray):
     return canonical_sign(v[:, :, 0]), c, np.maximum(w, 0.0)
 
 
-def fit_plane(points) -> Plane:
-    """Total-least-squares plane through >= 3 points.
-
-    Anchor is the centroid; the normal is the smallest-eigenvalue direction
-    of the covariance, sign-canonicalized.  Raises DegenerateSample when the
-    points are (numerically) collinear or coincident.
-    """
-    pts = as_points(points)
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points to fit a plane")
-    normals, anchors, degenerate = fit_planes_batch(pts[None])
-    if degenerate[0]:
-        raise DegenerateSample("points are collinear or coincident")
-    return Plane(normal=normals[0], anchor=anchors[0])
-
-
 def fit_planes_batch(pts: np.ndarray):
     """Vectorized plane fits for a batch of small point sets.
 
@@ -222,11 +177,6 @@ def fit_planes_batch(pts: np.ndarray):
     normals, c, w = plane_fit(pts)
     degenerate = (w[:, 1] <= DEGENERACY_RTOL * w[:, 2]) | (w[:, 2] <= 0.0)
     return normals, c, degenerate
-
-
-def point_plane_distance(p, plane: Plane) -> float:
-    p = np.asarray(p, dtype=np.float64).reshape(3)
-    return float(abs((p - plane.anchor) @ plane.normal))
 
 
 def angle_unoriented(u, v) -> float:

@@ -65,12 +65,6 @@ def _noise_levels(points: np.ndarray, nbr_idx: np.ndarray, query_idx: np.ndarray
     return np.where(total > 0.0, w[:, 0] / np.where(total > 0.0, total, 1.0), 0.0)
 
 
-def point_noise_level(cloud: PointCloud, index: NeighborIndex, t: int, k_f: int = DEFAULT_NOISE_K) -> float:
-    """Surface variation of point t's k_f neighbors plus the point itself."""
-    idx, _ = index.knn(t, k_f)
-    return float(_noise_levels(cloud.points, idx[None], np.array([t]))[0])
-
-
 def cloud_noise_scale(cloud: PointCloud, index: NeighborIndex, k_f: int = DEFAULT_NOISE_K) -> NoiseProfile:
     """Per-point noise levels and their mean, computed in one vectorized pass."""
     n = len(cloud)

@@ -6,8 +6,8 @@ block's (P, k, M) score matrix stays near 2 MB.  The blocks are a fixed
 partition of range(N) and threads take whole blocks.  Every random draw is
 a pure function of (seed, point index, candidate slot, attempt), so outputs
 are identical for any thread count.  `estimate_normal` and `denoise_point`
-run the same stages on a single point and give that point's result byte for
-byte.
+run the same block function on a block of one and give that point's result
+byte for byte.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ import numpy as np
 
 from . import candidates as cand
 from .candidates import point_rng
-from .consensus import (ConsensusParams, normal_mode, normal_mode_batch, position_mode,
-                        position_mode_batch)
+from .consensus import ConsensusParams, normal_mode_batch, position_mode_batch
+# unused here: perfbench/tracer.py probes these two names on this module
+from .consensus import normal_mode, position_mode  # noqa: F401
+from .errors import TooFewNeighbors
 from .geometry import NeighborIndex, PointCloud, build_index, plane_fit
 from .noise import AdaptiveConfig, DEFAULT_NOISE_K, adaptive_k, cloud_noise_scale, rejection_enabled
 
@@ -41,13 +43,21 @@ class EstimationParams:
 
 
 @dataclass
-class PointDiagnostics:
-    k_hat: int
-    n_feasible: int
-    solver_iters: int
-    converged: bool
-    final_loss: float
-    fallback: bool = False     # PCA normal: every resampling attempt stayed degenerate
+class RunReport:
+    """Per-point counters of an `estimate_all` run: one (N,) array per field."""
+
+    k_hat: int                     # neighborhood size, shared by every point
+    survivors: np.ndarray          # candidates left after rejection; 0 on fallback
+    iterations: np.ndarray         # mode-solver iterations
+    converged: np.ndarray          # bool: the mode solver met its tolerance
+    loss: np.ndarray               # final consensus loss; 0 on fallback
+    fallback: np.ndarray           # bool: PCA normal, every resampling attempt stayed degenerate
+
+
+def _require_points(cloud: PointCloud, need: int) -> None:
+    """Raise TooFewNeighbors unless each point has at least `need` neighbors."""
+    if len(cloud) <= need:
+        raise TooFewNeighbors(f"need more than {need} points, got {len(cloud)}")
 
 
 def _block_size(n_candidates: int, k: int) -> int:
@@ -62,140 +72,136 @@ def _neighborhoods(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k: i
     return cloud.points[idx] - cloud.points[ts, None, :], dist
 
 
-def _run_blocks(n: int, block: int, work, n_threads: int) -> None:
-    """Call work(ts) on every block of the fixed partition of range(n)."""
+def _run_blocks(n: int, block: int, work, n_threads: int) -> list:
+    """work(ts) on every block of the fixed partition of range(n), in block order."""
     blocks = [np.arange(s, min(s + block, n)) for s in range(0, n, block)]
     if n_threads <= 1:
-        for ts in blocks:
-            work(ts)
-        return
+        return [work(ts) for ts in blocks]
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        list(pool.map(work, blocks))
+        return list(pool.map(work, blocks))
 
 
 def _k_hat(cloud: PointCloud, f_cloud: float, params: EstimationParams) -> int:
     return min(adaptive_k(f_cloud, params.adaptive), len(cloud) - 1)
 
 
-def estimate_normal(cloud: PointCloud, index: NeighborIndex, t: int, f_cloud: float,
-                    params: EstimationParams):
-    """Estimate one point's normal; returns (unit normal, diagnostics).
+def _estimate_block(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k_hat: int,
+                    reject: bool, params: EstimationParams):
+    """Rows of block ts: (normals (P, 3), then the `RunReport` arrays).
 
-    Runs the single-point stages and gives what `estimate_all` gives for t.
-    Raises PersistentDegeneracy where `estimate_all` falls back to PCA.
+    A point whose candidate slots stay degenerate after every resampling
+    attempt gets the PCA normal of its neighborhood plus itself.
     """
-    k_hat = _k_hat(cloud, f_cloud, params)
-    rel, nbr_d = _neighborhoods(cloud, index, np.array([t]), k_hat)
-    planes = cand.sample_normal_candidates(rel[0], params.sampling, point_rng(params.seed, t))
-    planes.scores = cand.score_candidates(rel[0], planes, cand.rejection_sigma(nbr_d[0]))
-    if rejection_enabled(f_cloud, params.adaptive):
-        planes = cand.reject_candidates(planes, params.sampling.rejection_fraction_normals)
-        init = planes.normals[0]        # survivors are score-sorted
-    else:
-        # rejection off: scores only pick the solver initialization
-        init = planes.normals[int(np.argmax(planes.scores))]
-    result = normal_mode(planes.normals, params.consensus, init)
-    diag = PointDiagnostics(k_hat=k_hat, n_feasible=len(planes),
-                            solver_iters=result.iterations,
-                            converged=result.converged, final_loss=result.loss)
-    return result.value, diag
-
-
-def estimate_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1):
-    """Estimate normals for every point.
-
-    Returns (cloud with normals attached, list of PointDiagnostics).
-    The noise scale (and hence the neighborhood size) is computed once per
-    cloud.  A point whose candidate slots stay degenerate after every
-    resampling attempt gets the PCA normal of its neighborhood plus itself
-    and is flagged `fallback`.
-    """
-    index = build_index(cloud)
-    profile = cloud_noise_scale(cloud, index, min(params.noise_k, len(cloud) - 1))
-    f = profile.cloud_f
-    k_hat = _k_hat(cloud, f, params)
-    reject = rejection_enabled(f, params.adaptive)
     sp = params.sampling
-    normals = np.empty_like(cloud.points)
-    diags: list = [None] * len(cloud)
-
-    def work(ts):
-        rel, nbr_d = _neighborhoods(cloud, index, ts, k_hat)
-        nrm, anc, failed = cand.sample_plane_block(rel, point_rng(params.seed, ts), sp)
-        if failed.any():
-            # PCA over the neighborhood plus the point itself (the origin)
-            fb = ts[failed]
-            pts = np.concatenate([rel[failed], np.zeros((len(fb), 1, 3))], axis=1)
-            normals[fb] = plane_fit(pts)[0]
-            for t in fb:
-                diags[t] = PointDiagnostics(k_hat=k_hat, n_feasible=0, solver_iters=0,
-                                            converged=False, final_loss=0.0, fallback=True)
-            ok = ~failed
-            if not ok.any():
-                return
-            rel, nbr_d, nrm, anc, ts = rel[ok], nbr_d[ok], nrm[ok], anc[ok], ts[ok]
+    rel, nbr_d = _neighborhoods(cloud, index, ts, k_hat)
+    nrm, anc, failed = cand.sample_plane_block(rel, point_rng(params.seed, ts), sp)
+    normals = np.empty((len(ts), 3))
+    survivors = np.zeros(len(ts), dtype=np.int64)
+    iterations = np.zeros(len(ts), dtype=np.int64)
+    converged = np.zeros(len(ts), dtype=bool)
+    loss = np.zeros(len(ts))
+    if failed.any():
+        # PCA over the neighborhood plus the point itself (the origin)
+        pts = np.concatenate([rel[failed], np.zeros((np.count_nonzero(failed), 1, 3))], axis=1)
+        normals[failed] = plane_fit(pts)[0]
+    ok = ~failed
+    if ok.any():
+        rel, nbr_d, nrm, anc = rel[ok], nbr_d[ok], nrm[ok], anc[ok]
         scores = cand.score_plane_block(rel, nrm, anc, cand.rejection_sigma(nbr_d))
         if reject:
             keep = cand.rejection_order(scores, sp.rejection_fraction_normals)
             nrm = np.take_along_axis(nrm, keep[:, :, None], axis=1)
             init = nrm[:, 0]              # survivors are score-sorted
         else:
+            # rejection off: scores only pick the solver initialization
             init = nrm[np.arange(len(nrm)), np.argmax(scores, axis=1)]
-        n, loss, iters, conv = normal_mode_batch(nrm, params.consensus, init)
-        normals[ts] = n
-        for j, t in enumerate(ts):
-            diags[t] = PointDiagnostics(k_hat=k_hat, n_feasible=nrm.shape[1],
-                                        solver_iters=int(iters[j]), converged=bool(conv[j]),
-                                        final_loss=float(loss[j]))
+        normals[ok], loss[ok], iterations[ok], converged[ok] = normal_mode_batch(
+            nrm, params.consensus, init)
+        survivors[ok] = nrm.shape[1]
+    return normals, survivors, iterations, converged, loss, failed
 
-    _run_blocks(len(cloud), _block_size(sp.n_candidates, k_hat), work, n_threads)
-    return PointCloud(points=cloud.points.copy(), normals=normals), diags
+
+def estimate_normal(cloud: PointCloud, index: NeighborIndex, t: int, f_cloud: float,
+                    params: EstimationParams):
+    """Estimate one point's normal; returns (unit normal, RunReport of that point).
+
+    The block chain on a block of one: gives what `estimate_all` gives for
+    t, PCA fallback included.
+    """
+    _require_points(cloud, params.sampling.k_s)
+    k_hat = _k_hat(cloud, f_cloud, params)
+    normals, *cols = _estimate_block(cloud, index, np.array([t]), k_hat,
+                                     rejection_enabled(f_cloud, params.adaptive), params)
+    return normals[0], RunReport(k_hat, *cols)
+
+
+def estimate_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1):
+    """Estimate normals for every point.
+
+    Returns (cloud with normals attached, RunReport).  The noise scale (and
+    hence the neighborhood size) is computed once per cloud.  A point whose
+    candidate slots stay degenerate after every resampling attempt gets the
+    PCA normal of its neighborhood plus itself and is flagged `fallback`.
+    Raises TooFewNeighbors if the cloud has no more than k_s points.
+    """
+    _require_points(cloud, params.sampling.k_s)
+    index = build_index(cloud)
+    profile = cloud_noise_scale(cloud, index, min(params.noise_k, len(cloud) - 1))
+    f = profile.cloud_f
+    k_hat = _k_hat(cloud, f, params)
+    reject = rejection_enabled(f, params.adaptive)
+    rows = _run_blocks(len(cloud), _block_size(params.sampling.n_candidates, k_hat),
+                       lambda ts: _estimate_block(cloud, index, ts, k_hat, reject, params),
+                       n_threads)
+    normals, *cols = (np.concatenate(c) for c in zip(*rows))
+    return PointCloud(points=cloud.points.copy(), normals=normals), RunReport(k_hat, *cols)
 
 
 def _denoise_k(cloud: PointCloud, params: EstimationParams) -> int:
+    _require_points(cloud, cand.POSITION_SUBSET)
     return min(params.denoise_k, len(cloud) - 1)
+
+
+def _denoise_block(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k: int,
+                   params: EstimationParams) -> np.ndarray:
+    """Denoised positions (P, 3) of block ts.
+
+    A point whose nearest neighbors all coincide with it (bandwidth 0)
+    keeps its position.
+    """
+    sp = params.sampling
+    rel, nbr_d = _neighborhoods(cloud, index, ts, k)
+    sigma = nbr_d[:, :_DENOISE_SIGMA_K].mean(axis=1)
+    out = cloud.points[ts]
+    live = sigma > 0.0
+    rel, sigma = rel[live], sigma[live]
+    pos = cand.sample_position_block(rel, point_rng(params.seed, ts[live]), sp.n_candidates)
+    scores = cand.score_position_block(rel, pos, sigma)
+    keep = cand.rejection_order(scores, sp.rejection_fraction_positions)
+    pos = np.take_along_axis(pos, keep[:, :, None], axis=1)
+    x, _, _, _ = position_mode_batch(pos, params.consensus, np.zeros((len(pos), 3)), sigma)
+    out[live] += x
+    return out
 
 
 def denoise_point(cloud: PointCloud, index: NeighborIndex, t: int,
                   params: EstimationParams) -> np.ndarray:
     """Move one point to the main mode of its position candidates.
 
-    Runs the single-point stages and gives what `denoise_all` gives for t.
+    The block chain on a block of one: gives what `denoise_all` gives for t.
     """
-    k = _denoise_k(cloud, params)
-    rel, nbr_d = _neighborhoods(cloud, index, np.array([t]), k)
-    sigma = nbr_d[:, :_DENOISE_SIGMA_K].mean(axis=1)[0]
-    if sigma == 0.0:
-        return cloud.points[t].copy()
-    cands = cand.sample_position_candidates(rel[0], params.sampling, point_rng(params.seed, t))
-    cands.scores = cand.score_position_candidates(rel[0], cands, sigma)
-    cands = cand.reject_position_candidates(cands, params.sampling.rejection_fraction_positions)
-    result = position_mode(cands.positions, params.consensus, np.zeros(3), tau=sigma)
-    return cloud.points[t] + result.value
+    return _denoise_block(cloud, index, np.array([t]), _denoise_k(cloud, params), params)[0]
 
 
 def denoise_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1) -> PointCloud:
     """Denoise every point; positions move, normals (if any) are dropped.
 
     A point whose nearest neighbors all coincide with it (bandwidth 0)
-    keeps its position.
+    keeps its position.  Raises TooFewNeighbors if the cloud has no more
+    than 4 points.
     """
-    index = build_index(cloud)
     k = _denoise_k(cloud, params)
-    sp = params.sampling
-    out = cloud.points.copy()
-
-    def work(ts):
-        rel, nbr_d = _neighborhoods(cloud, index, ts, k)
-        sigma = nbr_d[:, :_DENOISE_SIGMA_K].mean(axis=1)
-        live = sigma > 0.0
-        rel, sigma, ts = rel[live], sigma[live], ts[live]
-        pos = cand.sample_position_block(rel, point_rng(params.seed, ts), sp.n_candidates)
-        scores = cand.score_position_block(rel, pos, sigma)
-        keep = cand.rejection_order(scores, sp.rejection_fraction_positions)
-        pos = np.take_along_axis(pos, keep[:, :, None], axis=1)
-        x, _, _, _ = position_mode_batch(pos, params.consensus, np.zeros((len(ts), 3)), sigma)
-        out[ts] = cloud.points[ts] + x
-
-    _run_blocks(len(cloud), _block_size(sp.n_candidates, k), work, n_threads)
-    return PointCloud(points=out)
+    index = build_index(cloud)
+    blocks = _run_blocks(len(cloud), _block_size(params.sampling.n_candidates, k),
+                         lambda ts: _denoise_block(cloud, index, ts, k, params), n_threads)
+    return PointCloud(points=np.concatenate(blocks))

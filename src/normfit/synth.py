@@ -41,13 +41,10 @@ class ShapeSpec:
 class NoiseSpec:
     std_pct_bbox_diag: float = 0.0
     seed: int = 0
-    model: str = "gaussian"
 
     def __post_init__(self):
         if self.std_pct_bbox_diag < 0:
             raise ValueError("noise std must be nonnegative")
-        if self.model != "gaussian":
-            raise ValueError(f"unknown noise model {self.model!r}")
 
 
 def _gen_plane(n, e, rng):

@@ -22,7 +22,6 @@ from normfit import (
     chamfer,
     denoise_all,
     estimate_all,
-    fit_plane,
     gen_shape,
     p2s,
     pca_baseline,
@@ -39,7 +38,7 @@ from normfit.consensus import ConsensusParams, ccn_loss, normal_mode
 from normfit.noise import AdaptiveConfig, cloud_noise_scale
 from normfit.pipeline import point_rng
 
-from conftest import grid_min_normal
+from conftest import fit_plane, grid_min_normal
 
 EZ = np.array([0.0, 0.0, 1.0])
 

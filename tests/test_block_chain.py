@@ -1,5 +1,7 @@
-"""The block-batched chain: single-point calls, block size, the index sampler
-and degenerate neighbourhoods."""
+"""The block-batched chain: single-point calls, block size, the index sampler,
+degenerate neighbourhoods and tiny clouds."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from normfit import (
     EstimationParams,
     NoiseSpec,
     PointCloud,
+    RunReport,
     ShapeSpec,
+    TooFewNeighbors,
     add_noise,
     build_index,
     cloud_noise_scale,
@@ -45,19 +49,28 @@ def sampled_points(n, block):
     return sorted({0, block - 1, block, n // 2, *range(last, n)})
 
 
+def assert_report_row(one: RunReport, report: RunReport, t: int):
+    """The one-point report `one` equals row t of `report`, field by field."""
+    assert one.k_hat == report.k_hat
+    for f in fields(RunReport)[1:]:
+        col, row = getattr(report, f.name), getattr(one, f.name)
+        assert row.shape == (1,) and row.dtype == col.dtype, f.name
+        assert row.tobytes() == col[t:t + 1].tobytes(), (f.name, t)
+
+
 class TestBatchOfOne:
     @pytest.mark.parametrize("cloud", [noisy("wedge", 333, 1), noisy("plane", 301, 3),
                                        blob(150, 5)], ids=["wedge", "plane", "blob"])
     def test_estimate_normal_equals_estimate_all(self, cloud):
         params = EstimationParams(seed=7)
-        est, diags = estimate_all(cloud, params)
+        est, report = estimate_all(cloud, params)
         index = build_index(cloud)
         f = cloud_noise_scale(cloud, index, min(params.noise_k, len(cloud) - 1)).cloud_f
-        block = pipeline._block_size(params.sampling.n_candidates, diags[0].k_hat)
+        block = pipeline._block_size(params.sampling.n_candidates, report.k_hat)
         for t in sampled_points(len(cloud), block):
-            normal, diag = estimate_normal(cloud, index, t, f, params)
+            normal, one = estimate_normal(cloud, index, t, f, params)
             assert normal.tobytes() == est.normals[t].tobytes(), t
-            assert diag == diags[t], t
+            assert_report_row(one, report, t)
 
     @pytest.mark.parametrize("cloud", [noisy("wedge", 333, 1), noisy("plane", 301, 3)],
                              ids=["wedge", "plane"])
@@ -70,8 +83,8 @@ class TestBatchOfOne:
             assert denoise_point(cloud, index, t, params).tobytes() == out.points[t].tobytes(), t
 
     def test_rejection_is_off_on_the_blob(self):
-        _, diags = estimate_all(blob(150, 5), EstimationParams(seed=7))
-        assert all(d.n_feasible == 100 for d in diags)
+        _, report = estimate_all(blob(150, 5), EstimationParams(seed=7))
+        assert (report.survivors == 100).all()
 
 
 class TestBlockSize:
@@ -146,16 +159,30 @@ class TestDegenerateNeighborhoods:
     @pytest.mark.parametrize("make", [spike_cloud, copies_cloud], ids=["spike", "copies"])
     def test_estimate_falls_back_per_point(self, make):
         cloud = make()
-        est, diags = estimate_all(cloud, EstimationParams(), n_threads=2)
+        est, report = estimate_all(cloud, EstimationParams(), n_threads=2)
         assert np.isfinite(est.normals).all()
         assert np.allclose(np.linalg.norm(est.normals, axis=1), 1.0)
-        fallback = np.array([d.fallback for d in diags])
+        fallback = report.fallback
         assert fallback.any()
         if make is spike_cloud:
             # the top of the spike only sees collinear neighbours; the plane is fine
             assert fallback[-1] and not fallback[:600].any()
             far = np.linalg.norm(cloud.points[:600, :2], axis=1) > 0.2
             assert np.allclose(np.abs(est.normals[:600][far, 2]), 1.0)
+
+    def test_estimate_normal_equals_the_fallback(self):
+        # the top of the spike: a single-point call gives the PCA fallback
+        # of the whole-cloud run, not an error
+        cloud = spike_cloud()
+        params = EstimationParams()
+        est, report = estimate_all(cloud, params)
+        index = build_index(cloud)
+        f = cloud_noise_scale(cloud, index, min(params.noise_k, len(cloud) - 1)).cloud_f
+        t = len(cloud) - 1
+        normal, one = estimate_normal(cloud, index, t, f, params)
+        assert one.fallback[0] and report.fallback[t]
+        assert normal.tobytes() == est.normals[t].tobytes()
+        assert_report_row(one, report, t)
 
     def test_denoise_keeps_coincident_points(self):
         cloud = copies_cloud()
@@ -175,3 +202,54 @@ class TestDegenerateNeighborhoods:
         out = capsys.readouterr().out
         count = int(out.split("PCA fallbacks = ")[1].split()[0])
         assert count > 0
+
+
+class TestTinyClouds:
+    """A cloud of N points gives each point N - 1 neighbours: estimation
+    needs more than k_s = 4 of them, denoising more than 4."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_estimate(self, n):
+        cloud = blob(n, n)
+        index = build_index(cloud)
+        params = EstimationParams()
+        if n <= params.sampling.k_s:
+            with pytest.raises(TooFewNeighbors):
+                estimate_all(cloud, params)
+            with pytest.raises(TooFewNeighbors):
+                estimate_normal(cloud, index, 0, 0.0, params)
+            return
+        est, report = estimate_all(cloud, params)
+        assert np.allclose(np.linalg.norm(est.normals, axis=1), 1.0)
+        assert report.k_hat == n - 1
+        f = cloud_noise_scale(cloud, index, n - 1).cloud_f
+        for t in range(n):
+            normal, one = estimate_normal(cloud, index, t, f, params)
+            assert normal.tobytes() == est.normals[t].tobytes(), t
+            assert_report_row(one, report, t)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_denoise(self, n):
+        cloud = blob(n, n)
+        index = build_index(cloud)
+        params = EstimationParams()
+        if n <= 4:
+            with pytest.raises(TooFewNeighbors):
+                denoise_all(cloud, params)
+            with pytest.raises(TooFewNeighbors):
+                denoise_point(cloud, index, 0, params)
+            return
+        out = denoise_all(cloud, params)
+        assert np.isfinite(out.points).all()
+        for t in range(n):
+            assert denoise_point(cloud, index, t, params).tobytes() == out.points[t].tobytes()
+
+    @pytest.mark.parametrize("command", ["estimate", "denoise"])
+    def test_cli_one_point(self, command, tmp_path, capsys):
+        src, dst = tmp_path / "one.xyz", tmp_path / "out.xyz"
+        write_cloud(blob(1, 0), src)
+        assert cli_main([command, "--in", str(src), "--out", str(dst)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "need more than 4 points, got 1" in err
+        assert not dst.exists()
+

@@ -3,19 +3,19 @@ import pytest
 
 from normfit import (
     PersistentDegeneracy,
-    Plane,
     SamplingParams,
     TooFewNeighbors,
     reject_candidates,
     rejection_sigma,
     sample_normal_candidates,
     sample_position_candidates,
-    score_candidate,
     score_candidates,
     score_position_candidates,
 )
 from normfit.candidates import CandidatePlanes, reject_position_candidates
 from normfit.pipeline import point_rng
+
+from conftest import Plane, score_candidate
 
 PARAMS = SamplingParams()
 

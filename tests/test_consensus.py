@@ -6,12 +6,11 @@ from normfit import (
     EmptyCandidates,
     ccn_loss,
     ccp_loss,
-    mean_mode_normal,
     normal_mode,
     position_mode,
 )
 
-from conftest import grid_min_normal, random_units
+from conftest import grid_min_normal, mean_mode_normal, random_units
 
 EZ = np.array([0.0, 0.0, 1.0])
 EX = np.array([1.0, 0.0, 0.0])

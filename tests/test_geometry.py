@@ -3,16 +3,13 @@ import pytest
 
 from normfit import (
     DegenerateSample,
-    Plane,
     PointCloud,
     angle_unoriented,
     build_index,
-    fit_plane,
-    point_plane_distance,
 )
 from normfit.geometry import canonical_sign, plane_fit
 
-from conftest import brute_force_knn, random_units
+from conftest import Plane, brute_force_knn, fit_plane, point_plane_distance, random_units
 
 
 class TestNeighborIndex:

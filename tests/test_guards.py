@@ -1,0 +1,63 @@
+"""Guards for what the library's own tests would not notice: the names the
+benchmark tracer wraps, the stages a single-point call reaches, and the
+demos."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import normfit
+from normfit import EstimationParams, PointCloud, build_index, pipeline
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(normfit.__file__).resolve().parents[1]
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module          # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = load_tracer()
+
+
+@pytest.mark.parametrize("probe", tracer.normfit_probes(), ids=lambda p: p.name)
+def test_every_traced_attribute_exists(probe):
+    # the tracer looks the attribute up in its owner's own namespace
+    assert callable(probe.owner.__dict__.get(probe.attr)), probe.attr
+
+
+def test_single_point_calls_reach_no_single_point_stage():
+    cloud = PointCloud(points=np.random.default_rng(3).uniform(-1, 1, (120, 3)))
+    index = build_index(cloud)
+    params = EstimationParams(seed=4)
+    probes = tracer.normfit_probes()
+    single = {p.name for p in probes
+              if p.name.split(".")[0] in ("candidates", "consensus")
+              and p.name != "candidates.fit_planes_batch"}
+    # looked up on the module at call time, where the tracer installs its wrappers
+    with tracer.Tracer(probes) as tr:
+        pipeline.estimate_normal(cloud, index, 5, 0.0, params)    # rejection on
+        pipeline.estimate_normal(cloud, index, 6, 0.5, params)    # rejection off
+        pipeline.denoise_point(cloud, index, 7, params)
+    names = {name for _, _, name, _, _ in tr.spans}
+    assert {"pipeline.estimate_normal", "pipeline.denoise_point"} <= names
+    assert not names & single, names & single
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]

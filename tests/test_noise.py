@@ -11,10 +11,11 @@ from normfit import (
     cloud_noise_scale,
     estimate_all,
     gen_shape,
-    point_noise_level,
     rejection_enabled,
     rms_angle,
 )
+
+from conftest import point_noise_level
 
 CFG = AdaptiveConfig()
 

@@ -29,10 +29,10 @@ def wedge_cloud(n=3000, noise=0.0, seed=0):
 class TestEstimate:
     def test_exact_plane(self):
         cloud = gen_shape(ShapeSpec(kind="plane", n_points=400, seed=1))
-        est, diags = estimate_all(cloud, EstimationParams(seed=2))
+        est, report = estimate_all(cloud, EstimationParams(seed=2))
         for n in est.normals:
             assert angle_unoriented(n, [0, 0, 1]) < 0.1
-        assert all(d.n_feasible <= 100 for d in diags)
+        assert (report.survivors <= 100).all()
 
     def test_all_normals_equal_on_plane(self):
         cloud = gen_shape(ShapeSpec(kind="plane", n_points=300, seed=3))
@@ -111,8 +111,8 @@ class TestEstimate:
 
     def test_small_cloud_clamps_k_hat(self):
         cloud = gen_shape(ShapeSpec(kind="sphere", n_points=20, seed=10))
-        est, diags = estimate_all(cloud, EstimationParams(seed=11))
-        assert all(d.k_hat == 19 for d in diags)
+        est, report = estimate_all(cloud, EstimationParams(seed=11))
+        assert report.k_hat == 19
         assert est.normals.shape == (20, 3)
 
     def test_point_rng_streams_independent(self):
