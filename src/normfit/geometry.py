@@ -118,32 +118,34 @@ class NeighborIndex:
                 return ik[:k].copy(), dk[:k].copy()
             kq = min(n, kq * 2)
 
-    def knn_batch(self, k: int):
-        """k-NN of every point at once, self excluded.
+    def knn_batch(self, k: int, rows=None):
+        """k-NN of points `rows` (default: every point) at once, self excluded.
 
-        Returns (indices, distances) arrays of shape (N, k) obeying the
-        same (distance, index) ordering as `knn`.
+        Returns (indices, distances) arrays of shape (len(rows), k) obeying
+        the same (distance, index) ordering as `knn`.
         """
         n = self.n_points
         if not 1 <= k <= n - 1:
             raise ValueError(f"k={k} out of range for {n} points")
+        rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
         kq = min(n, k + 3)
-        out_i = np.empty((n, k), dtype=np.intp)
-        out_d = np.empty((n, k), dtype=np.float64)
+        out_i = np.empty((len(rows), k), dtype=np.intp)
+        out_d = np.empty((len(rows), k), dtype=np.float64)
         # row chunks bound the (rows, kq) temporaries on large clouds
-        for start in range(0, n, _KNN_BATCH_ROWS):
-            rows = np.arange(start, min(start + _KNN_BATCH_ROWS, n))
-            d, idx = self._tree.query(self._points[rows], k=kq)
+        for start in range(0, len(rows), _KNN_BATCH_ROWS):
+            part = slice(start, start + _KNN_BATCH_ROWS)
+            ts = rows[part]
+            d, idx = self._tree.query(self._points[ts], k=kq)
             # the query point sorts last; the others by (distance, index)
-            dk = np.where(idx == rows[:, None], np.inf, d)
+            dk = np.where(idx == ts[:, None], np.inf, d)
             order = np.lexsort((idx, dk), axis=1)
             dk = np.take_along_axis(dk, order, axis=1)[:, :k]
-            out_i[rows] = np.take_along_axis(idx, order, axis=1)[:, :k]
-            out_d[rows] = dk
+            out_i[part] = np.take_along_axis(idx, order, axis=1)[:, :k]
+            out_d[part] = dk
             if kq < n:
                 # boundary tie: fall back to the widening single query
-                for t in rows[~(dk[:, k - 1] < d[:, -1])]:
-                    out_i[t], out_d[t] = self.knn(int(t), k)
+                for r in np.flatnonzero(~(dk[:, k - 1] < d[:, -1])):
+                    out_i[start + r], out_d[start + r] = self.knn(int(ts[r]), k)
         return out_i, out_d
 
 

@@ -1,13 +1,18 @@
 """Whole-cloud orchestration: normal estimation and denoising.
 
 Points run the three-stage chain (sample hypotheses, score + reject, seek
-the main mode) in blocks of P points, P = max(1, 2**18 // (M * k)) so that a
-block's (P, k, M) score matrix stays near 2 MB.  The blocks are a fixed
-partition of range(N) and threads take whole blocks.  Every random draw is
-a pure function of (seed, point index, candidate slot, attempt), so outputs
-are identical for any thread count.  `estimate_normal` and `denoise_point`
-run the same block function on a block of one and give that point's result
-byte for byte.
+the main mode) in blocks of P points, P = min(ceil(N / n_threads),
+2**18 // (3 * k_s * M)): one block per thread on small clouds, and on large
+ones as many points as keep a block's (P * M, k_s, 3) subset gather near
+2 MB.  A block's neighborhoods come from one k-NN tree query, and its
+(P, k, M) plane scores and (P, M, k) position scores are computed in row
+chunks of 2**18 // (M * k) points, so each kernel matrix also stays near
+2 MB.  The blocks are a fixed partition of range(N) and threads take whole
+blocks.  Every random draw is a pure function of (seed, point index,
+candidate slot, attempt), and every stage computes each point's rows
+independently of the others, so outputs are identical for any thread count
+and block size.  `estimate_normal` and `denoise_point` run the same block
+function on a block of one and give that point's result byte for byte.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import TooFewNeighbors
 from .geometry import NeighborIndex, PointCloud, build_index, plane_fit
 from .noise import AdaptiveConfig, DEFAULT_NOISE_K, adaptive_k, cloud_noise_scale, rejection_enabled
 
-# elements of a block's (P, k, M) score matrix: 2 MB of float64
+# float64 elements of a block's subset gather and of a scoring chunk: 2 MB
 _BLOCK_ELEMENTS = 2**18
 # neighbors whose mean distance sets the denoising bandwidth
 _DENOISE_SIGMA_K = 12
@@ -60,15 +65,29 @@ def _require_points(cloud: PointCloud, need: int) -> None:
         raise TooFewNeighbors(f"need more than {need} points, got {len(cloud)}")
 
 
-def _block_size(n_candidates: int, k: int) -> int:
-    return max(1, _BLOCK_ELEMENTS // (n_candidates * k))
+def _block_size(n: int, n_threads: int, n_candidates: int, subset: int) -> int:
+    """Points per block: an equal share of the n points per thread, capped
+    so that the block's (P * M, subset, 3) gather of candidate subsets holds
+    at most _BLOCK_ELEMENTS doubles."""
+    share = -(-n // max(1, n_threads))
+    return max(1, min(share, _BLOCK_ELEMENTS // (3 * subset * n_candidates)))
+
+
+def _chunked_scores(score, nbrs: np.ndarray, cands: np.ndarray, *per_point) -> np.ndarray:
+    """score(nbrs, cands, *per_point) -> (P, M), run on row chunks so that
+    each chunk's (rows, k, M) kernel matrix holds at most _BLOCK_ELEMENTS
+    doubles (at least one row).  A block of no rows gives (0, M)."""
+    rows = max(1, _BLOCK_ELEMENTS // (cands.shape[1] * nbrs.shape[1]))
+    out = np.empty(cands.shape[:2])
+    for start in range(0, len(out), rows):
+        part = slice(start, start + rows)
+        out[part] = score(nbrs[part], cands[part], *(a[part] for a in per_point))
+    return out
 
 
 def _neighborhoods(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k: int):
     """(neighbors relative to their query point (P, k, 3), distances (P, k))."""
-    found = [index.knn(int(t), k) for t in ts]
-    idx = np.array([i for i, _ in found])
-    dist = np.array([d for _, d in found])
+    idx, dist = index.knn_batch(k, ts)
     return cloud.points[idx] - cloud.points[ts, None, :], dist
 
 
@@ -107,7 +126,8 @@ def _estimate_block(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k_h
     ok = ~failed
     if ok.any():
         rel, nbr_d, nrm, anc = rel[ok], nbr_d[ok], nrm[ok], anc[ok]
-        scores = cand.score_plane_block(rel, nrm, anc, cand.rejection_sigma(nbr_d))
+        scores = _chunked_scores(cand.score_plane_block, rel, nrm, anc,
+                                 cand.rejection_sigma(nbr_d))
         if reject:
             keep = cand.rejection_order(scores, sp.rejection_fraction_normals)
             nrm = np.take_along_axis(nrm, keep[:, :, None], axis=1)
@@ -150,7 +170,9 @@ def estimate_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1
     f = profile.cloud_f
     k_hat = _k_hat(cloud, f, params)
     reject = rejection_enabled(f, params.adaptive)
-    rows = _run_blocks(len(cloud), _block_size(params.sampling.n_candidates, k_hat),
+    sp = params.sampling
+    block = _block_size(len(cloud), n_threads, sp.n_candidates, sp.k_s)
+    rows = _run_blocks(len(cloud), block,
                        lambda ts: _estimate_block(cloud, index, ts, k_hat, reject, params),
                        n_threads)
     normals, *cols = (np.concatenate(c) for c in zip(*rows))
@@ -176,7 +198,7 @@ def _denoise_block(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k: i
     live = sigma > 0.0
     rel, sigma = rel[live], sigma[live]
     pos = cand.sample_position_block(rel, point_rng(params.seed, ts[live]), sp.n_candidates)
-    scores = cand.score_position_block(rel, pos, sigma)
+    scores = _chunked_scores(cand.score_position_block, rel, pos, sigma)
     keep = cand.rejection_order(scores, sp.rejection_fraction_positions)
     pos = np.take_along_axis(pos, keep[:, :, None], axis=1)
     x, _, _, _ = position_mode_batch(pos, params.consensus, np.zeros((len(pos), 3)), sigma)
@@ -202,6 +224,8 @@ def denoise_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1)
     """
     k = _denoise_k(cloud, params)
     index = build_index(cloud)
-    blocks = _run_blocks(len(cloud), _block_size(params.sampling.n_candidates, k),
+    block = _block_size(len(cloud), n_threads, params.sampling.n_candidates,
+                        cand.POSITION_SUBSET)
+    blocks = _run_blocks(len(cloud), block,
                          lambda ts: _denoise_block(cloud, index, ts, k, params), n_threads)
     return PointCloud(points=np.concatenate(blocks))

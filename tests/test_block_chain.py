@@ -25,10 +25,13 @@ from normfit import (
     gen_shape,
 )
 from normfit import pipeline
-from normfit.candidates import _draw_index_sets
+from normfit.candidates import POSITION_SUBSET, _draw_index_sets
 from normfit.cli import cli_main
 from normfit.io import write_cloud
 from normfit.pipeline import point_rng
+
+
+THREADS = 4
 
 
 def noisy(kind, n, seed):
@@ -59,14 +62,17 @@ def assert_report_row(one: RunReport, report: RunReport, t: int):
 
 
 class TestBatchOfOne:
+    # one block per thread on these small clouds: four threads make the
+    # clouds end in a partial block
     @pytest.mark.parametrize("cloud", [noisy("wedge", 333, 1), noisy("plane", 301, 3),
                                        blob(150, 5)], ids=["wedge", "plane", "blob"])
     def test_estimate_normal_equals_estimate_all(self, cloud):
         params = EstimationParams(seed=7)
-        est, report = estimate_all(cloud, params)
+        est, report = estimate_all(cloud, params, n_threads=THREADS)
         index = build_index(cloud)
         f = cloud_noise_scale(cloud, index, min(params.noise_k, len(cloud) - 1)).cloud_f
-        block = pipeline._block_size(params.sampling.n_candidates, report.k_hat)
+        sp = params.sampling
+        block = pipeline._block_size(len(cloud), THREADS, sp.n_candidates, sp.k_s)
         for t in sampled_points(len(cloud), block):
             normal, one = estimate_normal(cloud, index, t, f, params)
             assert normal.tobytes() == est.normals[t].tobytes(), t
@@ -76,9 +82,10 @@ class TestBatchOfOne:
                              ids=["wedge", "plane"])
     def test_denoise_point_equals_denoise_all(self, cloud):
         params = EstimationParams(seed=8)
-        out = denoise_all(cloud, params)
+        out = denoise_all(cloud, params, n_threads=THREADS)
         index = build_index(cloud)
-        block = pipeline._block_size(params.sampling.n_candidates, params.denoise_k)
+        block = pipeline._block_size(len(cloud), THREADS, params.sampling.n_candidates,
+                                     POSITION_SUBSET)
         for t in sampled_points(len(cloud), block):
             assert denoise_point(cloud, index, t, params).tobytes() == out.points[t].tobytes(), t
 
@@ -93,16 +100,24 @@ class TestBlockSize:
         cloud = noisy("wedge", 150, 11)
         params = EstimationParams(seed=12)
 
-        def run():
+        def run(n_threads):
             if call == "estimate":
-                return estimate_all(cloud, params)[0].normals.tobytes()
-            return denoise_all(cloud, params).points.tobytes()
+                return estimate_all(cloud, params, n_threads)[0].normals.tobytes()
+            return denoise_all(cloud, params, n_threads).points.tobytes()
 
-        ref = run()
-        # from one point per block to the whole cloud in one block
-        for elements in (1, 7 * 12800, 32 * 12800, 2**40):
+        ref = run(1)
+        # blocks from one point to one share per thread (150, 75 or 50
+        # points), and scoring chunks from one row to the whole block
+        for elements in (1, 7 * 1200, 7 * 12800, 32 * 12800, 2**40):
             monkeypatch.setattr(pipeline, "_BLOCK_ELEMENTS", elements)
-            assert run() == ref, elements
+            for n_threads in (1, 2, 3):
+                assert run(n_threads) == ref, (elements, n_threads)
+
+    def test_block_size(self):
+        # at the defaults (M = 100, subsets of 4) the cap is 2**18 // 1200
+        for n, n_threads, block in ((200, 1, 200), (200, 2, 100), (200, 3, 67),
+                                    (2000, 1, 218), (2000, 3, 218), (1, 2, 1)):
+            assert pipeline._block_size(n, n_threads, 100, 4) == block, (n, n_threads)
 
 
 class TestIndexSampler:
