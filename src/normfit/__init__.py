@@ -22,7 +22,6 @@ from .consensus import (
 )
 from .errors import (
     ConfigError,
-    DegenerateSample,
     EmptyCandidates,
     NormalNotUnit,
     NormfitError,

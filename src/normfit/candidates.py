@@ -11,9 +11,7 @@ Every stage works on a block of P query points at once: neighborhoods are
 independently of the other points in the block, so a caller may split a
 block into row chunks (the pipeline scores in chunks that bound the
 (P, k, M) kernel matrix) without changing a byte.  The single-point
-functions are the block functions called on a block of one.  The kernel
-exponent is clamped at 700 (`_kernel_sum`), which keeps exp off its slow
-underflow path and changes no score with a term above about 1e-288.
+functions are the block functions called on a block of one.
 
 Randomness is counter-based: each index draw is a pure function of the
 point's stream key (`point_rng`), the candidate slot, the redraw attempt and
@@ -37,8 +35,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = 0xFFFFFFFFFFFFFFFF
 # neighbors averaged into one position candidate
 POSITION_SUBSET = 4
-# largest kernel exponent evaluated (see _kernel_sum)
-_MAX_EXPONENT = 700.0
 
 
 @dataclass(frozen=True)
@@ -182,7 +178,7 @@ def _kernel_sum(d: np.ndarray, axis: int) -> np.ndarray:
     below -708, where it underflows, and a term below e**-700 (about 1e-304)
     cannot change a sum that has any term above about 1e-288.
     """
-    np.minimum(d, _MAX_EXPONENT, out=d)
+    np.minimum(d, 700.0, out=d)
     np.negative(d, out=d)
     np.exp(d, out=d)
     return d.sum(axis=axis)

@@ -35,7 +35,7 @@ class ConsensusParams:
     tau_normal: float = DEFAULT_TAU
     max_iters: int = 50
     tol_deg: float = 0.01
-    tol_pos: float = 1e-6          # absolute step tolerance for position mode
+    tol_pos: float = 1e-5          # position-mode step tolerance, a fraction of the bandwidth
 
     def __post_init__(self):
         if not 0.0 < self.tau_normal <= 1.0:
@@ -144,8 +144,10 @@ def position_mode_batch(q: np.ndarray, params: ConsensusParams, init: np.ndarray
     """Mean-shift each row of (A, M, 3) candidates from (A, 3) inits with
     bandwidths tau (A,), all positive.
 
-    A point whose kernel weights all underflow to zero stops at its nearest
-    candidate, unconverged.  Returns (positions (A, 3), losses (A,),
+    A point converges when a step moves it less than tol_pos * tau, so the
+    iterations do not depend on the cloud's scale.  A point whose kernel
+    weights all underflow to zero stops at its nearest candidate,
+    unconverged.  Returns (positions (A, 3), losses (A,),
     iterations (A,), converged (A,)).
     """
     tau2 = tau**2
@@ -183,7 +185,7 @@ def position_mode_batch(q: np.ndarray, params: ConsensusParams, init: np.ndarray
         moved = ~up
         x[act[moved]] = x_new[moved]
         loss[act[moved]] = new_loss[moved]
-        done = moved & (np.linalg.norm(x_new - xa, axis=1) < params.tol_pos)
+        done = moved & (np.linalg.norm(x_new - xa, axis=1) < params.tol_pos * tau[act])
         converged[act[done]] = True
         act = act[moved & ~done]
     return x, loss, iterations, converged

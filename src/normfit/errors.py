@@ -5,10 +5,6 @@ class NormfitError(Exception):
     """Base class for all library-specific errors."""
 
 
-class DegenerateSample(NormfitError):
-    """Sampled points are collinear or coincident; no plane can be fit."""
-
-
 class PersistentDegeneracy(NormfitError):
     """Every resampling attempt produced a degenerate point set."""
 

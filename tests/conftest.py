@@ -13,7 +13,7 @@ import pytest
 
 from normfit.candidates import CandidatePlanes, score_candidates
 from normfit.consensus import _weighted_principal
-from normfit.errors import DegenerateSample, EmptyCandidates
+from normfit.errors import EmptyCandidates, NormfitError
 from normfit.geometry import as_points, fit_planes_batch
 from normfit.noise import DEFAULT_NOISE_K, _noise_levels
 
@@ -70,6 +70,10 @@ class Plane:
         object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=np.float64))
         if abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
             raise ValueError("plane normal must be unit length")
+
+
+class DegenerateSample(NormfitError):
+    """Sampled points are collinear or coincident; no plane can be fit."""
 
 
 def fit_plane(points) -> Plane:

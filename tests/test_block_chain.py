@@ -1,6 +1,7 @@
 """The block-batched chain: single-point calls, block size, the index sampler,
 degenerate neighbourhoods and tiny clouds."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -118,6 +119,21 @@ class TestBlockSize:
         for n, n_threads, block in ((200, 1, 200), (200, 2, 100), (200, 3, 67),
                                     (2000, 1, 218), (2000, 3, 218), (1, 2, 1)):
             assert pipeline._block_size(n, n_threads, 100, 4) == block, (n, n_threads)
+
+
+class TestMemory:
+    def test_estimate_peak_within_budget(self):
+        # 218-point blocks at k_hat = 128: the neighbourhoods, the subset
+        # gather of the plane fits and one 2 MB scoring chunk at a time
+        cloud = noisy("wedge", 2000, 41)
+        tracemalloc.start()
+        try:
+            _, report = estimate_all(cloud, EstimationParams(seed=42))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.k_hat == 128
+        assert peak < 16e6, peak
 
 
 class TestIndexSampler:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from normfit import (
     score_candidates,
     score_position_candidates,
 )
-from normfit.candidates import CandidatePlanes, reject_position_candidates
+from normfit.candidates import CandidatePlanes, _kernel_sum, reject_position_candidates
 from normfit.pipeline import point_rng
 
 from conftest import Plane, score_candidate
@@ -226,3 +228,15 @@ class TestPositionScoring:
         kept = reject_position_candidates(cands, 0.1)
         assert len(kept) == 9
         assert kept.scores[0] == 9.0
+
+
+class TestKernelSum:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_terms_past_the_clamp_leave_the_sum_exact(self, axis):
+        # one term of exactly 1 and exponents around the clamp at 700, in
+        # exp's subnormal range (708-745), past its underflow to 0, and inf
+        d = np.array([0.0, 650.0, 699.0, 700.0, 701.5, 708.3, 730.0, 745.2, 1e4, np.inf])
+        exact = math.fsum(math.exp(-x) for x in d)
+        d = d[None, :] if axis == 1 else d[:, None]
+        got = _kernel_sum(np.tile(d, (3, 1) if axis == 1 else (1, 3)), axis=axis)
+        assert got.tobytes() == np.full(3, exact).tobytes()

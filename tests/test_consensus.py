@@ -9,6 +9,7 @@ from normfit import (
     normal_mode,
     position_mode,
 )
+from normfit.consensus import position_mode_batch
 
 from conftest import grid_min_normal, mean_mode_normal, random_units
 
@@ -184,6 +185,16 @@ class TestPositionMode:
     def test_empty(self):
         with pytest.raises(EmptyCandidates):
             position_mode(np.zeros((0, 3)), PARAMS, init=[0, 0, 0], tau=1.0)
+
+    def test_iterations_do_not_grow_with_scale(self, rng):
+        # the step tolerance is a fraction of the bandwidth, so candidates
+        # and bandwidths 1000 times larger take no more iterations
+        q = rng.normal(size=(50, 90, 3)) * 0.1
+        tau = np.full(50, 0.1)
+        init = np.zeros((50, 3))
+        _, _, ref, _ = position_mode_batch(q, PARAMS, init, tau)
+        _, _, big, _ = position_mode_batch(q * 1e3, PARAMS, init, tau * 1e3)
+        assert big.sum() <= ref.sum()
 
     def test_loss_never_worse_than_init(self, rng):
         for _ in range(10):

@@ -2,14 +2,21 @@ import numpy as np
 import pytest
 
 from normfit import (
-    DegenerateSample,
     PointCloud,
     angle_unoriented,
     build_index,
 )
 from normfit.geometry import canonical_sign, plane_fit
 
-from conftest import Plane, brute_force_knn, fit_plane, point_plane_distance, random_units
+from conftest import (DegenerateSample, Plane, brute_force_knn, fit_plane, point_plane_distance,
+                      random_units)
+
+
+def tie_grid():
+    """A 5x5x5 integer grid (many equal distances) plus 50 duplicated points."""
+    g = np.arange(5.0)
+    grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    return np.vstack([grid, grid[::2][:50]])
 
 
 class TestNeighborIndex:
@@ -79,16 +86,33 @@ class TestNeighborIndex:
 
     @pytest.mark.parametrize("k", [1, 6, 26, 60])
     def test_knn_batch_matches_single_on_ties(self, k):
-        # integer grid: many equal distances, and 50 points duplicated
-        g = np.arange(5.0)
-        grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
-        pts = np.vstack([grid, grid[::2][:50]])
+        pts = tie_grid()
         idx = build_index(PointCloud(points=pts))
         bi, bd = idx.knn_batch(k)
         for t in range(len(pts)):
             si, sd = idx.knn(t, k)
             assert np.array_equal(bi[t], si), t
             assert np.array_equal(bd[t], sd), t
+
+    @pytest.mark.parametrize("k", [1, 6, 26, 60])
+    def test_knn_batch_rows_match_single_on_ties(self, k, rng):
+        idx = build_index(PointCloud(points=tie_grid()))
+        # rows whose tie crosses the tree query's cut take the widening knn
+        single, ties = idx.knn, []
+        idx.knn = lambda t, kk: ties.append(t) or single(t, kk)
+        idx.knn_batch(k)
+        del idx.knn
+        assert ties
+        for _ in range(5):
+            rows = np.concatenate([rng.choice(idx.n_points, 30, replace=False),
+                                   rng.choice(ties, 3)])
+            rng.shuffle(rows)
+            bi, bd = idx.knn_batch(k, rows)
+            assert bi.shape == bd.shape == (len(rows), k)
+            for r, t in enumerate(rows):
+                si, sd = idx.knn(int(t), k)
+                assert np.array_equal(bi[r], si), t
+                assert np.array_equal(bd[r], sd), t
 
     def test_k_out_of_range(self, rng):
         idx = build_index(PointCloud(points=rng.normal(size=(5, 3))))

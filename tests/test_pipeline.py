@@ -157,6 +157,18 @@ class TestDenoise:
         out = denoise_all(noisy, EstimationParams(seed=21))
         assert chamfer(out, clean) < chamfer(noisy, clean)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e3])
+    def test_scale_invariant(self, scale):
+        # the mean-shift tolerance is relative to each point's bandwidth; an
+        # absolute one stopped after the first step at scale 1e-6
+        clean = gen_shape(ShapeSpec(kind="plane", n_points=300, seed=31))
+        noisy = add_noise(clean, NoiseSpec(std_pct_bbox_diag=1.0, seed=32))
+        params = EstimationParams(seed=33)
+        ref = denoise_all(noisy, params).points
+        out = denoise_all(PointCloud(points=noisy.points * scale), params).points / scale
+        noise_sigma = 0.01 * clean.bbox_diagonal()
+        assert np.abs(out - ref).max() < 1e-3 * noise_sigma
+
     def test_deterministic_across_threads(self):
         spec = ShapeSpec(kind="plane", n_points=300, seed=22)
         noisy = add_noise(gen_shape(spec), NoiseSpec(std_pct_bbox_diag=1.0, seed=23))
