@@ -52,16 +52,20 @@ class ModeResult:
     converged: bool
 
 
-def _ccn_losses(m: np.ndarray, n: np.ndarray, tau2: float) -> np.ndarray:
-    """ccn_loss of each row: (A, M, 3) candidates at (A, 3) normals -> (A,)."""
+def _ccn_kernel(m: np.ndarray, n: np.ndarray, tau2: float) -> np.ndarray:
+    """Kernel terms of ccn_loss: (A, M, 3) candidates at (A, 3) normals -> (A, M).
+
+    Minus their row sums are the losses; they are also the weights of the
+    solver's next step from these normals.
+    """
     c = np.einsum("amc,ac->am", m, n)
-    return -np.exp(-(1.0 - c**2) / tau2).sum(axis=1)
+    return np.exp(-(1.0 - c**2) / tau2)
 
 
 def ccn_loss(n, candidates, tau: float = DEFAULT_TAU) -> float:
     """Candidate consensus loss for a trial normal."""
     n = np.asarray(n, dtype=np.float64).reshape(1, 3)
-    return float(_ccn_losses(as_points(candidates)[None], n, tau**2)[0])
+    return float(-_ccn_kernel(as_points(candidates)[None], n, tau**2).sum(axis=1)[0])
 
 
 def _weighted_principal(m: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -82,7 +86,8 @@ def normal_mode_batch(m: np.ndarray, params: ConsensusParams, init: np.ndarray):
     """
     tau2 = params.tau_normal**2
     n = canonical_sign(np.array(init, dtype=np.float64))
-    loss = _ccn_losses(m, n, tau2)
+    kern = _ccn_kernel(m, n, tau2)       # at the current normals, kept across steps
+    loss = -kern.sum(axis=1)
     iterations = np.zeros(len(m), dtype=np.int64)
     converged = np.zeros(len(m), dtype=bool)
     act = np.arange(len(m))
@@ -91,9 +96,9 @@ def normal_mode_batch(m: np.ndarray, params: ConsensusParams, init: np.ndarray):
             break
         ma, na, la = m[act], n[act], loss[act]
         iterations[act] += 1
-        w = np.exp(-(1.0 - np.einsum("amc,ac->am", ma, na) ** 2) / tau2)
-        n_new = _weighted_principal(ma, w)
-        new_loss = _ccn_losses(ma, n_new, tau2)
+        n_new = _weighted_principal(ma, kern[act])
+        new_kern = _ccn_kernel(ma, n_new, tau2)
+        new_loss = -new_kern.sum(axis=1)
         up = new_loss > la + _LOSS_SLACK
         for _ in range(_MAX_HALVINGS):
             i = np.flatnonzero(up)
@@ -103,11 +108,13 @@ def normal_mode_batch(m: np.ndarray, params: ConsensusParams, init: np.ndarray):
             half = na[i] + flip[:, None] * n_new[i]
             half /= np.linalg.norm(half, axis=1, keepdims=True)
             n_new[i] = half
-            new_loss[i] = _ccn_losses(ma[i], half, tau2)
+            k_i = _ccn_kernel(ma[i], half, tau2)
+            new_kern[i], new_loss[i] = k_i, -k_i.sum(axis=1)
             up[i] = new_loss[i] > la[i] + _LOSS_SLACK
         moved = ~up
         n[act[moved]] = canonical_sign(n_new[moved])
         loss[act[moved]] = new_loss[moved]
+        kern[act[moved]] = new_kern[moved]
         done = moved & (angles_unoriented(n_new, na) < params.tol_deg)
         converged[act[done]] = True
         act = act[moved & ~done]
@@ -125,10 +132,16 @@ def normal_mode(candidates, params: ConsensusParams, init) -> ModeResult:
                       converged=bool(converged[0]))
 
 
-def _ccp_losses(q: np.ndarray, x: np.ndarray, tau2: np.ndarray) -> np.ndarray:
-    """ccp_loss of each row: (A, M, 3) candidates at (A, 3) positions, (A,) squared bandwidths."""
-    d2 = ((q - x[:, None, :]) ** 2).sum(axis=2)
-    return -np.exp(-d2 / tau2[:, None]).sum(axis=1)
+def _sq_dists(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared distances of (A, M, 3) candidates to (A, 3) positions -> (A, M)."""
+    return ((q - x[:, None, :]) ** 2).sum(axis=2)
+
+
+def _ccp_kernel(q: np.ndarray, x: np.ndarray, tau2: np.ndarray) -> np.ndarray:
+    """Kernel terms of ccp_loss: (A, M, 3) candidates at (A, 3) positions,
+    (A,) squared bandwidths -> (A, M); like `_ccn_kernel`, both losses and
+    the next mean-shift weights."""
+    return np.exp(-_sq_dists(q, x) / tau2[:, None])
 
 
 def ccp_loss(x, candidates, tau: float) -> float:
@@ -136,7 +149,8 @@ def ccp_loss(x, candidates, tau: float) -> float:
     if tau <= 0:
         raise ValueError("tau must be positive")
     x = np.asarray(x, dtype=np.float64).reshape(1, 3)
-    return float(_ccp_losses(as_points(candidates)[None], x, np.array([tau**2]))[0])
+    kern = _ccp_kernel(as_points(candidates)[None], x, np.array([tau**2]))
+    return float(-kern.sum(axis=1)[0])
 
 
 def position_mode_batch(q: np.ndarray, params: ConsensusParams, init: np.ndarray,
@@ -152,7 +166,8 @@ def position_mode_batch(q: np.ndarray, params: ConsensusParams, init: np.ndarray
     """
     tau2 = tau**2
     x = np.array(init, dtype=np.float64)
-    loss = _ccp_losses(q, x, tau2)
+    kern = _ccp_kernel(q, x, tau2)       # at the current positions, kept across steps
+    loss = -kern.sum(axis=1)
     iterations = np.zeros(len(q), dtype=np.int64)
     converged = np.zeros(len(q), dtype=bool)
     act = np.arange(len(q))
@@ -160,31 +175,32 @@ def position_mode_batch(q: np.ndarray, params: ConsensusParams, init: np.ndarray
         if len(act) == 0:
             break
         iterations[act] += 1
-        qa, xa = q[act], x[act]
-        d2 = ((qa - xa[:, None, :]) ** 2).sum(axis=2)
-        w = np.exp(-d2 / tau2[act, None])
+        qa, xa, w = q[act], x[act], kern[act]
         total = w.sum(axis=1)
         empty = total == 0.0
         if empty.any():
             e = np.flatnonzero(empty)
-            x[act[e]] = qa[e, np.argmin(d2[e], axis=1)]
-            loss[act[e]] = _ccp_losses(qa[e], x[act[e]], tau2[act[e]])
+            x[act[e]] = qa[e, np.argmin(_sq_dists(qa[e], xa[e]), axis=1)]
+            loss[act[e]] = -_ccp_kernel(qa[e], x[act[e]], tau2[act[e]]).sum(axis=1)
             live = ~empty
             act, qa, xa, w, total = act[live], qa[live], xa[live], w[live], total[live]
         la, t2 = loss[act], tau2[act]
         x_new = (w[:, :, None] * qa).sum(axis=1) / total[:, None]
-        new_loss = _ccp_losses(qa, x_new, t2)
+        new_kern = _ccp_kernel(qa, x_new, t2)
+        new_loss = -new_kern.sum(axis=1)
         up = new_loss > la + _LOSS_SLACK
         for _ in range(_MAX_HALVINGS):
             i = np.flatnonzero(up)
             if len(i) == 0:
                 break
             x_new[i] = (xa[i] + x_new[i]) / 2.0
-            new_loss[i] = _ccp_losses(qa[i], x_new[i], t2[i])
+            k_i = _ccp_kernel(qa[i], x_new[i], t2[i])
+            new_kern[i], new_loss[i] = k_i, -k_i.sum(axis=1)
             up[i] = new_loss[i] > la[i] + _LOSS_SLACK
         moved = ~up
         x[act[moved]] = x_new[moved]
         loss[act[moved]] = new_loss[moved]
+        kern[act[moved]] = new_kern[moved]
         done = moved & (np.linalg.norm(x_new - xa, axis=1) < params.tol_pos * tau[act])
         converged[act[done]] = True
         act = act[moved & ~done]

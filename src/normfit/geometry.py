@@ -13,6 +13,7 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -20,6 +21,10 @@ from scipy.spatial import cKDTree
 
 # relative eigenvalue gap below which a point set is treated as collinear
 DEGENERACY_RTOL = 1e-12
+# relative eigen-gap at or below which plane_fit uses eigh, not its closed form
+_CLOSED_FORM_RTOL = 1e-6
+# smallest normal float64
+_TINY = np.finfo(np.float64).tiny
 # query rows per chunk of NeighborIndex.knn_batch
 _KNN_BATCH_ROWS = 2048
 
@@ -99,11 +104,14 @@ class NeighborIndex:
     def knn(self, query_idx: int, k: int):
         """k nearest neighbors of point `query_idx`, excluding itself.
 
-        Returns (indices, distances) sorted by (distance, index).
+        Returns (indices, distances) sorted by (distance, index).  Raises
+        ValueError unless 0 <= query_idx < N.
         """
         n = self.n_points
         if not 1 <= k <= n - 1:
             raise ValueError(f"k={k} out of range for {n} points")
+        if not 0 <= query_idx < n:
+            raise ValueError(f"point index {query_idx} out of range for {n} points")
         kq = min(n, k + 3)
         while True:
             d, idx = self._tree.query(self._points[query_idx], k=kq)
@@ -122,12 +130,15 @@ class NeighborIndex:
         """k-NN of points `rows` (default: every point) at once, self excluded.
 
         Returns (indices, distances) arrays of shape (len(rows), k) obeying
-        the same (distance, index) ordering as `knn`.
+        the same (distance, index) ordering as `knn`.  Raises ValueError
+        unless every row lies in [0, N).
         """
         n = self.n_points
         if not 1 <= k <= n - 1:
             raise ValueError(f"k={k} out of range for {n} points")
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+        if len(rows) and not (0 <= rows.min() and rows.max() < n):
+            raise ValueError(f"point indices must lie in [0, {n})")
         kq = min(n, k + 3)
         out_i = np.empty((len(rows), k), dtype=np.intp)
         out_d = np.empty((len(rows), k), dtype=np.float64)
@@ -157,16 +168,87 @@ def plane_fit(pts: np.ndarray):
     """Total-least-squares planes through a batch of point sets.
 
     `pts` has shape (M, k, 3).  Solves each set's centred covariance
-    sum((p-c)(p-c)^T)/k and returns (normals (M, 3), centroids (M, 3),
+    A = sum((p-c)(p-c)^T)/k and returns (normals (M, 3), centroids (M, 3),
     eigenvalues (M, 3)).  Normals are the smallest-eigenvalue directions,
     sign-canonicalized; eigenvalues are ascending and clamped at 0, since
     round-off can push a vanishing one slightly negative.
+
+    Each row is solved in closed form: the eigenvalues come from Smith's
+    trigonometric formula for the roots of the characteristic cubic (Smith
+    1961; Kopp, arXiv physics/0610206), and the normal is the largest cross
+    product of two rows of A - lam0 I.  Near a repeated eigenvalue the
+    formula's arccos loses digits, so a row whose smaller eigen-gap is at
+    most 1e-6 of its largest eigenvalue (a collinear, coincident, isotropic
+    or rotationally symmetric set), whose cross products all vanish, or
+    whose p^2 = |A - (tr A / 3) I|^2 / 6 underflows, is solved by
+    `np.linalg.eigh` instead, with the same bytes as an `eigh` of the
+    stacked covariance.  Every row's result is independent of the other
+    rows in the batch.
     """
+    k = pts.shape[1]
     c = pts.mean(axis=1)
     q = pts - c[:, None, :]
-    cov = np.einsum("mki,mkj->mij", q, q) / pts.shape[1]
-    w, v = np.linalg.eigh(cov)
-    return canonical_sign(v[:, :, 0]), c, np.maximum(w, 0.0)
+    x, y, z = q[..., 0], q[..., 1], q[..., 2]
+    cov = [np.einsum("mk,mk->m", u, v) / k
+           for u, v in ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z))]
+    del q, x, y, z              # free the centred copy before the solve
+    w, v, ill = _closed_form_eig(*cov)
+    if ill.any():
+        # re-centre the ill-conditioned rows and eigh their stacked covariance
+        qi = pts[ill] - c[ill, None, :]
+        wi, vi = np.linalg.eigh(np.einsum("mki,mkj->mij", qi, qi) / k)
+        w[ill], v[ill] = wi, vi[:, :, 0]
+    return canonical_sign(v), c, np.maximum(w, 0.0)
+
+
+def _closed_form_eig(a00, a11, a22, a01, a02, a12):
+    """Closed-form eigen solve of symmetric 3x3 matrices given as six (M,)
+    component arrays, which it overwrites.
+
+    Returns (eigenvalues (M, 3) ascending, unit smallest-eigenvalue vectors
+    (M, 3), ill (M,)); the rows flagged ill are meaningless and need eigh.
+    """
+    with np.errstate(all="ignore"):
+        mean = (a00 + a11 + a22) / 3.0
+        a00 -= mean
+        a11 -= mean
+        a22 -= mean
+        p2 = (a00 * a00 + a11 * a11 + a22 * a22
+              + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0
+        p = np.sqrt(p2)
+        # B = (A - mean I) / p has trace 0 and eigenvalues
+        # 2 cos(phi + 2 pi j / 3), j = 0, 1, 2, where cos(3 phi) = det(B) / 2
+        for a in (a00, a11, a22, a01, a02, a12):
+            a /= p
+        det = (a00 * (a11 * a22 - a12 * a12) - a01 * (a01 * a22 - a12 * a02)
+               + a02 * (a01 * a12 - a11 * a02))
+        phi = np.arccos(np.clip(det / 2.0, -1.0, 1.0)) / 3.0
+        beta0 = 2.0 * np.cos(phi + 2.0 * np.pi / 3.0)
+        lam0 = mean + p * beta0
+        lam2 = mean + p * (2.0 * np.cos(phi))
+        lam1 = 3.0 * mean - lam0 - lam2
+        # B - beta0 I shares its null direction with A - lam0 I; take the
+        # largest of the cross products of its rows (the first on a tie)
+        a00 -= beta0
+        a11 -= beta0
+        a22 -= beta0
+        rows = ((a00, a01, a02), (a01, a11, a12), (a02, a12, a22))
+        v = best = None
+        for (ax, ay, az), (bx, by, bz) in combinations(rows, 2):
+            cross = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+            norm2 = cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2]
+            if v is None:
+                v, best = cross, norm2
+            else:
+                take = norm2 > best
+                v = tuple(np.where(take, new, old) for new, old in zip(cross, v))
+                best = np.where(take, norm2, best)
+        v = np.stack(v, axis=1) / np.sqrt(best)[:, None]
+        # negated tests, so a NaN from overflow also goes to eigh; a p2
+        # below the normal range has lost digits to underflow
+        ill = ~(np.minimum(lam1 - lam0, lam2 - lam1) > _CLOSED_FORM_RTOL * lam2) \
+            | ~(best > 0.0) | ~(p2 >= _TINY)
+    return np.stack([lam0, lam1, lam2], axis=1), v, ill
 
 
 def fit_planes_batch(pts: np.ndarray):

@@ -2,8 +2,10 @@
 
 The oracles are small reference functions only the tests need: thin
 single-item views of the library's batched kernels (`fit_plane`,
-`score_candidate`, `mean_mode_normal`, `point_noise_level`) and
-independent brute-force references (`grid_min_normal`, `brute_force_knn`).
+`score_candidate`, `mean_mode_normal`, `point_noise_level`), independent
+brute-force references (`grid_min_normal`, `brute_force_knn`) and the
+`eigh` solve of every row that `plane_fit`'s closed form replaces
+(`plane_fit_eigh`).
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ import pytest
 from normfit.candidates import CandidatePlanes, score_candidates
 from normfit.consensus import _weighted_principal
 from normfit.errors import EmptyCandidates, NormfitError
-from normfit.geometry import as_points, fit_planes_batch
+from normfit.geometry import as_points, canonical_sign, fit_planes_batch
 from normfit.noise import DEFAULT_NOISE_K, _noise_levels
 
 
@@ -41,6 +43,17 @@ def grid_min_normal(candidates, tau, step_deg):
     sin2 = 1.0 - (grid @ candidates.T) ** 2
     losses = -np.exp(-sin2 / tau**2).sum(axis=1)
     return grid[int(np.argmin(losses))], float(losses.min())
+
+
+def plane_fit_eigh(pts):
+    """`plane_fit` with `np.linalg.eigh` on every row's stacked covariance:
+    (normals (M, 3), centroids (M, 3), eigenvalues (M, 3)).  `plane_fit`
+    must match it byte for byte on the rows it sends to eigh."""
+    c = pts.mean(axis=1)
+    q = pts - c[:, None, :]
+    cov = np.einsum("mki,mkj->mij", q, q) / pts.shape[1]
+    w, v = np.linalg.eigh(cov)
+    return canonical_sign(v[:, :, 0]), c, np.maximum(w, 0.0)
 
 
 def brute_force_knn(points, query_idx, k):

@@ -121,6 +121,23 @@ class TestNeighborIndex:
         with pytest.raises(ValueError):
             idx.knn(0, 0)
 
+    @pytest.mark.parametrize("t", [-1, -10, 10, 11])
+    def test_point_index_out_of_range(self, t, rng):
+        # -1 used to return the last point as its own neighbour at distance 0,
+        # and N a bare IndexError
+        idx = build_index(PointCloud(points=rng.normal(size=(10, 3))))
+        with pytest.raises(ValueError, match="out of range"):
+            idx.knn(t, 3)
+        with pytest.raises(ValueError, match=r"\[0, 10\)"):
+            idx.knn_batch(3, [0, t, 5])
+        with pytest.raises(ValueError, match=r"\[0, 10\)"):
+            idx.knn_batch(3, np.array([t]))
+
+    def test_knn_batch_of_no_rows(self, rng):
+        idx = build_index(PointCloud(points=rng.normal(size=(10, 3))))
+        ids, dists = idx.knn_batch(3, np.array([], dtype=np.intp))
+        assert ids.shape == dists.shape == (0, 3)
+
 
 class TestCovarianceEigen:
     def test_single_point(self):

@@ -1,7 +1,8 @@
 """Guards for what the library's own tests would not notice: the names the
-benchmark tracer wraps, the stages a single-point call reaches, and the
-demos."""
+benchmark tracer wraps, the stages a single-point call reaches, the one
+eigen kernel, and the demos."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -52,6 +53,34 @@ def test_single_point_calls_reach_no_single_point_stage():
     names = {name for _, _, name, _, _ in tr.spans}
     assert {"pipeline.estimate_normal", "pipeline.denoise_point"} <= names
     assert not names & single, names & single
+
+
+def eigen_calls(path):
+    """(module, enclosing function) of every eigh/eigvalsh/eig/eigvals call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in ("eigh", "eigvalsh", "eig", "eigvals"):
+                    found.append((path.stem, scope))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_one_eigen_kernel():
+    # plane_fit (with its eigh fallback) is the covariance/eigen kernel; the
+    # mode solver's weighted principal direction is the one other solve
+    calls = [c for path in sorted(Path(normfit.__file__).parent.glob("*.py"))
+             for c in eigen_calls(path)]
+    assert sorted(calls) == [("consensus", "_weighted_principal"), ("geometry", "plane_fit")]
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
