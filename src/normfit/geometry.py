@@ -144,24 +144,40 @@ class NeighborIndex:
         out_d = np.empty((len(rows), k), dtype=np.float64)
         # row chunks bound the (rows, kq) temporaries on large clouds
         for start in range(0, len(rows), _KNN_BATCH_ROWS):
-            part = slice(start, start + _KNN_BATCH_ROWS)
-            ts = rows[part]
+            ts = rows[start:start + _KNN_BATCH_ROWS]
+            oi, od = out_i[start:start + len(ts)], out_d[start:start + len(ts)]
             d, idx = self._tree.query(self._points[ts], k=kq)
+            # the tree returns rows by distance; a row with no tie starts at
+            # its query point and is already in (distance, index) order
+            tied = np.flatnonzero((idx[:, 0] != ts) | (d[:, 1:] <= d[:, :-1]).any(axis=1))
+            oi[:], od[:] = idx[:, 1:k + 1], d[:, 1:k + 1]
+            if not len(tied):
+                continue
+            d, idx, ts = d[tied], idx[tied], ts[tied]
             # the query point sorts last; the others by (distance, index)
             dk = np.where(idx == ts[:, None], np.inf, d)
             order = np.lexsort((idx, dk), axis=1)
             dk = np.take_along_axis(dk, order, axis=1)[:, :k]
-            out_i[part] = np.take_along_axis(idx, order, axis=1)[:, :k]
-            out_d[part] = dk
+            oi[tied] = np.take_along_axis(idx, order, axis=1)[:, :k]
+            od[tied] = dk
             if kq < n:
                 # boundary tie: fall back to the widening single query
                 for r in np.flatnonzero(~(dk[:, k - 1] < d[:, -1])):
-                    out_i[start + r], out_d[start + r] = self.knn(int(ts[r]), k)
+                    oi[tied[r]], od[tied[r]] = self.knn(int(ts[r]), k)
         return out_i, out_d
 
 
 def build_index(cloud: PointCloud) -> NeighborIndex:
     return NeighborIndex(cloud)
+
+
+def gather_with_self(points: np.ndarray, nbr_idx: np.ndarray, query_idx: np.ndarray) -> np.ndarray:
+    """Each query point's neighbours followed by the point itself, in one
+    gather: (len(query_idx), k + 1, 3) from the (len(query_idx), k) `nbr_idx`."""
+    full = np.empty((len(nbr_idx), nbr_idx.shape[1] + 1), dtype=np.intp)
+    full[:, :-1] = nbr_idx
+    full[:, -1] = query_idx
+    return points[full]
 
 
 def plane_fit(pts: np.ndarray):

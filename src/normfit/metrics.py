@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import PointCloud, angles_unoriented, build_index, plane_fit
+from .geometry import PointCloud, angles_unoriented, build_index, gather_with_self, plane_fit
 from .synth import ShapeSpec, surface_distance
 
 RMS_TAU_LEVELS = (10.0, 15.0, 20.0)
@@ -106,6 +106,5 @@ def pca_baseline(cloud: PointCloud, k: int) -> PointCloud:
     (neighbors plus the point itself), sign-canonicalized."""
     index = build_index(cloud)
     idx, _ = index.knn_batch(k)
-    pts = np.concatenate([cloud.points[idx], cloud.points[:, None, :]], axis=1)
-    normals, _, _ = plane_fit(pts)
+    normals, _, _ = plane_fit(gather_with_self(cloud.points, idx, np.arange(len(cloud))))
     return PointCloud(points=cloud.points.copy(), normals=normals)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import NeighborIndex, PointCloud, plane_fit
+from .geometry import NeighborIndex, PointCloud, gather_with_self, plane_fit
 
 # size of the covariance neighborhood used for noise estimation; fixed and
 # independent of the adaptive size to avoid circularity
@@ -59,8 +59,7 @@ def _noise_levels(points: np.ndarray, nbr_idx: np.ndarray, query_idx: np.ndarray
     `nbr_idx` holds one row of neighbor indices per entry of `query_idx`.
     A set whose eigenvalues all vanish (coincident points) gets 0.
     """
-    pts = np.concatenate([points[nbr_idx], points[query_idx, None, :]], axis=1)
-    _, _, w = plane_fit(pts)
+    _, _, w = plane_fit(gather_with_self(points, nbr_idx, query_idx))
     total = w.sum(axis=1)
     return np.where(total > 0.0, w[:, 0] / np.where(total > 0.0, total, 1.0), 0.0)
 

@@ -5,7 +5,9 @@ single-item views of the library's batched kernels (`fit_plane`,
 `score_candidate`, `mean_mode_normal`, `point_noise_level`), independent
 brute-force references (`grid_min_normal`, `brute_force_knn`) and the
 `eigh` solve of every row that `plane_fit`'s closed form replaces
-(`plane_fit_eigh`).
+(`plane_fit_eigh`), and line-by-line XYZ/PLY text I/O that the array
+readers and writers must match (`read_xyz_lines`, `write_xyz_rows`,
+`write_ply_rows`).
 """
 
 from dataclasses import dataclass
@@ -15,8 +17,9 @@ import pytest
 
 from normfit.candidates import CandidatePlanes, score_candidates
 from normfit.consensus import _weighted_principal
-from normfit.errors import EmptyCandidates, NormfitError
-from normfit.geometry import as_points, canonical_sign, fit_planes_batch
+from normfit.errors import EmptyCandidates, NormalNotUnit, NormfitError, ParseError
+from normfit.geometry import (PointCloud, angles_unoriented, as_points, canonical_sign,
+                              fit_planes_batch)
 from normfit.noise import DEFAULT_NOISE_K, _noise_levels
 
 
@@ -64,6 +67,74 @@ def brute_force_knn(points, query_idx, k):
     d, idx = d[keep], idx[keep]
     order = np.lexsort((idx, d))
     return idx[order][:k], d[order][:k]
+
+
+def read_xyz_lines(path) -> PointCloud:
+    """Line-by-line XYZ reader: one float() per token, errors in file order."""
+    points, normals = [], []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) not in (3, 6):
+                raise ParseError(f"expected 3 or 6 values, got {len(parts)}", line=lineno)
+            try:
+                vals = [float(x) for x in parts]
+            except ValueError:
+                raise ParseError(f"non-numeric value in {line!r}", line=lineno)
+            points.append(vals[:3])
+            if len(vals) == 6:
+                normals.append(vals[3:])
+            elif normals:
+                raise ParseError("line without normal after lines with normals", line=lineno)
+    if not points:
+        raise ParseError(f"{path}: no points found")
+    nrm = None
+    if normals:
+        if len(normals) != len(points):
+            raise ParseError(f"{path}: some lines have normals and some do not")
+        nrm = np.asarray(normals, dtype=np.float64)
+        lens = np.linalg.norm(nrm, axis=1)
+        if np.any(np.abs(lens - 1.0) > 1e-3):
+            raise NormalNotUnit(f"{path}: a normal is not unit length")
+        nrm = nrm / lens[:, None]
+    return PointCloud(points=np.asarray(points, dtype=np.float64), normals=nrm)
+
+
+def _text_rows(fh, cloud, colors=None):
+    for i in range(len(cloud)):
+        row = ["%.17g" % v for v in cloud.points[i]]
+        if cloud.normals is not None:
+            row += ["%.17g" % v for v in cloud.normals[i]]
+        if colors is not None:
+            row += [str(int(c)) for c in colors[i]]
+        fh.write(" ".join(row) + "\n")
+
+
+def write_xyz_rows(cloud, path) -> None:
+    """Per-row XYZ writer: one "%.17g" per value."""
+    with open(path, "w") as fh:
+        _text_rows(fh, cloud)
+
+
+def write_ply_rows(cloud, path, reference_normals=None) -> None:
+    """Per-row ASCII PLY writer with optional error colours."""
+    colors = None
+    if reference_normals is not None:
+        frac = np.clip(angles_unoriented(cloud.normals, np.asarray(reference_normals)) / 90, 0, 1)
+        colors = np.stack([np.rint(255 * frac), 0 * frac, np.rint(255 * (1 - frac))], axis=1)
+    with open(path, "w") as fh:
+        fh.write("ply\nformat ascii 1.0\n")
+        fh.write(f"element vertex {len(cloud)}\n")
+        fh.write("property float x\nproperty float y\nproperty float z\n")
+        if cloud.normals is not None:
+            fh.write("property float nx\nproperty float ny\nproperty float nz\n")
+        if colors is not None:
+            fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
+        fh.write("end_header\n")
+        _text_rows(fh, cloud, colors)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from normfit import (
     PointCloud,
@@ -137,6 +138,44 @@ class TestNeighborIndex:
         idx = build_index(PointCloud(points=rng.normal(size=(10, 3))))
         ids, dists = idx.knn_batch(3, np.array([], dtype=np.intp))
         assert ids.shape == dists.shape == (0, 3)
+
+
+@st.composite
+def mixed_clouds(draw):
+    """Random points, a small integer lattice and exact duplicates of both:
+    the lattice and the copies tie distances, the random points do not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = np.arange(float(draw(st.integers(2, 4))))
+    lattice = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    spread = draw(st.sampled_from([0.5, 3.0, 30.0]))
+    pts = np.vstack([rng.normal(scale=spread, size=(draw(st.integers(4, 40)), 3)), lattice])
+    copies = rng.integers(0, len(pts), draw(st.integers(1, 20)))
+    pts = np.vstack([pts, pts[copies]])[rng.permutation(len(pts) + len(copies))]
+    k = draw(st.integers(1, len(pts) // 2))
+    return pts, k, rng
+
+
+class TestKnnBatchProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_clouds())
+    def test_knn_batch_matches_brute_force_on_both_row_paths(self, case):
+        pts, k, rng = case
+        n = len(pts)
+        # a row is tied when the k + 3 points nearest its query point, the
+        # point itself included, hold an equal distance
+        near = np.sort(np.linalg.norm(pts[:, None] - pts[None], axis=2), axis=1)
+        tied = (np.diff(near[:, :min(n, k + 3)], axis=1) == 0).any(axis=1)
+        assume(tied.any() and not tied.all())
+        rows = np.concatenate([[np.argmax(tied), np.argmin(tied)],
+                               rng.choice(n, int(rng.integers(0, n)), replace=False)])
+        rng.shuffle(rows)
+        assert 0 < np.count_nonzero(tied[rows]) < len(rows)
+        got_i, got_d = build_index(PointCloud(points=pts)).knn_batch(k, rows)
+        assert got_i.shape == got_d.shape == (len(rows), k)
+        for r, t in enumerate(rows):
+            want_i, want_d = brute_force_knn(pts, int(t), k)
+            assert np.array_equal(got_i[r], want_i), (r, t)
+            assert np.allclose(got_d[r], want_d)
 
 
 class TestCovarianceEigen:

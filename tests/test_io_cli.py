@@ -22,6 +22,8 @@ from normfit import (
 from normfit import config as cfgmod
 from normfit.cli import _load_config, build_parser, cli_main
 
+from conftest import read_xyz_lines, write_ply_rows, write_xyz_rows
+
 # file-format names of the adaptive table's elements: (prefix, first index)
 TUPLE_KEYS = {"thresholds": ("adaptive_l", 0), "sizes": ("adaptive_k", 1)}
 
@@ -117,6 +119,138 @@ class TestXyz:
             read_xyz(path)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# one-character separators that str.split() takes as whitespace but that do
+# not end a line when a text file is iterated
+SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t ", "\x0b", "\x0c", "\x1c"])
+NUMBERS = st.one_of(FINITE.map(lambda v: "%.17g" % v), FINITE.map(repr),
+                    st.integers(-10**6, 10**6).map(str),
+                    st.sampled_from(["-0", "+1.5", ".5", "5.", "1_0", "1e-320", "1E+300"]))
+
+
+@st.composite
+def xyz_texts(draw):
+    """XYZ files with comments, blank lines, CRLF/CR endings, tabs, trailing
+    whitespace, and now and then a wrong value count or a non-number."""
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["xyz", "xyz", "normal", "normal", "blank",
+                                     "comment", "count", "word"]))
+        if kind == "blank":
+            body = draw(st.sampled_from(["", " ", "\t"]))
+        elif kind == "comment":
+            body = "#" + draw(st.sampled_from(["", " note", " 1 2 3"]))
+        else:
+            width = {"xyz": 3, "normal": 6, "word": 3}.get(kind)
+            width = width or draw(st.sampled_from([1, 2, 4, 5, 7]))
+            tokens = [draw(NUMBERS) for _ in range(width)]
+            if kind == "normal":
+                v = np.array([draw(st.integers(-3, 3)) for _ in range(3)], dtype=float)
+                v = v / (np.linalg.norm(v) or 1.0)   # a zero vector stays non-unit
+                tokens[3:] = ["%.17g" % x for x in v]
+            if kind == "word":
+                tokens[draw(st.integers(0, 2))] = draw(st.sampled_from(["abc", "1,5", "0x1"]))
+            body = draw(st.sampled_from(["", " ", "\t"])) + "".join(
+                tok + draw(SEPARATORS) for tok in tokens[:-1]) + tokens[-1]
+            body += draw(st.sampled_from(["", " ", "\t ", " # trailing", "#1 2 3"]))
+        lines.append(body + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    return "".join(lines) + draw(st.sampled_from(["", "1 2 3"]))
+
+
+def read_outcome(reader, path):
+    """The arrays a reader returns, or the type and line of what it raises."""
+    try:
+        cloud = reader(path)
+    except (ParseError, NormalNotUnit) as exc:
+        return type(exc), exc.__dict__.get("line")
+    normals = None if cloud.normals is None else cloud.normals.tobytes()
+    return cloud.points.shape, cloud.points.tobytes(), normals
+
+
+def finite_clouds(max_n=30):
+    """Clouds of arbitrary finite coordinates, with random unit normals."""
+    return st.integers(1, max_n).flatmap(lambda n: st.tuples(
+        st.lists(FINITE, min_size=3 * n, max_size=3 * n), st.integers(0, 2**32 - 1)))
+
+
+class TestArrayIo:
+    """The array readers and writers against the line-by-line oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=xyz_texts())
+    def test_read_xyz_matches_line_reader(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("xyz") / "c.xyz"
+        path.write_bytes(text.encode())
+        assert read_outcome(read_xyz, path) == read_outcome(read_xyz_lines, path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("1 2 3\r\n\r\n4 5\r\n", 3),
+        ("1 2 3\r4\x0c5\x0b6\rx 1 2\n", 3),
+        ("1 2 3 0 0 1\n# c\n\t4 5 6 \n", 3),
+        ("1 2 3\n\n4 5 6 7 8 9 # n\n", None),
+        ("1 2 x\n1 2\n", 1),
+        ("1 2\n1 2 x\n", 1),
+        ("1 2 3 0 0 1\n1 2 x\n1\n", 2),
+    ])
+    def test_read_xyz_error_lines(self, text, line, tmp_path):
+        path = tmp_path / "c.xyz"
+        path.write_bytes(text.encode())
+        for reader in (read_xyz, read_xyz_lines):
+            with pytest.raises(ParseError) as exc:
+                reader(path)
+            assert exc.value.line == line, reader
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "Infinity", "1e400"])
+    def test_non_finite_value_names_its_line(self, value, tmp_path, capsys):
+        path = tmp_path / "c.xyz"
+        path.write_text(f"0 0 0\n# comment\n1 {value} 2\n3 4 5\n")
+        with pytest.raises(ParseError) as exc:
+            read_xyz(path)
+        assert exc.value.line == 3
+        assert cli_main(["estimate", "--in", str(path), "--out", str(tmp_path / "o.xyz")]) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    @settings(max_examples=100, deadline=None)
+    @given(cloud=finite_clouds())
+    def test_writers_match_row_writers(self, cloud, tmp_path_factory):
+        values, seed = cloud
+        pts = np.reshape(values, (-1, 3))
+        normals = np.random.default_rng(seed).normal(size=pts.shape)
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        ref = np.roll(normals, 1, axis=0)
+        d = tmp_path_factory.mktemp("w")
+        for c in (PointCloud(points=pts), PointCloud(points=pts, normals=normals)):
+            write_xyz(c, d / "a.xyz")
+            write_xyz_rows(c, d / "b.xyz")
+            assert (d / "a.xyz").read_bytes() == (d / "b.xyz").read_bytes()
+            write_ply(c, d / "a.ply")
+            write_ply_rows(c, d / "b.ply")
+            assert (d / "a.ply").read_bytes() == (d / "b.ply").read_bytes()
+        write_ply(c, d / "a.ply", reference_normals=ref)
+        write_ply_rows(c, d / "b.ply", reference_normals=ref)
+        assert (d / "a.ply").read_bytes() == (d / "b.ply").read_bytes()
+
+    def test_writers_match_row_writers_across_chunks(self, rng, tmp_path):
+        cloud = make_cloud(rng, n=10_001)
+        ref = make_cloud(rng, n=10_001).normals
+        for write, oracle, kw in ((write_xyz, write_xyz_rows, {}),
+                                  (write_ply, write_ply_rows, {"reference_normals": ref})):
+            write(cloud, tmp_path / "a", **kw)
+            oracle(cloud, tmp_path / "b", **kw)
+            assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(FINITE, st.sampled_from(
+        [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e300, -1e-300, 1e-300])),
+        min_size=3, max_size=60).map(lambda v: v[:len(v) - len(v) % 3]))
+    def test_write_read_round_trips_exactly(self, values, tmp_path_factory):
+        pts = np.reshape(values, (-1, 3))
+        d = tmp_path_factory.mktemp("rt")
+        for name in ("c.xyz", "c.ply"):
+            write_cloud(PointCloud(points=pts), d / name)
+            assert read_cloud(d / name).points.tobytes() == pts.tobytes()
+
+
 class TestPly:
     def test_roundtrip(self, rng, tmp_path):
         cloud = make_cloud(rng)
@@ -147,6 +281,29 @@ class TestPly:
                         "end_header\n0 0 0\n1 1 1\n")
         with pytest.raises(ParseError):
             read_ply(path)
+
+    @pytest.mark.parametrize("header, line", [
+        ("format\nelement vertex 1\n", 2),            # no format named
+        ("format ascii 1.0\nelement vertex two\n", 3),
+    ])
+    def test_malformed_header_names_its_line(self, header, line, tmp_path, capsys):
+        path = tmp_path / "c.ply"
+        path.write_text(f"ply\n{header}property float x\nproperty float y\n"
+                        "property float z\nend_header\n0 0 0\n")
+        with pytest.raises(ParseError) as exc:
+            read_ply(path)
+        assert exc.value.line == line
+        assert cli_main(["estimate", "--in", str(path), "--out", str(tmp_path / "o.xyz")]) == 2
+        assert f"line {line}" in capsys.readouterr().err
+
+    def test_non_numeric_vertex_names_its_line(self, tmp_path):
+        path = tmp_path / "c.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 2\n"
+                        "property float x\nproperty float y\nproperty float z\n"
+                        "end_header\n0 0 0\n\n1 one 1\n")
+        with pytest.raises(ParseError) as exc:
+            read_ply(path)
+        assert exc.value.line == 10
 
     def test_error_colors_zero_error_all_blue(self, rng, tmp_path):
         cloud = make_cloud(rng, n=10)
