@@ -218,17 +218,17 @@ class TestArrayIo:
         normals = np.random.default_rng(seed).normal(size=pts.shape)
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         ref = np.roll(normals, 1, axis=0)
+        with_normals = PointCloud(points=pts, normals=normals)
         d = tmp_path_factory.mktemp("w")
-        for c in (PointCloud(points=pts), PointCloud(points=pts, normals=normals)):
-            write_xyz(c, d / "a.xyz")
-            write_xyz_rows(c, d / "b.xyz")
-            assert (d / "a.xyz").read_bytes() == (d / "b.xyz").read_bytes()
-            write_ply(c, d / "a.ply")
-            write_ply_rows(c, d / "b.ply")
+        for cloud, kw in ((PointCloud(points=pts), {}), (with_normals, {}),
+                          (with_normals, {"reference_normals": ref})):
+            if not kw:
+                write_xyz(cloud, d / "a.xyz")
+                write_xyz_rows(cloud, d / "b.xyz")
+                assert (d / "a.xyz").read_bytes() == (d / "b.xyz").read_bytes()
+            write_ply(cloud, d / "a.ply", **kw)
+            write_ply_rows(cloud, d / "b.ply", **kw)
             assert (d / "a.ply").read_bytes() == (d / "b.ply").read_bytes()
-        write_ply(c, d / "a.ply", reference_normals=ref)
-        write_ply_rows(c, d / "b.ply", reference_normals=ref)
-        assert (d / "a.ply").read_bytes() == (d / "b.ply").read_bytes()
 
     def test_writers_match_row_writers_across_chunks(self, rng, tmp_path):
         cloud = make_cloud(rng, n=10_001)
