@@ -34,6 +34,10 @@ class RunConfig:
     input_path: str = ""
     output_path: str = ""
 
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
+
 
 def _tuple_keys(f, n: int) -> list:
     pattern, first = f.metadata["config_key"]

@@ -42,6 +42,10 @@ class ConsensusParams:
             raise ValueError("tau_normal must lie in (0, 1]")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        # a negative tolerance can never be met, so every point would run to max_iters
+        for name in ("tol_deg", "tol_pos"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass
@@ -88,37 +92,48 @@ def normal_mode_batch(m: np.ndarray, params: ConsensusParams, init: np.ndarray):
     n = canonical_sign(np.array(init, dtype=np.float64))
     kern = _ccn_kernel(m, n, tau2)       # at the current normals, kept across steps
     loss = -kern.sum(axis=1)
-    iterations = np.zeros(len(m), dtype=np.int64)
+    out_n, out_loss = np.empty_like(n), np.empty_like(loss)
+    iterations = np.full(len(m), params.max_iters, dtype=np.int64)
     converged = np.zeros(len(m), dtype=bool)
+    # m, kern, n and loss hold the active points' rows only; they shrink
+    # when a point leaves, and act maps their rows back to the batch
     act = np.arange(len(m))
-    for _ in range(params.max_iters):
+    m = np.ascontiguousarray(m)           # like every compacted copy below
+    for it in range(1, params.max_iters + 1):
         if len(act) == 0:
             break
-        ma, na, la = m[act], n[act], loss[act]
-        iterations[act] += 1
-        n_new = _weighted_principal(ma, kern[act])
-        new_kern = _ccn_kernel(ma, n_new, tau2)
+        n_new = _weighted_principal(m, kern)
+        new_kern = _ccn_kernel(m, n_new, tau2)
         new_loss = -new_kern.sum(axis=1)
-        up = new_loss > la + _LOSS_SLACK
+        up = new_loss > loss + _LOSS_SLACK
+        halved = np.flatnonzero(up)
         for _ in range(_MAX_HALVINGS):
             i = np.flatnonzero(up)
             if len(i) == 0:
                 break
-            flip = np.where(np.einsum("ac,ac->a", n_new[i], na[i]) < 0, -1.0, 1.0)
-            half = na[i] + flip[:, None] * n_new[i]
+            flip = np.where(np.einsum("ac,ac->a", n_new[i], n[i]) < 0, -1.0, 1.0)
+            half = n[i] + flip[:, None] * n_new[i]
             half /= np.linalg.norm(half, axis=1, keepdims=True)
             n_new[i] = half
-            k_i = _ccn_kernel(ma[i], half, tau2)
+            k_i = _ccn_kernel(m[i], half, tau2)
             new_kern[i], new_loss[i] = k_i, -k_i.sum(axis=1)
-            up[i] = new_loss[i] > la[i] + _LOSS_SLACK
-        moved = ~up
-        n[act[moved]] = canonical_sign(n_new[moved])
-        loss[act[moved]] = new_loss[moved]
-        kern[act[moved]] = new_kern[moved]
-        done = moved & (angles_unoriented(n_new, na) < params.tol_deg)
+            up[i] = new_loss[i] > loss[i] + _LOSS_SLACK
+        done = ~up & (angles_unoriented(n_new, n) < params.tol_deg)
+        if len(halved):
+            # _weighted_principal's rows are canonical already; halved ones
+            # are not, and a point whose step still raises the loss stops
+            # where it was
+            n_new[halved] = canonical_sign(n_new[halved])
+            n_new[up], new_loss[up] = n[up], loss[up]
         converged[act[done]] = True
-        act = act[moved & ~done]
-    return n, loss, iterations, converged
+        n, loss, kern = n_new, new_loss, new_kern
+        stay = ~(up | done)
+        if not stay.all():
+            leave = act[~stay]
+            out_n[leave], out_loss[leave], iterations[leave] = n[~stay], loss[~stay], it
+            act, m, n, loss, kern = act[stay], m[stay], n[stay], loss[stay], kern[stay]
+    out_n[act], out_loss[act] = n, loss
+    return out_n, out_loss, iterations, converged
 
 
 def normal_mode(candidates, params: ConsensusParams, init) -> ModeResult:
@@ -133,8 +148,14 @@ def normal_mode(candidates, params: ConsensusParams, init) -> ModeResult:
 
 
 def _sq_dists(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Squared distances of (A, M, 3) candidates to (A, 3) positions -> (A, M)."""
-    return ((q - x[:, None, :]) ** 2).sum(axis=2)
+    """Squared distances of (A, M, 3) candidates to (A, 3) positions -> (A, M).
+
+    The bytes of ((q - x[:, None, :]) ** 2).sum(axis=2), whose reduction
+    over an axis of length 3 costs more than the arithmetic.
+    """
+    d = q - x[:, None, :]
+    d *= d
+    return d[:, :, 0] + d[:, :, 1] + d[:, :, 2]
 
 
 def _ccp_kernel(q: np.ndarray, x: np.ndarray, tau2: np.ndarray) -> np.ndarray:
@@ -165,46 +186,56 @@ def position_mode_batch(q: np.ndarray, params: ConsensusParams, init: np.ndarray
     iterations (A,), converged (A,)).
     """
     tau2 = tau**2
+    tol = params.tol_pos * tau
     x = np.array(init, dtype=np.float64)
     kern = _ccp_kernel(q, x, tau2)       # at the current positions, kept across steps
     loss = -kern.sum(axis=1)
-    iterations = np.zeros(len(q), dtype=np.int64)
+    out_x, out_loss = np.empty_like(x), np.empty_like(loss)
+    iterations = np.full(len(q), params.max_iters, dtype=np.int64)
     converged = np.zeros(len(q), dtype=bool)
+    # q, kern, x, loss, tau2 and tol hold the active points' rows only, as
+    # in normal_mode_batch
     act = np.arange(len(q))
-    for _ in range(params.max_iters):
+    q = np.ascontiguousarray(q)           # like every compacted copy below
+    for it in range(1, params.max_iters + 1):
         if len(act) == 0:
             break
-        iterations[act] += 1
-        qa, xa, w = q[act], x[act], kern[act]
-        total = w.sum(axis=1)
+        total = kern.sum(axis=1)
         empty = total == 0.0
         if empty.any():
             e = np.flatnonzero(empty)
-            x[act[e]] = qa[e, np.argmin(_sq_dists(qa[e], xa[e]), axis=1)]
-            loss[act[e]] = -_ccp_kernel(qa[e], x[act[e]], tau2[act[e]]).sum(axis=1)
+            xe = q[e, np.argmin(_sq_dists(q[e], x[e]), axis=1)]
+            out_x[act[e]], iterations[act[e]] = xe, it
+            out_loss[act[e]] = -_ccp_kernel(q[e], xe, tau2[e]).sum(axis=1)
             live = ~empty
-            act, qa, xa, w, total = act[live], qa[live], xa[live], w[live], total[live]
-        la, t2 = loss[act], tau2[act]
-        x_new = (w[:, :, None] * qa).sum(axis=1) / total[:, None]
-        new_kern = _ccp_kernel(qa, x_new, t2)
+            act, q, x, kern, loss, tau2, tol, total = (
+                a[live] for a in (act, q, x, kern, loss, tau2, tol, total))
+        # the bytes of (kern[:, :, None] * q).sum(axis=1), faster
+        x_new = np.einsum("am,amc->ac", kern, q) / total[:, None]
+        new_kern = _ccp_kernel(q, x_new, tau2)
         new_loss = -new_kern.sum(axis=1)
-        up = new_loss > la + _LOSS_SLACK
+        up = new_loss > loss + _LOSS_SLACK
         for _ in range(_MAX_HALVINGS):
             i = np.flatnonzero(up)
             if len(i) == 0:
                 break
-            x_new[i] = (xa[i] + x_new[i]) / 2.0
-            k_i = _ccp_kernel(qa[i], x_new[i], t2[i])
+            x_new[i] = (x[i] + x_new[i]) / 2.0
+            k_i = _ccp_kernel(q[i], x_new[i], tau2[i])
             new_kern[i], new_loss[i] = k_i, -k_i.sum(axis=1)
-            up[i] = new_loss[i] > la[i] + _LOSS_SLACK
-        moved = ~up
-        x[act[moved]] = x_new[moved]
-        loss[act[moved]] = new_loss[moved]
-        kern[act[moved]] = new_kern[moved]
-        done = moved & (np.linalg.norm(x_new - xa, axis=1) < params.tol_pos * tau[act])
+            up[i] = new_loss[i] > loss[i] + _LOSS_SLACK
+        done = ~up & (np.linalg.norm(x_new - x, axis=1) < tol)
+        if up.any():
+            x_new[up], new_loss[up] = x[up], loss[up]
         converged[act[done]] = True
-        act = act[moved & ~done]
-    return x, loss, iterations, converged
+        x, loss, kern = x_new, new_loss, new_kern
+        stay = ~(up | done)
+        if not stay.all():
+            leave = act[~stay]
+            out_x[leave], out_loss[leave], iterations[leave] = x[~stay], loss[~stay], it
+            act, q, x, loss, kern, tau2, tol = (
+                a[stay] for a in (act, q, x, loss, kern, tau2, tol))
+    out_x[act], out_loss[act] = x, loss
+    return out_x, out_loss, iterations, converged
 
 
 def position_mode(candidates, params: ConsensusParams, init, tau: float) -> ModeResult:

@@ -50,8 +50,10 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     if v.ndim == 1:
         i = int(np.argmax(np.abs(v)))
         return -v if v[i] < 0 else v
-    i = np.argmax(np.abs(v), axis=1)
-    lead = v[np.arange(len(v)), i]
+    # the first component of largest magnitude, as argmax picks it
+    x, y, z = v[:, 0], v[:, 1], v[:, 2]
+    ax, ay, az = np.abs(x), np.abs(y), np.abs(z)
+    lead = np.where((ax >= ay) & (ax >= az), x, np.where(ay >= az, y, z))
     return np.where((lead < 0)[:, None], -v, v)
 
 
@@ -177,7 +179,7 @@ def gather_with_self(points: np.ndarray, nbr_idx: np.ndarray, query_idx: np.ndar
     full = np.empty((len(nbr_idx), nbr_idx.shape[1] + 1), dtype=np.intp)
     full[:, :-1] = nbr_idx
     full[:, -1] = query_idx
-    return points[full]
+    return np.take(points, full, axis=0)
 
 
 def plane_fit(pts: np.ndarray):
@@ -202,7 +204,7 @@ def plane_fit(pts: np.ndarray):
     rows in the batch.
     """
     k = pts.shape[1]
-    c = pts.mean(axis=1)
+    c = np.einsum("mkc->mc", pts) / k       # the bytes of pts.mean(axis=1), faster
     q = pts - c[:, None, :]
     x, y, z = q[..., 0], q[..., 1], q[..., 2]
     cov = [np.einsum("mk,mk->m", u, v) / k

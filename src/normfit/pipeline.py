@@ -88,7 +88,8 @@ def _chunked_scores(score, nbrs: np.ndarray, cands: np.ndarray, *per_point) -> n
 def _neighborhoods(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k: int):
     """(neighbors relative to their query point (P, k, 3), distances (P, k))."""
     idx, dist = index.knn_batch(k, ts)
-    return cloud.points[idx] - cloud.points[ts, None, :], dist
+    pts = cloud.points
+    return np.take(pts, idx, axis=0) - np.take(pts, ts, axis=0)[:, None, :], dist
 
 
 def _run_blocks(n: int, block: int, work, n_threads: int) -> list:
@@ -194,7 +195,7 @@ def _denoise_block(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k: i
     sp = params.sampling
     rel, nbr_d = _neighborhoods(cloud, index, ts, k)
     sigma = nbr_d[:, :_DENOISE_SIGMA_K].mean(axis=1)
-    out = cloud.points[ts]
+    out = np.take(cloud.points, ts, axis=0)
     live = sigma > 0.0
     rel, sigma = rel[live], sigma[live]
     pos = cand.sample_position_block(rel, point_rng(params.seed, ts[live]), sp.n_candidates)

@@ -5,18 +5,23 @@ single-item views of the library's batched kernels (`fit_plane`,
 `score_candidate`, `mean_mode_normal`, `point_noise_level`), independent
 brute-force references (`grid_min_normal`, `brute_force_knn`) and the
 `eigh` solve of every row that `plane_fit`'s closed form replaces
-(`plane_fit_eigh`), and line-by-line XYZ/PLY text I/O that the array
+(`plane_fit_eigh`), line-by-line XYZ/PLY text I/O that the array
 readers and writers must match (`read_xyz_lines`, `write_xyz_rows`,
-`write_ply_rows`).
+`write_ply_rows`), and the loop forms of the mode solvers, the subset draw
+and the sign rule that the compacted kernels must match byte for byte
+(`normal_mode_batch_loop`, `position_mode_batch_loop`,
+`draw_index_sets_sorted`, `canonical_sign_argmax`).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from normfit.candidates import CandidatePlanes, score_candidates
-from normfit.consensus import _weighted_principal
+from normfit import consensus
+from normfit.candidates import _GOLDEN, CandidatePlanes, _mix64, score_candidates
+from normfit.consensus import _sq_dists, _weighted_principal
 from normfit.errors import EmptyCandidates, NormalNotUnit, NormfitError, ParseError
 from normfit.geometry import (PointCloud, angles_unoriented, as_points, canonical_sign,
                               fit_planes_batch)
@@ -196,3 +201,134 @@ def point_noise_level(cloud, index, t: int, k_f: int = DEFAULT_NOISE_K) -> float
     """Surface variation of point t's k_f neighbors plus the point itself."""
     idx, _ = index.knn(t, k_f)
     return float(_noise_levels(cloud.points, idx[None], np.array([t]))[0])
+
+
+def canonical_sign_argmax(v):
+    """Rows of (M, 3) `v` flipped so that the first of their largest-magnitude
+    components is positive, picked by argmax and a fancy index."""
+    v = np.asarray(v, dtype=np.float64)
+    i = np.argmax(np.abs(v), axis=1)
+    lead = v[np.arange(len(v)), i]
+    return np.where((lead < 0)[:, None], -v, v)
+
+
+def draw_index_sets_sorted(keys, counters, pool, k):
+    """`_draw_index_sets` with one np.sort of the picked columns per draw."""
+    j = np.arange(k, dtype=np.uint64)
+    words = _mix64(keys[:, None] + _GOLDEN * (counters.astype(np.uint64)[:, None] * np.uint64(k) + j))
+    out = (((words >> np.uint64(32)) * (np.uint64(pool) - j)) >> np.uint64(32)).astype(np.intp)
+    for col in range(1, k):
+        picked = np.sort(out[:, :col], axis=1)
+        v = out[:, col]
+        for i in range(col):
+            v += v >= picked[:, i]
+    return out
+
+
+def normal_mode_batch_loop(m, params, init, hits=None):
+    """`normal_mode_batch` gathering the active rows from full-size arrays
+    and scattering them back on every iteration.  Reads
+    `consensus._LOSS_SLACK` and `consensus._ccn_kernel` at call time, so a
+    test can patch them for both implementations.  Counts the branches it
+    takes in the Counter `hits`: "halving" (one halving pass), "halved_kept"
+    (a halved step was taken), "gave_up" (still no descent after every
+    halving), "converged" and "max_iters" (points)."""
+    hits = Counter() if hits is None else hits
+    tau2 = params.tau_normal**2
+    n = canonical_sign_argmax(np.array(init, dtype=np.float64))
+    kern = consensus._ccn_kernel(m, n, tau2)
+    loss = -kern.sum(axis=1)
+    iterations = np.zeros(len(m), dtype=np.int64)
+    converged = np.zeros(len(m), dtype=bool)
+    act = np.arange(len(m))
+    for _ in range(params.max_iters):
+        if len(act) == 0:
+            break
+        ma, na, la = m[act], n[act], loss[act]
+        iterations[act] += 1
+        n_new = _weighted_principal(ma, kern[act])
+        new_kern = consensus._ccn_kernel(ma, n_new, tau2)
+        new_loss = -new_kern.sum(axis=1)
+        up = new_loss > la + consensus._LOSS_SLACK
+        halved = up.copy()
+        for _ in range(consensus._MAX_HALVINGS):
+            i = np.flatnonzero(up)
+            if len(i) == 0:
+                break
+            hits["halving"] += 1
+            flip = np.where(np.einsum("ac,ac->a", n_new[i], na[i]) < 0, -1.0, 1.0)
+            half = na[i] + flip[:, None] * n_new[i]
+            half /= np.linalg.norm(half, axis=1, keepdims=True)
+            n_new[i] = half
+            k_i = consensus._ccn_kernel(ma[i], half, tau2)
+            new_kern[i], new_loss[i] = k_i, -k_i.sum(axis=1)
+            up[i] = new_loss[i] > la[i] + consensus._LOSS_SLACK
+        hits["gave_up"] += int(np.count_nonzero(up))
+        hits["halved_kept"] += int(np.count_nonzero(halved & ~up))
+        moved = ~up
+        n[act[moved]] = canonical_sign_argmax(n_new[moved])
+        loss[act[moved]] = new_loss[moved]
+        kern[act[moved]] = new_kern[moved]
+        done = moved & (angles_unoriented(n_new, na) < params.tol_deg)
+        converged[act[done]] = True
+        act = act[moved & ~done]
+    hits["converged"] += int(np.count_nonzero(converged))
+    hits["max_iters"] += len(act)
+    return n, loss, iterations, converged
+
+
+def position_mode_batch_loop(q, params, init, tau, hits=None):
+    """`position_mode_batch` gathering the active rows from full-size arrays
+    and scattering them back on every iteration.  Reads
+    `consensus._LOSS_SLACK` and `consensus._ccp_kernel` at call time; counts
+    its branches in `hits` as `normal_mode_batch_loop` does, plus
+    "underflow" (all weights zero)."""
+    hits = Counter() if hits is None else hits
+    tau2 = tau**2
+    x = np.array(init, dtype=np.float64)
+    kern = consensus._ccp_kernel(q, x, tau2)
+    loss = -kern.sum(axis=1)
+    iterations = np.zeros(len(q), dtype=np.int64)
+    converged = np.zeros(len(q), dtype=bool)
+    act = np.arange(len(q))
+    for _ in range(params.max_iters):
+        if len(act) == 0:
+            break
+        iterations[act] += 1
+        qa, xa, w = q[act], x[act], kern[act]
+        total = w.sum(axis=1)
+        empty = total == 0.0
+        if empty.any():
+            hits["underflow"] += int(np.count_nonzero(empty))
+            e = np.flatnonzero(empty)
+            x[act[e]] = qa[e, np.argmin(_sq_dists(qa[e], xa[e]), axis=1)]
+            loss[act[e]] = -consensus._ccp_kernel(qa[e], x[act[e]], tau2[act[e]]).sum(axis=1)
+            live = ~empty
+            act, qa, xa, w, total = act[live], qa[live], xa[live], w[live], total[live]
+        la, t2 = loss[act], tau2[act]
+        x_new = (w[:, :, None] * qa).sum(axis=1) / total[:, None]
+        new_kern = consensus._ccp_kernel(qa, x_new, t2)
+        new_loss = -new_kern.sum(axis=1)
+        up = new_loss > la + consensus._LOSS_SLACK
+        halved = up.copy()
+        for _ in range(consensus._MAX_HALVINGS):
+            i = np.flatnonzero(up)
+            if len(i) == 0:
+                break
+            hits["halving"] += 1
+            x_new[i] = (xa[i] + x_new[i]) / 2.0
+            k_i = consensus._ccp_kernel(qa[i], x_new[i], t2[i])
+            new_kern[i], new_loss[i] = k_i, -k_i.sum(axis=1)
+            up[i] = new_loss[i] > la[i] + consensus._LOSS_SLACK
+        hits["gave_up"] += int(np.count_nonzero(up))
+        hits["halved_kept"] += int(np.count_nonzero(halved & ~up))
+        moved = ~up
+        x[act[moved]] = x_new[moved]
+        loss[act[moved]] = new_loss[moved]
+        kern[act[moved]] = new_kern[moved]
+        done = moved & (np.linalg.norm(x_new - xa, axis=1) < params.tol_pos * tau[act])
+        converged[act[done]] = True
+        act = act[moved & ~done]
+    hits["converged"] += int(np.count_nonzero(converged))
+    hits["max_iters"] += len(act)
+    return x, loss, iterations, converged

@@ -1,6 +1,6 @@
 """Guards for what the library's own tests would not notice: the names the
 benchmark tracer wraps, the stages a single-point call reaches, the one
-eigen kernel, and the demos."""
+eigen kernel, unused private code, and the demos."""
 
 import ast
 import importlib.util
@@ -81,6 +81,26 @@ def test_one_eigen_kernel():
     calls = [c for path in sorted(Path(normfit.__file__).parent.glob("*.py"))
              for c in eigen_calls(path)]
     assert sorted(calls) == [("consensus", "_weighted_principal"), ("geometry", "plane_fit")]
+
+
+def test_every_private_name_is_used():
+    # a private function or class that nothing in the library names is dead
+    # code, such as a replaced loop left behind; the tests' oracles live in
+    # conftest, not here
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(normfit.__file__).parent.glob("*.py"))]
+    defined, used = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined, "no private definitions found"
+    assert sorted(defined - used) == []
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

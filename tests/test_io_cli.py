@@ -390,6 +390,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfgmod.parse("rejection_interval_max = 5\n")
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_tol_deg_must_be_finite_and_nonnegative(self, value):
+        # -1 used to run every point to max_iters ("solver convergence = 0.0%")
+        with pytest.raises(ConfigError, match="tol_deg"):
+            cfgmod.parse(f"tol_deg = {value}\n")
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_tol_pos_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ConfigError, match="tol_pos"):
+            cfgmod.parse(f"tol_pos = {value}\n")
+
+    def test_zero_tolerances_stay_legal(self):
+        consensus = cfgmod.parse("tol_deg = 0\ntol_pos = 0\n").params.consensus
+        assert consensus.tol_deg == consensus.tol_pos == 0.0
+
+    def test_threads_below_one_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="threads"):
+            cfgmod.parse("threads = 0\n")
+        src = tmp_path / "in.xyz"
+        cli_main(["synth", "--shape", "plane", "--n", "60", "--out", str(src)])
+        capsys.readouterr()
+        assert cli_main(["estimate", "--in", str(src), "--out", str(tmp_path / "o.xyz"),
+                         "--threads", "-2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "threads" in err[0], err
+
     def test_every_leaf_settable_from_file(self, tmp_path):
         path = tmp_path / "leaf.cfg"
         for key, attr_path, default in config_leaves(cfgmod.RunConfig()):
