@@ -143,7 +143,7 @@ def _cmd_bench(args) -> int:
                         candidate_counts=tuple(args.counts),
                         seeds=tuple(range(args.seeds)),
                         noise_levels=(0.0, 0.5, 1.0),
-                        n_threads=args.threads or 1,
+                        n_threads=1 if args.threads is None else args.threads,
                         verbose=True)
     print()
     print("candidates  mean_rms_deg")

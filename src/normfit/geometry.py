@@ -27,6 +27,9 @@ _CLOSED_FORM_RTOL = 1e-6
 _TINY = np.finfo(np.float64).tiny
 # query rows per chunk of NeighborIndex.knn_batch
 _KNN_BATCH_ROWS = 2048
+# float64 elements of one working array (a neighbourhood or subset gather, a
+# kernel matrix): 2 MB
+_BLOCK_ELEMENTS = 2**18
 
 
 def as_points(a) -> np.ndarray:
@@ -173,13 +176,34 @@ def build_index(cloud: PointCloud) -> NeighborIndex:
     return NeighborIndex(cloud)
 
 
-def gather_with_self(points: np.ndarray, nbr_idx: np.ndarray, query_idx: np.ndarray) -> np.ndarray:
-    """Each query point's neighbours followed by the point itself, in one
-    gather: (len(query_idx), k + 1, 3) from the (len(query_idx), k) `nbr_idx`."""
-    full = np.empty((len(nbr_idx), nbr_idx.shape[1] + 1), dtype=np.intp)
-    full[:, :-1] = nbr_idx
-    full[:, -1] = query_idx
-    return np.take(points, full, axis=0)
+def neighborhood_fits(index: NeighborIndex, k: int):
+    """`plane_fit` of every indexed point's k nearest neighbours followed by
+    the point itself: (normals (N, 3), eigenvalues (N, 3)).
+
+    Walks range(N) in row chunks of _BLOCK_ELEMENTS // (3 * (k + 1)) points
+    (at least one), so a chunk's (rows, k + 1, 3) gather holds at most 2 MB
+    and the peak is the O(N) outputs plus one chunk.  `knn_batch` and
+    `plane_fit` compute each row independently of the others, so the chunk
+    size changes no byte.
+    """
+    n = index.n_points
+    step = max(1, _BLOCK_ELEMENTS // (3 * (k + 1)))
+    normals = np.empty((n, 3))
+    eigenvalues = np.empty((n, 3))
+    # one index and one gather buffer for every chunk: allocating them per
+    # chunk makes the allocator hand the pages back and fault them in again;
+    # the gather clips because mode "raise" copies through a temporary, and
+    # knn_batch indices are in range
+    full = np.empty((min(step, n), k + 1), dtype=np.intp)
+    gather = np.empty((len(full), k + 1, 3))
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        sets, pts = full[:len(rows)], gather[:len(rows)]
+        sets[:, :-1] = index.knn_batch(k, rows)[0]
+        sets[:, -1] = rows
+        np.take(index._points, sets, axis=0, out=pts, mode="clip")
+        normals[rows], _, eigenvalues[rows] = plane_fit(pts)
+    return normals, eigenvalues
 
 
 def plane_fit(pts: np.ndarray):

@@ -1,5 +1,7 @@
 """Evaluation metrics for unoriented normals and denoised positions,
-plus the classic PCA baseline estimator."""
+plus the classic PCA baseline estimator, which streams the cloud in row
+chunks of a 2 MB neighbourhood gather (`geometry.neighborhood_fits`), so its
+peak memory is O(N) plus 2 MB whatever k."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import PointCloud, angles_unoriented, build_index, gather_with_self, plane_fit
+from .geometry import PointCloud, angles_unoriented, build_index, neighborhood_fits
 from .synth import ShapeSpec, surface_distance
 
 RMS_TAU_LEVELS = (10.0, 15.0, 20.0)
@@ -104,7 +106,5 @@ def evaluate_normals(est: PointCloud, gt: PointCloud,
 def pca_baseline(cloud: PointCloud, k: int) -> PointCloud:
     """Per-point smallest-eigenvector normal of the k-NN covariance
     (neighbors plus the point itself), sign-canonicalized."""
-    index = build_index(cloud)
-    idx, _ = index.knn_batch(k)
-    normals, _, _ = plane_fit(gather_with_self(cloud.points, idx, np.arange(len(cloud))))
+    normals, _ = neighborhood_fits(build_index(cloud), k)
     return PointCloud(points=cloud.points.copy(), normals=normals)

@@ -4,6 +4,8 @@ The per-point noise level is the surface variation of a small covariance
 neighborhood: lam1 / (lam1 + lam2 + lam3), which is 0 on an exact plane and
 1/3 for isotropic scatter.  The cloud-level mean selects one of four
 neighborhood sizes and decides whether low-score candidates get rejected.
+The profile streams the cloud in row chunks of a 2 MB neighbourhood gather
+(`geometry.neighborhood_fits`), so its peak memory is O(N) plus 2 MB.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import NeighborIndex, PointCloud, gather_with_self, plane_fit
+from .geometry import NeighborIndex, PointCloud, neighborhood_fits
 
 # size of the covariance neighborhood used for noise estimation; fixed and
 # independent of the adaptive size to avoid circularity
@@ -53,22 +55,16 @@ class NoiseProfile:
     cloud_f: float
 
 
-def _noise_levels(points: np.ndarray, nbr_idx: np.ndarray, query_idx: np.ndarray) -> np.ndarray:
-    """Surface variation of each query point together with its neighbors.
-
-    `nbr_idx` holds one row of neighbor indices per entry of `query_idx`.
-    A set whose eigenvalues all vanish (coincident points) gets 0.
-    """
-    _, _, w = plane_fit(gather_with_self(points, nbr_idx, query_idx))
-    total = w.sum(axis=1)
-    return np.where(total > 0.0, w[:, 0] / np.where(total > 0.0, total, 1.0), 0.0)
-
-
 def cloud_noise_scale(cloud: PointCloud, index: NeighborIndex, k_f: int = DEFAULT_NOISE_K) -> NoiseProfile:
-    """Per-point noise levels and their mean, computed in one vectorized pass."""
-    n = len(cloud)
-    idx, _ = index.knn_batch(min(k_f, n - 1))
-    f = _noise_levels(cloud.points, idx, np.arange(n))
+    """Per-point noise levels and their mean.
+
+    Each point's level is the surface variation of its k_f neighbors plus
+    the point itself; a set whose eigenvalues all vanish (coincident points)
+    gets 0.  `index` must be built over `cloud`.
+    """
+    _, w = neighborhood_fits(index, min(k_f, len(cloud) - 1))
+    total = w.sum(axis=1)
+    f = np.where(total > 0.0, w[:, 0] / np.where(total > 0.0, total, 1.0), 0.0)
     return NoiseProfile(per_point_f=f, cloud_f=float(f.mean()))
 
 

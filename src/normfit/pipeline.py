@@ -7,11 +7,12 @@ ones as many points as keep a block's (P * M, k_s, 3) subset gather near
 2 MB.  A block's neighborhoods come from one k-NN tree query, and its
 (P, k, M) plane scores and (P, M, k) position scores are computed in row
 chunks of 2**18 // (M * k) points, so each kernel matrix also stays near
-2 MB.  The blocks are a fixed partition of range(N) and threads take whole
-blocks.  Every random draw is a pure function of (seed, point index,
-candidate slot, attempt), and every stage computes each point's rows
-independently of the others, so outputs are identical for any thread count
-and block size.  `estimate_normal` and `denoise_point` run the same block
+2 MB; the cloud's noise profile, taken once before the blocks, streams in
+row chunks of a 2 MB neighbourhood gather too.  The blocks are a fixed
+partition of range(N) and threads take whole blocks.  Every random draw is
+a pure function of (seed, point index, candidate slot, attempt), and every
+stage computes each point's rows independently of the others, so outputs
+are identical for any thread count and block size.  `estimate_normal` and `denoise_point` run the same block
 function on a block of one and give that point's result byte for byte.
 """
 
@@ -28,11 +29,9 @@ from .consensus import ConsensusParams, normal_mode_batch, position_mode_batch
 # unused here: perfbench/tracer.py probes these two names on this module
 from .consensus import normal_mode, position_mode  # noqa: F401
 from .errors import TooFewNeighbors
-from .geometry import NeighborIndex, PointCloud, build_index, plane_fit
+from .geometry import _BLOCK_ELEMENTS, NeighborIndex, PointCloud, build_index, plane_fit
 from .noise import AdaptiveConfig, DEFAULT_NOISE_K, adaptive_k, cloud_noise_scale, rejection_enabled
 
-# float64 elements of a block's subset gather and of a scoring chunk: 2 MB
-_BLOCK_ELEMENTS = 2**18
 # neighbors whose mean distance sets the denoising bandwidth
 _DENOISE_SIGMA_K = 12
 
@@ -59,6 +58,11 @@ class RunReport:
     fallback: np.ndarray           # bool: PCA normal, every resampling attempt stayed degenerate
 
 
+def _require_threads(n_threads: int) -> None:
+    if n_threads < 1:
+        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
+
+
 def _require_points(cloud: PointCloud, need: int) -> None:
     """Raise TooFewNeighbors unless each point has at least `need` neighbors."""
     if len(cloud) <= need:
@@ -69,7 +73,7 @@ def _block_size(n: int, n_threads: int, n_candidates: int, subset: int) -> int:
     """Points per block: an equal share of the n points per thread, capped
     so that the block's (P * M, subset, 3) gather of candidate subsets holds
     at most _BLOCK_ELEMENTS doubles."""
-    share = -(-n // max(1, n_threads))
+    share = -(-n // n_threads)
     return max(1, min(share, _BLOCK_ELEMENTS // (3 * subset * n_candidates)))
 
 
@@ -163,8 +167,10 @@ def estimate_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1
     hence the neighborhood size) is computed once per cloud.  A point whose
     candidate slots stay degenerate after every resampling attempt gets the
     PCA normal of its neighborhood plus itself and is flagged `fallback`.
-    Raises TooFewNeighbors if the cloud has no more than k_s points.
+    Raises TooFewNeighbors if the cloud has no more than k_s points, and
+    ValueError if n_threads is below 1.
     """
+    _require_threads(n_threads)
     _require_points(cloud, params.sampling.k_s)
     index = build_index(cloud)
     profile = cloud_noise_scale(cloud, index, min(params.noise_k, len(cloud) - 1))
@@ -221,8 +227,9 @@ def denoise_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1)
 
     A point whose nearest neighbors all coincide with it (bandwidth 0)
     keeps its position.  Raises TooFewNeighbors if the cloud has no more
-    than 4 points.
+    than 4 points, and ValueError if n_threads is below 1.
     """
+    _require_threads(n_threads)
     k = _denoise_k(cloud, params)
     index = build_index(cloud)
     block = _block_size(len(cloud), n_threads, params.sampling.n_candidates,

@@ -10,7 +10,10 @@ readers and writers must match (`read_xyz_lines`, `write_xyz_rows`,
 `write_ply_rows`), and the loop forms of the mode solvers, the subset draw
 and the sign rule that the compacted kernels must match byte for byte
 (`normal_mode_batch_loop`, `position_mode_batch_loop`,
-`draw_index_sets_sorted`, `canonical_sign_argmax`).
+`draw_index_sets_sorted`, `canonical_sign_argmax`), and the whole-cloud
+forms of the PCA baseline and the noise profile that the row-chunked
+`geometry.neighborhood_fits` must match byte for byte
+(`pca_baseline_whole`, `cloud_noise_scale_whole`).
 """
 
 from collections import Counter
@@ -23,9 +26,9 @@ from normfit import consensus
 from normfit.candidates import _GOLDEN, CandidatePlanes, _mix64, score_candidates
 from normfit.consensus import _sq_dists, _weighted_principal
 from normfit.errors import EmptyCandidates, NormalNotUnit, NormfitError, ParseError
-from normfit.geometry import (PointCloud, angles_unoriented, as_points, canonical_sign,
-                              fit_planes_batch)
-from normfit.noise import DEFAULT_NOISE_K, _noise_levels
+from normfit.geometry import (PointCloud, angles_unoriented, as_points, build_index,
+                              canonical_sign, fit_planes_batch, plane_fit)
+from normfit.noise import DEFAULT_NOISE_K, NoiseProfile
 
 
 def random_units(rng, n):
@@ -197,10 +200,44 @@ def mean_mode_normal(candidates) -> np.ndarray:
     return _weighted_principal(m[None], np.ones((1, len(m))))[0]
 
 
+def gather_with_self(points, nbr_idx, query_idx):
+    """Each query point's neighbours followed by the point itself, in one
+    gather: (len(query_idx), k + 1, 3) from the (len(query_idx), k) `nbr_idx`."""
+    full = np.empty((len(nbr_idx), nbr_idx.shape[1] + 1), dtype=np.intp)
+    full[:, :-1] = nbr_idx
+    full[:, -1] = query_idx
+    return np.take(points, full, axis=0)
+
+
+def surface_variation(points, nbr_idx, query_idx):
+    """lam1 / (lam1 + lam2 + lam3) of each query point with its neighbours;
+    0 where every eigenvalue vanishes."""
+    _, _, w = plane_fit(gather_with_self(points, nbr_idx, query_idx))
+    total = w.sum(axis=1)
+    return np.where(total > 0.0, w[:, 0] / np.where(total > 0.0, total, 1.0), 0.0)
+
+
 def point_noise_level(cloud, index, t: int, k_f: int = DEFAULT_NOISE_K) -> float:
     """Surface variation of point t's k_f neighbors plus the point itself."""
     idx, _ = index.knn(t, k_f)
-    return float(_noise_levels(cloud.points, idx[None], np.array([t]))[0])
+    return float(surface_variation(cloud.points, idx[None], np.array([t]))[0])
+
+
+def pca_baseline_whole(cloud, k):
+    """`metrics.pca_baseline` with one k-NN query and one (N, k + 1, 3)
+    gather for the whole cloud."""
+    idx, _ = build_index(cloud).knn_batch(k)
+    normals, _, _ = plane_fit(gather_with_self(cloud.points, idx, np.arange(len(cloud))))
+    return PointCloud(points=cloud.points.copy(), normals=normals)
+
+
+def cloud_noise_scale_whole(cloud, index, k_f=DEFAULT_NOISE_K):
+    """`noise.cloud_noise_scale` with one k-NN query and one (N, k_f + 1, 3)
+    gather for the whole cloud."""
+    n = len(cloud)
+    idx, _ = index.knn_batch(min(k_f, n - 1))
+    f = surface_variation(cloud.points, idx, np.arange(n))
+    return NoiseProfile(per_point_f=f, cloud_f=float(f.mean()))
 
 
 def canonical_sign_argmax(v):

@@ -25,7 +25,7 @@ from normfit import (
     estimate_normal,
     gen_shape,
 )
-from normfit import pipeline
+from normfit import geometry, pipeline
 from normfit.candidates import POSITION_SUBSET, _draw_index_sets
 from normfit.cli import cli_main
 from normfit.io import write_cloud
@@ -108,11 +108,21 @@ class TestBlockSize:
 
         ref = run(1)
         # blocks from one point to one share per thread (150, 75 or 50
-        # points), and scoring chunks from one row to the whole block
+        # points), scoring chunks from one row to the whole block, and noise
+        # profile chunks from one row to the whole cloud
         for elements in (1, 7 * 1200, 7 * 12800, 32 * 12800, 2**40):
             monkeypatch.setattr(pipeline, "_BLOCK_ELEMENTS", elements)
+            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
             for n_threads in (1, 2, 3):
                 assert run(n_threads) == ref, (elements, n_threads)
+
+    @pytest.mark.parametrize("n_threads", [0, -3])
+    def test_thread_counts_below_one_rejected(self, n_threads):
+        # these used to run as one thread
+        cloud = noisy("plane", 60, 3)
+        for call in (estimate_all, denoise_all):
+            with pytest.raises(ValueError, match="n_threads"):
+                call(cloud, EstimationParams(), n_threads)
 
     def test_block_size(self):
         # at the defaults (M = 100, subsets of 4) the cap is 2**18 // 1200

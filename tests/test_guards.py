@@ -1,6 +1,6 @@
 """Guards for what the library's own tests would not notice: the names the
 benchmark tracer wraps, the stages a single-point call reaches, the one
-eigen kernel, unused private code, and the demos."""
+eigen kernel, unused private code, whole-cloud k-NN blocks, and the demos."""
 
 import ast
 import importlib.util
@@ -101,6 +101,21 @@ def test_every_private_name_is_used():
                 used.add(node.attr)
     assert defined, "no private definitions found"
     assert sorted(defined - used) == []
+
+
+def test_no_whole_cloud_knn_block():
+    # a knn_batch call without rows queries every point at once and builds
+    # an (N, k) block; the library streams whole clouds in row chunks
+    # (tests and demos may still query the whole cloud)
+    calls = []
+    for path in sorted(Path(normfit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "knn_batch"):
+                has_rows = len(node.args) >= 2 or any(kw.arg == "rows" for kw in node.keywords)
+                calls.append((f"{path.name}:{node.lineno}", has_rows))
+    assert calls, "no knn_batch calls found"
+    assert [where for where, has_rows in calls if not has_rows] == []
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

@@ -416,6 +416,20 @@ class TestConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "threads" in err[0], err
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_bench_threads_below_one_rejected(self, value, capsys):
+        # 0 used to become 1, and -2 ran as one thread
+        assert cli_main(["bench", "--points", "40", "--seeds", "1", "--counts", "20",
+                         "--threads", value]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "threads" in err[0], err
+        assert captured.out == ""
+
+    def test_bench_without_threads_runs_on_one(self, capsys):
+        assert cli_main(["bench", "--points", "40", "--seeds", "1", "--counts", "20"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_every_leaf_settable_from_file(self, tmp_path):
         path = tmp_path / "leaf.cfg"
         for key, attr_path, default in config_leaves(cfgmod.RunConfig()):

@@ -1,0 +1,141 @@
+"""The row-chunked whole-cloud plane fits (`geometry.neighborhood_fits`)
+behind the PCA baseline and the noise profile: byte equality with the
+whole-cloud forms in conftest, on clouds that end on both sides of a chunk
+edge, and the memory bound that the chunking buys.
+
+At k = 200 a chunk holds 2**18 // (3 * 201) = 434 rows, so clouds of 433,
+434, 435, 869 and 1303 points end just before, on and just after a chunk
+edge; at k = 64 a chunk holds 1344 rows.  The lattice clouds have exact
+distance ties everywhere and duplicated points, so the tie path and the
+`knn` fallback of `knn_batch` run on the rows at the chunk edges.
+"""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from normfit import (NoiseSpec, PointCloud, ShapeSpec, add_noise, build_index, cloud_noise_scale,
+                     gen_shape, pca_baseline)
+from normfit import geometry
+from normfit.geometry import NeighborIndex
+from normfit.synth import SHAPE_KINDS
+
+from conftest import cloud_noise_scale_whole, pca_baseline_whole
+
+EDGE_SIZES = (202, 433, 434, 435, 869, 1303)
+
+
+def chunk_rows(k):
+    return max(1, geometry._BLOCK_ELEMENTS // (3 * (k + 1)))
+
+
+def knn_fallback_rows(call):
+    """The points that `NeighborIndex.knn` was asked for while call() ran."""
+    rows = []
+    knn = NeighborIndex.knn
+
+    def counted(self, query_idx, k):
+        rows.append(query_idx)
+        return knn(self, query_idx, k)
+
+    with mock.patch.object(NeighborIndex, "knn", counted):
+        call()
+    return set(rows)
+
+
+def lattice_cloud(n, seed, k=200):
+    """n points of a 12 x 12 x 12 integer lattice, about one in twenty
+    replaced by a copy of another point, ordered so that the rows on both
+    sides of every chunk edge at k take the `knn` fallback of `knn_batch`
+    (a boundary tie at the k-th distance, which depends on distances only,
+    not on the order)."""
+    rng = np.random.default_rng(seed)
+    grid = np.stack(np.meshgrid(*[np.arange(12.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = grid[rng.choice(len(grid), size=n, replace=False)]
+    dup = rng.choice(n, size=max(1, n // 20), replace=False)
+    pts[dup] = pts[rng.choice(n, size=len(dup))]
+    index = build_index(PointCloud(points=pts))
+    tied = sorted(knn_fallback_rows(lambda: index.knn_batch(k)))
+    edges = [r for e in range(chunk_rows(k), n, chunk_rows(k)) for r in (e - 1, e)]
+    assert len(tied) >= len(edges)
+    order = [r for r in range(n) if r not in set(tied[:len(edges)])]
+    for at, r in zip(edges, tied):
+        order.insert(at, r)
+    return PointCloud(points=pts[order])
+
+
+def shape_cloud(kind, n, noise_pct, seed):
+    clean = gen_shape(ShapeSpec(kind=kind, n_points=n, seed=seed))
+    return add_noise(clean, NoiseSpec(std_pct_bbox_diag=noise_pct, seed=seed + 1))
+
+
+def assert_matches_whole(cloud, k):
+    est = pca_baseline(cloud, k)
+    assert est.normals.tobytes() == pca_baseline_whole(cloud, k).normals.tobytes()
+    assert est.points.tobytes() == cloud.points.tobytes()
+    index = build_index(cloud)
+    got, want = cloud_noise_scale(cloud, index, k), cloud_noise_scale_whole(cloud, index, k)
+    assert got.per_point_f.tobytes() == want.per_point_f.tobytes()
+    assert np.float64(got.cloud_f).tobytes() == np.float64(want.cloud_f).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(SHAPE_KINDS), n=st.sampled_from(EDGE_SIZES),
+       noise_pct=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+@example(kind="wedge", n=435, noise_pct=0.0, seed=0)
+@example(kind="sphere", n=1303, noise_pct=1.0, seed=1)
+def test_shapes_match_whole_cloud_at_chunk_edges(kind, n, noise_pct, seed):
+    assert chunk_rows(200) == 434
+    assert_matches_whole(shape_cloud(kind, n, noise_pct, seed), 200)
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_lattice_ties_and_fallbacks_match_whole_cloud(n):
+    cloud = lattice_cloud(n, n)
+    fallbacks = knn_fallback_rows(lambda: assert_matches_whole(cloud, 200))
+    edges = range(chunk_rows(200), n, chunk_rows(200))
+    assert all({e - 1, e} <= fallbacks for e in edges)
+    if n > 203:
+        # below that the tree query already returns every point
+        assert fallbacks
+
+
+@pytest.mark.parametrize("cloud", [shape_cloud("sphere", 3000, 0.5, 7), lattice_cloud(1700, 3, k=64)],
+                         ids=["sphere", "lattice"])
+def test_default_noise_k_matches_whole_cloud(cloud):
+    # k = 64: chunks of 1344 rows, so the cloud ends inside its second or third chunk
+    assert chunk_rows(64) == 1344
+    assert_matches_whole(cloud, 64)
+
+
+@pytest.mark.parametrize("elements", [1, 200, 2**40])
+def test_any_chunk_size_matches_whole_cloud(elements, monkeypatch):
+    # one row per chunk, three rows, and the whole cloud in one chunk
+    monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
+    assert_matches_whole(shape_cloud("cube", 300, 0.5, 5), 20)
+
+
+class TestMemory:
+    # the whole-cloud forms peak at about 85 MB here, in their (N, 65, 3)
+    # gather and its centred copy; the chunks hold about 6 MB
+    CLOUD = shape_cloud("sphere", 20000, 0.5, 9)
+
+    def peak(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_pca_baseline_peak_within_budget(self):
+        peak = self.peak(lambda: pca_baseline(self.CLOUD, 64))
+        assert peak < 16e6, peak
+
+    def test_noise_profile_peak_within_budget(self):
+        index = build_index(self.CLOUD)
+        peak = self.peak(lambda: cloud_noise_scale(self.CLOUD, index, 64))
+        assert peak < 16e6, peak
