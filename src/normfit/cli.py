@@ -215,10 +215,7 @@ def cli_main(argv=None) -> int:
     except _UsageError as exc:
         print(f"normfit: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except (NormfitError, ValueError) as exc:
+    except (OSError, NormfitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

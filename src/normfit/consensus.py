@@ -4,13 +4,13 @@ For normals the loss puts a Gaussian kernel on the sine of the angle to each
 candidate (antipodally invariant since ||n x m||^2 = 1 - (n.m)^2); the
 minimizer is found by an iteratively reweighted eigenvector update.  For
 positions the loss is the classic Gaussian kernel on distance and the
-minimizer is a mean-shift fixed point.  Both solvers are safeguarded to keep
-the loss non-increasing.
+minimizer is a mean-shift fixed point.  Both steps are minorize-maximize
+steps (Hunter & Lange 2004): the loss rises only by round-off.
 
 The solvers run on a batch of A points at once (`normal_mode_batch`,
-`position_mode_batch`); each point keeps its own iterate, halving
-safeguard, convergence test and iteration budget, and leaves the batch when
-it stops.  `normal_mode` and `position_mode` are batches of one.
+`position_mode_batch`) through one loop, `_descend`; each point keeps its
+own iterate, convergence test and iteration budget, and leaves the batch
+when it stops.  `normal_mode` and `position_mode` are batches of one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .geometry import angles_unoriented, as_points, canonical_sign
 DEFAULT_TAU = math.sin(math.pi / 6)
 
 _LOSS_SLACK = 1e-12
-_MAX_HALVINGS = 8
 
 
 @dataclass(frozen=True)
@@ -79,61 +78,74 @@ def _weighted_principal(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     return canonical_sign(v[:, :, 2])
 
 
+def _descend(c, x, kernel, step, stopped, nearest, max_iters: int, *rows):
+    """Minimize -kernel(c, x, *rows).sum(axis=1) for each of A points from
+    (A, M, 3) candidates c, (A, 3) starts x and per-point arrays rows.
+
+    A pass moves each point to step(c, kern, total), from its kernel terms
+    and their sum; it converges when stopped(x_new, x, *rows).  Unconverged,
+    a point stops where it was if its step would raise its loss by more than
+    _LOSS_SLACK (only round-off can), and at nearest(c, x) if its kernel
+    terms all vanish.  Returns (iterates, losses, iterations, converged).
+    """
+    kern = kernel(c, x, *rows)           # at the current iterates, kept across steps
+    loss = -kern.sum(axis=1)
+    out_x, out_loss = np.empty_like(x), np.empty_like(loss)
+    iterations = np.full(len(c), max_iters, dtype=np.int64)
+    converged = np.zeros(len(c), dtype=bool)
+    # c, kern, x, loss and rows hold the active points' rows only; they
+    # shrink when a point leaves, and act maps their rows back to the batch
+    act = np.arange(len(c))
+    c = np.ascontiguousarray(c)           # like every compacted copy below
+    for it in range(1, max_iters + 1):
+        if len(act) == 0:
+            break
+        total = kern.sum(axis=1)
+        empty = total == 0.0
+        if empty.any():
+            e = np.flatnonzero(empty)
+            xe = nearest(c[e], x[e])
+            out_x[act[e]], iterations[act[e]] = xe, it
+            out_loss[act[e]] = -kernel(c[e], xe, *(r[e] for r in rows)).sum(axis=1)
+            live = ~empty
+            act, c, x, kern, loss, total, *rows = (
+                a[live] for a in (act, c, x, kern, loss, total, *rows))
+        x_new = step(c, kern, total)
+        new_kern = kernel(c, x_new, *rows)
+        new_loss = -new_kern.sum(axis=1)
+        up = new_loss > loss + _LOSS_SLACK
+        done = ~up & stopped(x_new, x, *rows)
+        if up.any():
+            x_new[up], new_loss[up] = x[up], loss[up]
+        converged[act[done]] = True
+        x, loss, kern = x_new, new_loss, new_kern
+        stay = ~(up | done)
+        if not stay.all():
+            leave = act[~stay]
+            out_x[leave], out_loss[leave], iterations[leave] = x[~stay], loss[~stay], it
+            act, c, x, loss, kern, *rows = (a[stay] for a in (act, c, x, loss, kern, *rows))
+    out_x[act], out_loss[act] = x, loss
+    return out_x, out_loss, iterations, converged
+
+
 def normal_mode_batch(m: np.ndarray, params: ConsensusParams, init: np.ndarray):
     """Minimize ccn_loss for each row of (A, M, 3) candidates from (A, 3) inits.
 
     Each step weights candidates by their kernel value at the current
     normal and moves to the principal direction of the weighted outer-
-    product sum.  If a step would increase the loss it is halved toward
-    the previous iterate (up to 8 times) before the point gives up.
+    product sum.  A point whose step would raise the loss stops where it
+    was; one whose kernel weights all underflow to zero stops at its nearest
+    candidate (largest |n.m|, sign-canonical); both unconverged.
     Returns (normals (A, 3), losses (A,), iterations (A,), converged (A,)).
     """
     tau2 = params.tau_normal**2
-    n = canonical_sign(np.array(init, dtype=np.float64))
-    kern = _ccn_kernel(m, n, tau2)       # at the current normals, kept across steps
-    loss = -kern.sum(axis=1)
-    out_n, out_loss = np.empty_like(n), np.empty_like(loss)
-    iterations = np.full(len(m), params.max_iters, dtype=np.int64)
-    converged = np.zeros(len(m), dtype=bool)
-    # m, kern, n and loss hold the active points' rows only; they shrink
-    # when a point leaves, and act maps their rows back to the batch
-    act = np.arange(len(m))
-    m = np.ascontiguousarray(m)           # like every compacted copy below
-    for it in range(1, params.max_iters + 1):
-        if len(act) == 0:
-            break
-        n_new = _weighted_principal(m, kern)
-        new_kern = _ccn_kernel(m, n_new, tau2)
-        new_loss = -new_kern.sum(axis=1)
-        up = new_loss > loss + _LOSS_SLACK
-        halved = np.flatnonzero(up)
-        for _ in range(_MAX_HALVINGS):
-            i = np.flatnonzero(up)
-            if len(i) == 0:
-                break
-            flip = np.where(np.einsum("ac,ac->a", n_new[i], n[i]) < 0, -1.0, 1.0)
-            half = n[i] + flip[:, None] * n_new[i]
-            half /= np.linalg.norm(half, axis=1, keepdims=True)
-            n_new[i] = half
-            k_i = _ccn_kernel(m[i], half, tau2)
-            new_kern[i], new_loss[i] = k_i, -k_i.sum(axis=1)
-            up[i] = new_loss[i] > loss[i] + _LOSS_SLACK
-        done = ~up & (angles_unoriented(n_new, n) < params.tol_deg)
-        if len(halved):
-            # _weighted_principal's rows are canonical already; halved ones
-            # are not, and a point whose step still raises the loss stops
-            # where it was
-            n_new[halved] = canonical_sign(n_new[halved])
-            n_new[up], new_loss[up] = n[up], loss[up]
-        converged[act[done]] = True
-        n, loss, kern = n_new, new_loss, new_kern
-        stay = ~(up | done)
-        if not stay.all():
-            leave = act[~stay]
-            out_n[leave], out_loss[leave], iterations[leave] = n[~stay], loss[~stay], it
-            act, m, n, loss, kern = act[stay], m[stay], n[stay], loss[stay], kern[stay]
-    out_n[act], out_loss[act] = n, loss
-    return out_n, out_loss, iterations, converged
+    return _descend(m, canonical_sign(np.array(init, dtype=np.float64)),
+                    lambda m, n: _ccn_kernel(m, n, tau2),
+                    lambda m, kern, total: _weighted_principal(m, kern),
+                    lambda n_new, n: angles_unoriented(n_new, n) < params.tol_deg,
+                    lambda m, n: canonical_sign(m[np.arange(len(m)), np.argmax(
+                        np.abs(np.einsum("amc,ac->am", m, n)), axis=1)]),
+                    params.max_iters)
 
 
 def normal_mode(candidates, params: ConsensusParams, init) -> ModeResult:
@@ -180,62 +192,18 @@ def position_mode_batch(q: np.ndarray, params: ConsensusParams, init: np.ndarray
     bandwidths tau (A,), all positive.
 
     A point converges when a step moves it less than tol_pos * tau, so the
-    iterations do not depend on the cloud's scale.  A point whose kernel
-    weights all underflow to zero stops at its nearest candidate,
-    unconverged.  Returns (positions (A, 3), losses (A,),
-    iterations (A,), converged (A,)).
+    iterations do not depend on the cloud's scale.  A point whose step would
+    raise the loss stops where it was; one whose kernel weights all underflow
+    to zero stops at its nearest candidate; both unconverged.  Returns
+    (positions (A, 3), losses (A,), iterations (A,), converged (A,)).
     """
-    tau2 = tau**2
-    tol = params.tol_pos * tau
-    x = np.array(init, dtype=np.float64)
-    kern = _ccp_kernel(q, x, tau2)       # at the current positions, kept across steps
-    loss = -kern.sum(axis=1)
-    out_x, out_loss = np.empty_like(x), np.empty_like(loss)
-    iterations = np.full(len(q), params.max_iters, dtype=np.int64)
-    converged = np.zeros(len(q), dtype=bool)
-    # q, kern, x, loss, tau2 and tol hold the active points' rows only, as
-    # in normal_mode_batch
-    act = np.arange(len(q))
-    q = np.ascontiguousarray(q)           # like every compacted copy below
-    for it in range(1, params.max_iters + 1):
-        if len(act) == 0:
-            break
-        total = kern.sum(axis=1)
-        empty = total == 0.0
-        if empty.any():
-            e = np.flatnonzero(empty)
-            xe = q[e, np.argmin(_sq_dists(q[e], x[e]), axis=1)]
-            out_x[act[e]], iterations[act[e]] = xe, it
-            out_loss[act[e]] = -_ccp_kernel(q[e], xe, tau2[e]).sum(axis=1)
-            live = ~empty
-            act, q, x, kern, loss, tau2, tol, total = (
-                a[live] for a in (act, q, x, kern, loss, tau2, tol, total))
-        # the bytes of (kern[:, :, None] * q).sum(axis=1), faster
-        x_new = np.einsum("am,amc->ac", kern, q) / total[:, None]
-        new_kern = _ccp_kernel(q, x_new, tau2)
-        new_loss = -new_kern.sum(axis=1)
-        up = new_loss > loss + _LOSS_SLACK
-        for _ in range(_MAX_HALVINGS):
-            i = np.flatnonzero(up)
-            if len(i) == 0:
-                break
-            x_new[i] = (x[i] + x_new[i]) / 2.0
-            k_i = _ccp_kernel(q[i], x_new[i], tau2[i])
-            new_kern[i], new_loss[i] = k_i, -k_i.sum(axis=1)
-            up[i] = new_loss[i] > loss[i] + _LOSS_SLACK
-        done = ~up & (np.linalg.norm(x_new - x, axis=1) < tol)
-        if up.any():
-            x_new[up], new_loss[up] = x[up], loss[up]
-        converged[act[done]] = True
-        x, loss, kern = x_new, new_loss, new_kern
-        stay = ~(up | done)
-        if not stay.all():
-            leave = act[~stay]
-            out_x[leave], out_loss[leave], iterations[leave] = x[~stay], loss[~stay], it
-            act, q, x, loss, kern, tau2, tol = (
-                a[stay] for a in (act, q, x, loss, kern, tau2, tol))
-    out_x[act], out_loss[act] = x, loss
-    return out_x, out_loss, iterations, converged
+    return _descend(q, np.array(init, dtype=np.float64),
+                    lambda q, x, tau2, tol: _ccp_kernel(q, x, tau2),
+                    # the bytes of (kern[:, :, None] * q).sum(axis=1), faster
+                    lambda q, kern, total: np.einsum("am,amc->ac", kern, q) / total[:, None],
+                    lambda x_new, x, tau2, tol: np.linalg.norm(x_new - x, axis=1) < tol,
+                    lambda q, x: q[np.arange(len(q)), np.argmin(_sq_dists(q, x), axis=1)],
+                    params.max_iters, tau**2, params.tol_pos * tau)
 
 
 def position_mode(candidates, params: ConsensusParams, init, tau: float) -> ModeResult:

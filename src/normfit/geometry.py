@@ -184,9 +184,11 @@ def neighborhood_fits(index: NeighborIndex, k: int):
     (at least one), so a chunk's (rows, k + 1, 3) gather holds at most 2 MB
     and the peak is the O(N) outputs plus one chunk.  `knn_batch` and
     `plane_fit` compute each row independently of the others, so the chunk
-    size changes no byte.
+    size changes no byte.  Raises ValueError unless 1 <= k <= N - 1.
     """
     n = index.n_points
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k={k} out of range for {n} points")
     step = max(1, _BLOCK_ELEMENTS // (3 * (k + 1)))
     normals = np.empty((n, 3))
     eigenvalues = np.empty((n, 3))

@@ -45,6 +45,12 @@ class EstimationParams:
     denoise_k: int = 64
     noise_k: int = DEFAULT_NOISE_K
 
+    def __post_init__(self):
+        if self.noise_k < 1:
+            raise ValueError("noise_k must be >= 1")
+        if self.denoise_k < cand.POSITION_SUBSET:
+            raise ValueError(f"denoise_k must be >= {cand.POSITION_SUBSET}")
+
 
 @dataclass
 class RunReport:

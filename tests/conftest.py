@@ -266,10 +266,10 @@ def normal_mode_batch_loop(m, params, init, hits=None):
     """`normal_mode_batch` gathering the active rows from full-size arrays
     and scattering them back on every iteration.  Reads
     `consensus._LOSS_SLACK` and `consensus._ccn_kernel` at call time, so a
-    test can patch them for both implementations.  Counts the branches it
-    takes in the Counter `hits`: "halving" (one halving pass), "halved_kept"
-    (a halved step was taken), "gave_up" (still no descent after every
-    halving), "converged" and "max_iters" (points)."""
+    test can patch them for both implementations.  Counts the points that
+    take each branch in the Counter `hits`: "underflow" (all weights zero,
+    stopped at the candidate of largest |n.m|), "gave_up" (a step raised
+    the loss), "converged" and "max_iters"."""
     hits = Counter() if hits is None else hits
     tau2 = params.tau_normal**2
     n = canonical_sign_argmax(np.array(init, dtype=np.float64))
@@ -281,27 +281,21 @@ def normal_mode_batch_loop(m, params, init, hits=None):
     for _ in range(params.max_iters):
         if len(act) == 0:
             break
-        ma, na, la = m[act], n[act], loss[act]
         iterations[act] += 1
+        empty = kern[act].sum(axis=1) == 0.0
+        if empty.any():
+            hits["underflow"] += int(np.count_nonzero(empty))
+            e = act[empty]
+            dots = np.abs(np.einsum("amc,ac->am", m[e], n[e]))
+            n[e] = canonical_sign_argmax(m[e, np.argmax(dots, axis=1)])
+            loss[e] = -consensus._ccn_kernel(m[e], n[e], tau2).sum(axis=1)
+            act = act[~empty]
+        ma, na, la = m[act], n[act], loss[act]
         n_new = _weighted_principal(ma, kern[act])
         new_kern = consensus._ccn_kernel(ma, n_new, tau2)
         new_loss = -new_kern.sum(axis=1)
         up = new_loss > la + consensus._LOSS_SLACK
-        halved = up.copy()
-        for _ in range(consensus._MAX_HALVINGS):
-            i = np.flatnonzero(up)
-            if len(i) == 0:
-                break
-            hits["halving"] += 1
-            flip = np.where(np.einsum("ac,ac->a", n_new[i], na[i]) < 0, -1.0, 1.0)
-            half = na[i] + flip[:, None] * n_new[i]
-            half /= np.linalg.norm(half, axis=1, keepdims=True)
-            n_new[i] = half
-            k_i = consensus._ccn_kernel(ma[i], half, tau2)
-            new_kern[i], new_loss[i] = k_i, -k_i.sum(axis=1)
-            up[i] = new_loss[i] > la[i] + consensus._LOSS_SLACK
         hits["gave_up"] += int(np.count_nonzero(up))
-        hits["halved_kept"] += int(np.count_nonzero(halved & ~up))
         moved = ~up
         n[act[moved]] = canonical_sign_argmax(n_new[moved])
         loss[act[moved]] = new_loss[moved]
@@ -318,8 +312,8 @@ def position_mode_batch_loop(q, params, init, tau, hits=None):
     """`position_mode_batch` gathering the active rows from full-size arrays
     and scattering them back on every iteration.  Reads
     `consensus._LOSS_SLACK` and `consensus._ccp_kernel` at call time; counts
-    its branches in `hits` as `normal_mode_batch_loop` does, plus
-    "underflow" (all weights zero)."""
+    its branches in `hits` as `normal_mode_batch_loop` does, an "underflow"
+    point stopping at its nearest candidate."""
     hits = Counter() if hits is None else hits
     tau2 = tau**2
     x = np.array(init, dtype=np.float64)
@@ -347,18 +341,7 @@ def position_mode_batch_loop(q, params, init, tau, hits=None):
         new_kern = consensus._ccp_kernel(qa, x_new, t2)
         new_loss = -new_kern.sum(axis=1)
         up = new_loss > la + consensus._LOSS_SLACK
-        halved = up.copy()
-        for _ in range(consensus._MAX_HALVINGS):
-            i = np.flatnonzero(up)
-            if len(i) == 0:
-                break
-            hits["halving"] += 1
-            x_new[i] = (xa[i] + x_new[i]) / 2.0
-            k_i = consensus._ccp_kernel(qa[i], x_new[i], t2[i])
-            new_kern[i], new_loss[i] = k_i, -k_i.sum(axis=1)
-            up[i] = new_loss[i] > la[i] + consensus._LOSS_SLACK
         hits["gave_up"] += int(np.count_nonzero(up))
-        hits["halved_kept"] += int(np.count_nonzero(halved & ~up))
         moved = ~up
         x[act[moved]] = x_new[moved]
         loss[act[moved]] = new_loss[moved]

@@ -59,6 +59,16 @@ class TestNormalMode:
         with pytest.raises(EmptyCandidates):
             normal_mode(np.zeros((0, 3)), PARAMS, init=EZ)
 
+    def test_zero_weights_returns_nearest(self):
+        # every kernel weight underflows at the init; the point stops at the
+        # candidate of largest |n.m|, not at a direction no candidate supports
+        cands = np.array([[1.0, 0.0, 0.0], [0.99, 0.141, 0.0]])
+        cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+        res = normal_mode(cands, ConsensusParams(tau_normal=0.01), init=[0, 1, 0])
+        assert np.array_equal(res.value, cands[1])
+        assert res.loss == pytest.approx(-1.0)
+        assert not res.converged
+
     def test_loss_at_result_never_above_init(self, rng):
         for _ in range(20):
             cands = random_units(rng, 40)

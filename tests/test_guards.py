@@ -1,6 +1,7 @@
 """Guards for what the library's own tests would not notice: the names the
 benchmark tracer wraps, the stages a single-point call reaches, the one
-eigen kernel, unused private code, whole-cloud k-NN blocks, and the demos."""
+eigen kernel, the one mode-solver loop, unused private code, whole-cloud
+k-NN blocks, and the demos."""
 
 import ast
 import importlib.util
@@ -55,8 +56,8 @@ def test_single_point_calls_reach_no_single_point_stage():
     assert not names & single, names & single
 
 
-def eigen_calls(path):
-    """(module, enclosing function) of every eigh/eigvalsh/eig/eigvals call."""
+def scopes_of(path, hit):
+    """(module, enclosing function) of every node of `path` for which hit(node)."""
     found = []
 
     def visit(node, scope):
@@ -64,23 +65,42 @@ def eigen_calls(path):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = child.name
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                if name in ("eigh", "eigvalsh", "eig", "eigvals"):
-                    found.append((path.stem, scope))
+            if hit(child):
+                found.append((path.stem, scope))
             visit(child, inner)
 
     visit(ast.parse(path.read_text()), None)
     return found
 
 
+def library_scopes(hit):
+    return sorted(s for path in sorted(Path(normfit.__file__).parent.glob("*.py"))
+                  for s in scopes_of(path, hit))
+
+
+def is_eigen_call(node):
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+    return name in ("eigh", "eigvalsh", "eig", "eigvals")
+
+
 def test_one_eigen_kernel():
     # plane_fit (with its eigh fallback) is the covariance/eigen kernel; the
     # mode solver's weighted principal direction is the one other solve
-    calls = [c for path in sorted(Path(normfit.__file__).parent.glob("*.py"))
-             for c in eigen_calls(path)]
-    assert sorted(calls) == [("consensus", "_weighted_principal"), ("geometry", "plane_fit")]
+    assert library_scopes(is_eigen_call) == [("consensus", "_weighted_principal"),
+                                             ("geometry", "plane_fit")]
+
+
+def test_one_mode_loop():
+    # both mode solvers descend through one loop, and only the loop guards
+    # a step against a rise of the loss
+    def reads_slack(node):
+        return (isinstance(node, ast.Name) and node.id == "_LOSS_SLACK"
+                and isinstance(node.ctx, ast.Load))
+
+    assert library_scopes(reads_slack) == [("consensus", "_descend")]
 
 
 def test_every_private_name_is_used():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from normfit import (
     ConfigError,
+    EstimationParams,
     NormalNotUnit,
     ParseError,
     PointCloud,
@@ -401,6 +402,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="tol_pos"):
             cfgmod.parse(f"tol_pos = {value}\n")
 
+    @pytest.mark.parametrize("key, value", [("noise_k", 0), ("noise_k", -1),
+                                            ("denoise_k", 3), ("denoise_k", -2)])
+    def test_neighbourhood_sizes_below_their_minimum_rejected(self, key, value):
+        # a noise profile needs one neighbour, a position candidate four
+        with pytest.raises(ValueError, match=key):
+            EstimationParams(**{key: value})
+        with pytest.raises(ConfigError, match=key):
+            cfgmod.parse(f"{key} = {value}\n")
+
     def test_zero_tolerances_stay_legal(self):
         consensus = cfgmod.parse("tol_deg = 0\ntol_pos = 0\n").params.consensus
         assert consensus.tol_deg == consensus.tol_pos == 0.0
@@ -499,6 +509,41 @@ class TestCli:
     def test_missing_input_is_data_error(self, tmp_path):
         assert cli_main(["estimate", "--in", str(tmp_path / "nope.xyz"),
                          "--out", str(tmp_path / "o.xyz")]) == 2
+
+    @staticmethod
+    def assert_one_error_line(capsys, *words):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert all(w in err[0] for w in words), err
+
+    @pytest.mark.parametrize("command, key, setting", [
+        ("estimate", "noise_k", ["--config", "noise_k = -1"]),
+        ("estimate", "noise_k", ["--config", "noise_k = -3"]),
+        ("denoise", "denoise_k", ["--denoise-k", "2"])])
+    def test_neighbourhood_sizes_below_their_minimum_are_data_errors(self, command, key, setting,
+                                                                      tmp_path, capsys):
+        # noise_k = -1 used to end in a ZeroDivisionError traceback, and
+        # --denoise-k 2 was reported as a cloud with too few neighbours
+        src = tmp_path / "in.xyz"
+        cli_main(["synth", "--shape", "plane", "--n", "60", "--out", str(src)])
+        capsys.readouterr()
+        flag, value = setting
+        if flag == "--config":
+            (tmp_path / "run.cfg").write_text(value + "\n")
+            value = str(tmp_path / "run.cfg")
+        assert cli_main([command, "--in", str(src), "--out", str(tmp_path / "o.xyz"),
+                         flag, value]) == 2
+        self.assert_one_error_line(capsys, key)
+
+    @pytest.mark.parametrize("flag", ["--in", "--out"])
+    def test_directory_path_is_data_error(self, flag, tmp_path, capsys):
+        # a directory used to end in an IsADirectoryError traceback and exit 1
+        src = tmp_path / "in.xyz"
+        cli_main(["synth", "--shape", "plane", "--n", "60", "--out", str(src)])
+        capsys.readouterr()
+        paths = {"--in": str(src), "--out": str(tmp_path / "o.xyz"), flag: str(tmp_path)}
+        assert cli_main(["estimate", "--in", paths["--in"], "--out", paths["--out"]]) == 2
+        self.assert_one_error_line(capsys, str(tmp_path))
 
     def test_usage_error_exit_code(self, capsys):
         assert cli_main(["estimate"]) == 1            # missing required flags

@@ -118,6 +118,18 @@ def test_any_chunk_size_matches_whole_cloud(elements, monkeypatch):
     assert_matches_whole(shape_cloud("cube", 300, 0.5, 5), 20)
 
 
+@pytest.mark.parametrize("k", [-3, -1, 0, 30])
+def test_k_out_of_range_raises(k):
+    # k = -1 used to divide by zero when sizing the chunk and k = -3 to ask
+    # for a buffer of negative size; every k outside [1, N - 1] gets the
+    # error knn_batch gives
+    cloud = shape_cloud("cube", 30, 0.5, 5)
+    with pytest.raises(ValueError, match=f"k={k} out of range for 30 points"):
+        geometry.neighborhood_fits(build_index(cloud), k)
+    with pytest.raises(ValueError, match=f"k={k} out of range for 30 points"):
+        pca_baseline(cloud, k)
+
+
 class TestMemory:
     # the whole-cloud forms peak at about 85 MB here, in their (N, 65, 3)
     # gather and its centred copy; the chunks hold about 6 MB
