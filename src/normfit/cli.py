@@ -18,6 +18,7 @@ from .synth import SHAPE_KINDS, NoiseSpec, ShapeSpec, add_noise, gen_shape
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+_THREADS_HELP = "parallel workers: the caller plus n-1 forked processes"
 
 
 class _UsageError(Exception):
@@ -39,7 +40,7 @@ def _add_param_flags(p):
     p.add_argument("--k-s", type=int, dest="k_s")
     p.add_argument("--denoise-k", type=int, dest="denoise_k")
     p.add_argument("--tau", type=float, dest="tau_normal")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
 
 
 def _add_io_flags(p):
@@ -63,10 +64,8 @@ def _cmd_synth(args) -> int:
     shape = ShapeSpec(kind=args.shape, n_points=args.n, extent=args.extent,
                       seed=args.seed if args.seed is not None else 0,
                       dihedral_deg=args.dihedral)
-    cloud = gen_shape(shape)
-    if args.noise > 0:
-        cloud = add_noise(cloud, NoiseSpec(std_pct_bbox_diag=args.noise,
-                                           seed=shape.seed))
+    # a copy at 0%; a negative percentage raises ValueError, exit 2
+    cloud = add_noise(gen_shape(shape), NoiseSpec(std_pct_bbox_diag=args.noise, seed=shape.seed))
     write_cloud(cloud, args.out)
     print(f"wrote {len(cloud)} points to {args.out}")
     return 0
@@ -198,7 +197,7 @@ def build_parser() -> _Parser:
     p.add_argument("--points", type=int, default=600)
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--counts", type=int, nargs="+", default=[20, 100, 400])
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_bench)
     return parser

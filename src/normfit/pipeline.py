@@ -1,24 +1,26 @@
 """Whole-cloud orchestration: normal estimation and denoising.
 
-Points run the three-stage chain (sample hypotheses, score + reject, seek
-the main mode) in blocks of P points, P = min(ceil(N / n_threads),
-2**18 // (3 * k_s * M)): one block per thread on small clouds, and on large
-ones as many points as keep a block's (P * M, k_s, 3) subset gather near
-2 MB.  A block's neighborhoods come from one k-NN tree query, and its
-(P, k, M) plane scores and (P, M, k) position scores are computed in row
-chunks of 2**18 // (M * k) points, so each kernel matrix also stays near
-2 MB; the cloud's noise profile, taken once before the blocks, streams in
-row chunks of a 2 MB neighbourhood gather too.  The blocks are a fixed
-partition of range(N) and threads take whole blocks.  Every random draw is
-a pure function of (seed, point index, candidate slot, attempt), and every
-stage computes each point's rows independently of the others, so outputs
-are identical for any thread count and block size.  `estimate_normal` and `denoise_point` run the same block
-function on a block of one and give that point's result byte for byte.
+Points run the three-stage chain (sample hypotheses, score + reject, seek the
+main mode) in blocks of P = min(ceil(N / n_threads), 2**18 // (3 * k_s * M))
+points: one block per worker on small clouds, and on large ones as many points
+as keep a block's (P * M, k_s, 3) subset gather near 2 MB.  A block's
+neighborhoods come from one k-NN tree query, and its (P, k, M) plane scores
+and (P, M, k) position scores are computed in row chunks of 2**18 // (M * k)
+points, so each kernel matrix also stays near 2 MB; the noise profile, taken
+once per cloud, streams in 2 MB row chunks too.  The blocks are a fixed
+partition of range(N): the caller runs the first of w = min(n_threads, usable
+CPUs, blocks) contiguous shares of them, and the w - 1 forked workers of one
+persistent pool the others.  Every random draw is a pure function of (seed,
+point index, candidate slot, attempt), and every stage computes each point's
+rows independently of the others, so outputs are identical for any worker
+count and block size.  `estimate_normal` and `denoise_point` run the same
+block function on a block of one and give that point's result byte for byte.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,9 @@ from .noise import AdaptiveConfig, DEFAULT_NOISE_K, adaptive_k, cloud_noise_scal
 
 # neighbors whose mean distance sets the denoising bandwidth
 _DENOISE_SIGMA_K = 12
+# the worker pool of n_threads >= 2: (executor, workers, pid of the process that made it)
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -102,13 +107,52 @@ def _neighborhoods(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k: i
     return np.take(pts, idx, axis=0) - np.take(pts, ts, axis=0)[:, None, :], dist
 
 
-def _run_blocks(n: int, block: int, work, n_threads: int) -> list:
-    """work(ts) on every block of the fixed partition of range(n), in block order."""
-    blocks = [np.arange(s, min(s + block, n)) for s in range(0, n, block)]
-    if n_threads <= 1:
-        return [work(ts) for ts in blocks]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(work, blocks))
+def _pool(workers: int, broken=None):
+    """The pool of at least `workers` processes, replaced when too small, `broken` or inherited
+    by a fork.  Workers are forked: spawned ones re-import __main__, killing unguarded scripts."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] is broken or _POOL[1] < workers or _POOL[2] != os.getpid():
+            import multiprocessing.util    # here, so that one-thread runs never import it
+            from concurrent.futures import ProcessPoolExecutor
+            if _POOL is not None and _POOL[2] == os.getpid():
+                _POOL[0].shutdown(wait=False)
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            # a multiprocessing child's exit runs this before its queues close (priority 10)
+            multiprocessing.util.Finalize(pool, pool.shutdown, exitpriority=20)
+            _POOL = (pool, workers, os.getpid())
+        return _POOL[0]
+
+
+def _share_rows(block_fn, points: np.ndarray, share: list, *args) -> list:
+    """A worker's rows of its share of blocks, over a rebuilt cloud and index."""
+    cloud = PointCloud(points=points)
+    index = build_index(cloud)
+    return [block_fn(cloud, index, ts, *args) for ts in share]
+
+
+def _run_blocks(block_fn, cloud: PointCloud, index: NeighborIndex, block: int,
+                n_threads: int, *args) -> list:
+    """block_fn(cloud, index, ts, *args) on each block ts, in block order: the caller runs
+    the first of w contiguous shares, the pool the others (rerun once if it breaks)."""
+    blocks = [np.arange(s, min(s + block, len(cloud))) for s in range(0, len(cloud), block)]
+    w = min(n_threads, len(os.sched_getaffinity(0)), len(blocks))
+    if w == 1:
+        return [block_fn(cloud, index, ts, *args) for ts in blocks]
+    from concurrent.futures.process import BrokenProcessPool
+    cut = [len(blocks) * i // w for i in range(w + 1)]
+    pool = mine = None
+    for retry in (False, True):
+        pool = _pool(w - 1, broken=pool)
+        try:
+            futures = [pool.submit(_share_rows, block_fn, cloud.points, blocks[a:b], *args)
+                       for a, b in zip(cut[1:], cut[2:])]
+            if mine is None:
+                mine = [block_fn(cloud, index, ts, *args) for ts in blocks[:cut[1]]]
+            return mine + [rows for f in futures for rows in f.result()]
+        except BrokenProcessPool:
+            if retry:
+                raise
 
 
 def _k_hat(cloud: PointCloud, f_cloud: float, params: EstimationParams) -> int:
@@ -185,9 +229,7 @@ def estimate_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1
     reject = rejection_enabled(f, params.adaptive)
     sp = params.sampling
     block = _block_size(len(cloud), n_threads, sp.n_candidates, sp.k_s)
-    rows = _run_blocks(len(cloud), block,
-                       lambda ts: _estimate_block(cloud, index, ts, k_hat, reject, params),
-                       n_threads)
+    rows = _run_blocks(_estimate_block, cloud, index, block, n_threads, k_hat, reject, params)
     normals, *cols = (np.concatenate(c) for c in zip(*rows))
     return PointCloud(points=cloud.points.copy(), normals=normals), RunReport(k_hat, *cols)
 
@@ -240,6 +282,5 @@ def denoise_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1)
     index = build_index(cloud)
     block = _block_size(len(cloud), n_threads, params.sampling.n_candidates,
                         cand.POSITION_SUBSET)
-    blocks = _run_blocks(len(cloud), block,
-                         lambda ts: _denoise_block(cloud, index, ts, k, params), n_threads)
+    blocks = _run_blocks(_denoise_block, cloud, index, block, n_threads, k, params)
     return PointCloud(points=np.concatenate(blocks))

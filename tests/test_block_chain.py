@@ -1,6 +1,11 @@
-"""The block-batched chain: single-point calls, block size, the index sampler,
-degenerate neighbourhoods and tiny clouds."""
+"""The block-batched chain: single-point calls, block size, the worker pool,
+the index sampler, degenerate neighbourhoods and tiny clouds."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 
@@ -33,6 +38,11 @@ from normfit.pipeline import point_rng
 
 
 THREADS = 4
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+
+# with one usable CPU every n_threads runs in the caller and no pool is made
+needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                                    reason="one usable CPU: no worker processes")
 
 
 def noisy(kind, n, seed):
@@ -95,6 +105,23 @@ class TestBatchOfOne:
         assert (report.survivors == 100).all()
 
 
+def drop_pool():
+    """Shut the caller's worker pool down and forget it: the next call with
+    n_threads >= 2 forks a new one, which inherits the module state of now."""
+    if pipeline._POOL is not None:
+        pipeline._POOL[0].shutdown()
+        pipeline._POOL = None
+
+
+def worker_budgets():
+    """The block budgets a worker process sees."""
+    return pipeline._BLOCK_ELEMENTS, geometry._BLOCK_ELEMENTS
+
+
+def worker_pids():
+    return sorted(pipeline._POOL[0]._processes)
+
+
 class TestBlockSize:
     @pytest.mark.parametrize("call", ["estimate", "denoise"])
     def test_output_independent_of_block_size(self, call, monkeypatch):
@@ -107,28 +134,135 @@ class TestBlockSize:
             return denoise_all(cloud, params, n_threads).points.tobytes()
 
         ref = run(1)
-        # blocks from one point to one share per thread (150, 75 or 50
-        # points), scoring chunks from one row to the whole block, and noise
-        # profile chunks from one row to the whole cloud
-        for elements in (1, 7 * 1200, 7 * 12800, 32 * 12800, 2**40):
-            monkeypatch.setattr(pipeline, "_BLOCK_ELEMENTS", elements)
-            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
-            for n_threads in (1, 2, 3):
-                assert run(n_threads) == ref, (elements, n_threads)
+        try:
+            # blocks from one point to one share per thread (150, 75 or 50
+            # points), scoring chunks from one row to the whole block, and
+            # noise profile chunks from one row to the whole cloud
+            for elements in (1, 7 * 1200, 7 * 12800, 32 * 12800, 2**40):
+                monkeypatch.setattr(pipeline, "_BLOCK_ELEMENTS", elements)
+                monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
+                # workers forked before the patch keep the old budgets, so
+                # drop the pool: the 2- and 3-thread calls fork a new one
+                # whose worker runs its share at the patched budgets
+                drop_pool()
+                for n_threads in (1, 2, 3):
+                    assert run(n_threads) == ref, (elements, n_threads)
+                if pipeline._POOL is not None:
+                    assert pipeline._POOL[0].submit(worker_budgets).result() == (elements,) * 2
+        finally:
+            drop_pool()     # later tests fork workers at the default budgets
 
     @pytest.mark.parametrize("n_threads", [0, -3])
     def test_thread_counts_below_one_rejected(self, n_threads):
-        # these used to run as one thread
+        # these used to run as one thread; they are rejected before any
+        # worker process is made
         cloud = noisy("plane", 60, 3)
+        pool = pipeline._POOL
         for call in (estimate_all, denoise_all):
             with pytest.raises(ValueError, match="n_threads"):
                 call(cloud, EstimationParams(), n_threads)
+        assert pipeline._POOL is pool
 
     def test_block_size(self):
         # at the defaults (M = 100, subsets of 4) the cap is 2**18 // 1200
         for n, n_threads, block in ((200, 1, 200), (200, 2, 100), (200, 3, 67),
                                     (2000, 1, 218), (2000, 3, 218), (1, 2, 1)):
             assert pipeline._block_size(n, n_threads, 100, 4) == block, (n, n_threads)
+
+
+def fail_in_a_worker(cloud, index, ts):
+    """A block function that fails on every block but the first, naming the
+    process it ran in."""
+    if ts[0] > 0:
+        raise TooFewNeighbors(f"block {ts[0]} in process {os.getpid()}")
+    return ts
+
+
+def estimate_in_child(cloud, params, conn):
+    """Child process body: a 2-thread estimate, sent back with the pool's
+    maker and workers."""
+    out, _ = estimate_all(cloud, params, 2)
+    conn.send((out.normals.tobytes(), pipeline._POOL[2], worker_pids()))
+    conn.close()
+
+
+def pid_exists(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@needs_two_cpus
+class TestWorkerPool:
+    # n_threads = 2 on a two-CPU box: the caller plus one worker process.
+    # No test starts more than two processes of its own.
+
+    def test_worker_exception_reaches_the_caller(self):
+        cloud = noisy("plane", 100, 13)
+        with pytest.raises(TooFewNeighbors) as info:
+            pipeline._run_blocks(fail_in_a_worker, cloud, build_index(cloud), 50, 2)
+        assert type(info.value) is TooFewNeighbors
+        message = str(info.value)
+        assert message.startswith("block 50 in process ")
+        assert int(message.split()[-1]) in worker_pids()
+
+    def test_killed_worker_is_replaced(self):
+        cloud = noisy("wedge", 200, 21)
+        params = EstimationParams(seed=22)
+        ref = estimate_all(cloud, params, 1)[0].normals.tobytes()
+        estimate_all(cloud, params, 2)
+        pool, killed = pipeline._POOL[0], worker_pids()
+        for pid in killed:
+            os.kill(pid, signal.SIGKILL)
+        assert estimate_all(cloud, params, 2)[0].normals.tobytes() == ref
+        assert pipeline._POOL[0] is not pool
+        assert not set(killed) & set(worker_pids())
+
+    def test_forked_child_makes_its_own_pool(self):
+        cloud = noisy("wedge", 200, 23)
+        params = EstimationParams(seed=24)
+        ref = estimate_all(cloud, params, 1)[0].normals.tobytes()
+        estimate_all(cloud, params, 2)          # the caller's pool has a live worker
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=estimate_in_child, args=(cloud, params, writer))
+        child.start()
+        writer.close()
+        try:
+            # an inherited pool would take the work and never answer
+            assert reader.poll(60), "the forked child sent no result"
+            normals, maker, child_workers = reader.recv()
+            child.join(60)
+            assert not child.is_alive() and child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+        assert normals == ref
+        assert maker == child.pid
+        assert child_workers and not set(child_workers) & set(worker_pids())
+        assert not any(pid_exists(pid) for pid in child_workers)
+
+    def test_no_worker_outlives_its_caller(self):
+        # a plain script, no __main__ guard: what the CLI and the benchmark run
+        script = (
+            "from normfit import EstimationParams, NoiseSpec, ShapeSpec, add_noise, "
+            "denoise_all, estimate_all, gen_shape, pipeline\n"
+            "cloud = add_noise(gen_shape(ShapeSpec(kind='wedge', n_points=120, seed=5)), "
+            "NoiseSpec(std_pct_bbox_diag=1.0, seed=6))\n"
+            "estimate_all(cloud, EstimationParams(seed=7), 2)\n"
+            "denoise_all(cloud, EstimationParams(seed=7), 2)\n"
+            "print(*pipeline._POOL[0]._processes)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        pids = [int(p) for p in done.stdout.split()]
+        assert pids
+        assert not any(pid_exists(pid) for pid in pids)
 
 
 class TestMemory:

@@ -1,7 +1,7 @@
 """Guards for what the library's own tests would not notice: the names the
 benchmark tracer wraps, the stages a single-point call reaches, the one
-eigen kernel, the one mode-solver loop, unused private code, whole-cloud
-k-NN blocks, and the demos."""
+eigen kernel, the one mode-solver loop, the one parallel backend, unused
+private code, whole-cloud k-NN blocks, and the demos."""
 
 import ast
 import importlib.util
@@ -101,6 +101,28 @@ def test_one_mode_loop():
                 and isinstance(node.ctx, ast.Load))
 
     assert library_scopes(reads_slack) == [("consensus", "_descend")]
+
+
+def test_one_parallel_backend():
+    # blocks of n_threads >= 2 run on one pool of forked processes, made in
+    # one place; no thread pool is left beside it
+    def names_thread_pool(node):
+        name = (node.id if isinstance(node, ast.Name) else node.attr
+                if isinstance(node, ast.Attribute) else node.name
+                if isinstance(node, ast.alias) else None)
+        return name == "ThreadPoolExecutor"
+
+    def makes_executor(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+        return name.endswith("Executor")
+
+    # unsorted: an import names it at module scope, whose scope is None
+    assert [s for path in sorted(Path(normfit.__file__).parent.glob("*.py"))
+            for s in scopes_of(path, names_thread_pool)] == []
+    assert library_scopes(makes_executor) == [("pipeline", "_pool")]
 
 
 def test_every_private_name_is_used():

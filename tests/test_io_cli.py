@@ -545,6 +545,14 @@ class TestCli:
         assert cli_main(["estimate", "--in", paths["--in"], "--out", paths["--out"]]) == 2
         self.assert_one_error_line(capsys, str(tmp_path))
 
+    def test_synth_negative_noise_is_data_error(self, tmp_path, capsys):
+        # it used to write the clean cloud and exit 0
+        out = tmp_path / "q.xyz"
+        assert cli_main(["synth", "--shape", "plane", "--n", "60", "--noise", "-1",
+                         "--out", str(out)]) == 2
+        self.assert_one_error_line(capsys, "noise")
+        assert not out.exists()
+
     def test_usage_error_exit_code(self, capsys):
         assert cli_main(["estimate"]) == 1            # missing required flags
         assert cli_main(["synth", "--shape", "torus", "--out", "x"]) == 1
