@@ -29,7 +29,10 @@ def suite_clouds(points_per_cloud=600, seeds=(0, 1, 2), noise_levels=SUITE_NOISE
 def run_suite(points_per_cloud=600, candidate_counts=(20, 100, 400), seeds=(0, 1, 2),
               noise_levels=SUITE_NOISE, shapes=SUITE_SHAPES, base_params=None,
               n_threads=1, verbose=False):
-    """Mean RMS angle error over the suite for each candidate count."""
+    """Mean RMS angle error over the suite for each candidate count.  Raises
+    ValueError when there are no seeds, noise levels or shapes to average."""
+    if not (len(seeds) and len(noise_levels) and len(shapes)):
+        raise ValueError("the suite needs at least one seed, noise level and shape")
     base = base_params or EstimationParams()
     results = {}
     for count in candidate_counts:

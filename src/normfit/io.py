@@ -3,9 +3,11 @@
 XYZ lines carry "x y z" or "x y z nx ny nz"; '#' starts a comment.  PLY is
 the standard ASCII variant with float x y z and optional nx ny nz; binary
 PLY is rejected.  All numeric output uses 17 significant digits so
-round-trips are lossless at double precision.  A file's values are parsed
-and formatted as whole arrays, not line by line; a malformed line or a
-non-finite value raises ParseError naming the line.
+round-trips are lossless at double precision.  Values are parsed and
+formatted as arrays, not line by line: a read converts pieces of about
+2**16 characters cut at a line end into one growing array, and a write
+formats 4096 rows at a time, so either holds the cloud plus about 2 MB.  A
+malformed line or a non-finite value raises ParseError naming the line.
 """
 
 from __future__ import annotations
@@ -16,11 +18,15 @@ import re
 import numpy as np
 
 from .errors import NormalNotUnit, ParseError
-from .geometry import PointCloud, angles_unoriented
+from .geometry import _BLOCK_ELEMENTS, PointCloud, angles_unoriented
 
 _FMT = "%.17g"
 # rows formatted per write; bounds the text held for one write
 _WRITE_ROWS = 4096
+# characters of text read and converted at a time: a piece, its lines and its
+# tokens take about 10 bytes a character as Python strings, so about 0.7 MB,
+# a third of one 2 MB working block
+_READ_CHARS = _BLOCK_ELEMENTS // 4
 
 
 def _floats(tokens, rows, width):
@@ -38,47 +44,115 @@ def _floats(tokens, rows, width):
         raise
 
 
-def _finish_cloud(vals, rows, path):
-    """Cloud from the (N, 3) or (N, 6) values read from lines `rows` (0-based)."""
-    if not len(vals):
+def _pieces(fh):
+    """Text file `fh` from where it stands, in pieces of about _READ_CHARS
+    characters, each cut at a "\n" it leaves out; the last follows the last "\n"."""
+    rest = ""
+    while True:
+        piece = fh.read(_READ_CHARS)
+        head, cut, rest = (rest + piece).rpartition("\n")
+        if cut:
+            yield head
+        if len(piece) < _READ_CHARS:      # a text file gives fewer characters only at its end
+            break
+    if rest:
+        yield rest
+
+
+def _read_rows(fh, path, line, cols=None, fields=0, count=None) -> PointCloud:
+    """Cloud from the non-blank lines of text file `fh`, whose next line is
+    0-based file line `line`, converted a piece at a time into one array.
+
+    XYZ (`cols` None): '#' starts a comment, and every line holds 3 values,
+    or 6 with a normal as the first line does.  PLY: the first `count`
+    lines are vertices of at least `fields` values, of which those at `cols`
+    are kept; too few of them outranks every other error.  Otherwise the
+    first malformed line raises ParseError naming it, then the first
+    non-finite value does, then the normal furthest off unit length
+    NormalNotUnit.
+    """
+    out = [] if cols is None else [np.empty((0, 3)) for _ in range(len(cols) // 3)]
+    n = seen = 0                         # rows kept; non-blank lines seen
+    error = nonfinite = None             # the first parse error; line of a non-finite value
+    late = False                         # XYZ: a line with a normal after one without
+    for text in _pieces(fh):
+        if cols is None:
+            text = re.sub("#[^\n]*", "", text)
+        lines = text.split("\n")
+        width = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+        rows = np.flatnonzero(width)[:None if count is None else count - seen]
+        seen, width = seen + len(rows), width[rows]
+        if error is None and len(rows):
+            tokens = text.split()
+            if cols is None:
+                # the first line with a bad value count, or without a normal after one with it
+                normal = width == 6
+                out = out or [np.empty((0, 3)) for _ in range(1 + normal[0])]
+                bad = ~normal & (width != 3)
+                mixed = (width == 3) & (late or len(out) == 2 or np.logical_or.accumulate(normal))
+                wrong = np.flatnonzero(bad | mixed)
+                stop = int(wrong[0]) if len(wrong) else len(rows)
+                if stop < len(rows):
+                    tokens = tokens[:width[:stop].sum()]
+                late |= len(out) == 1 and normal[:stop].any()
+            else:
+                short = np.flatnonzero(width < fields)
+                stop = int(short[0]) if len(short) else len(rows)
+                starts = np.cumsum(width[:stop]) - width[:stop]
+                tokens = list(map(tokens.__getitem__, (starts[:, None] + cols).ravel().tolist()))
+            try:
+                vals = _floats(tokens, rows[:stop] + line, len(cols) if cols else width[:stop])
+            except ParseError as exc:
+                error = exc
+            else:
+                if stop < len(rows):
+                    error = ParseError("vertex line too short" if cols else
+                                       f"expected 3 or 6 values, got {width[stop]}" if bad[stop]
+                                       else "line without normal after lines with normals",
+                                       line=line + int(rows[stop]) + 1)
+                if stop and not late:
+                    vals.shape = (stop, -1)
+                    if nonfinite is None and not np.isfinite(vals).all():
+                        nonfinite = line + int(rows[np.argmin(np.isfinite(vals).all(axis=1))]) + 1
+                    if not n and len(out) == 1:
+                        out = [vals]                 # the first points as converted: no copy
+                    else:
+                        for j, part in enumerate(out):
+                            if n + stop > len(part):     # realloc: no second copy of the rows
+                                part.resize((max(len(part) * 5 // 4, n + stop), 3),
+                                            refcheck=False)
+                            part[n:n + stop] = vals[:, 3 * j:3 * j + 3]
+                    n += stop
+        if error is not None and count is None or seen == count:
+            break
+        line += len(lines)
+    if seen < (count or 0):
+        raise ParseError(f"{path}: header declares {count} vertices, found {seen}")
+    if error is not None:
+        raise error
+    if late:
+        raise ParseError(f"{path}: some lines have normals and some do not")
+    if not n:
         raise ParseError(f"{path}: no points found")
-    finite = np.isfinite(vals).all(axis=1)
-    if not finite.all():
-        raise ParseError("value is not finite", line=int(rows[np.argmin(finite)]) + 1)
-    nrm = None
-    if vals.shape[1] == 6:
-        nrm = vals[:, 3:]
+    if nonfinite is not None:
+        raise ParseError("value is not finite", line=nonfinite)
+    for part in out:
+        part.resize((n, 3), refcheck=False)
+    points, nrm = (out + [None])[:2]
+    if nrm is not None:
         lens = np.linalg.norm(nrm, axis=1)
         if np.any(np.abs(lens - 1.0) > 1e-3):
             bad = int(np.argmax(np.abs(lens - 1.0)))
             raise NormalNotUnit(f"{path}: normal {bad} has norm {lens[bad]:.6g}")
-        nrm = nrm / lens[:, None]
-    return PointCloud(points=np.ascontiguousarray(vals[:, :3]), normals=nrm)
+        nrm /= lens[:, None]
+    return PointCloud(points=points, normals=nrm)
 
 
 def read_xyz(path) -> PointCloud:
     # text mode turns \r\n and \r into \n, and only \n ends a line, as when
     # the file is iterated (str.splitlines would also split on \v, \f, ...)
     with open(path) as fh:
-        text = re.sub("#[^\n]*", "", fh.read())
-    lines = text.split("\n")
-    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-    rows = np.flatnonzero(counts)
-    width = counts[rows]
-    # the first line with a bad value count, or without normals after one with them
-    normal = width == 6
-    bad = ~normal & (width != 3)
-    mixed = (width == 3) & np.logical_or.accumulate(normal)
-    wrong = np.flatnonzero(bad | mixed)
-    stop = int(wrong[0]) if len(wrong) else len(rows)
-    vals = _floats(text.split()[:int(width[:stop].sum())], rows[:stop], width[:stop])
-    if stop < len(rows):
-        if bad[stop]:
-            raise ParseError(f"expected 3 or 6 values, got {width[stop]}", line=int(rows[stop]) + 1)
-        raise ParseError("line without normal after lines with normals", line=int(rows[stop]) + 1)
-    if normal.any() and not normal.all():
-        raise ParseError(f"{path}: some lines have normals and some do not")
-    return _finish_cloud(vals.reshape(len(rows), 6 if normal.any() else 3), rows, path)
+        return _read_rows(fh, path, 0)
 
 
 def _write_rows(fh, columns, fmts):
@@ -131,50 +205,39 @@ def write_ply(cloud: PointCloud, path, reference_normals=None) -> None:
 
 def read_ply(path) -> PointCloud:
     with open(path) as fh:
-        lines = fh.read().split("\n")
-    if lines[0].strip() != "ply":
-        raise ParseError(f"{path}: missing 'ply' magic", line=1)
-    n_vertex = None
-    props = []
-    body_start = None
-    in_vertex_element = False
-    for i, line in enumerate(lines[1:], start=2):
-        tok = line.split()
-        if not tok:
-            continue
-        try:
-            if tok[0] == "format":
-                if tok[1] != "ascii":
-                    raise ParseError(f"unsupported PLY format {tok[1]!r} (ASCII only)", line=i)
-            elif tok[0] == "element":
-                in_vertex_element = tok[1] == "vertex"
-                if in_vertex_element:
-                    n_vertex = int(tok[2])
-            elif tok[0] == "property" and in_vertex_element:
-                props.append(tok[2])
-            elif tok[0] == "end_header":
-                body_start = i
-                break
-        except (IndexError, ValueError):
-            raise ParseError(f"malformed header line {line.strip()!r}", line=i) from None
-    if n_vertex is None or body_start is None:
-        raise ParseError(f"{path}: incomplete PLY header")
-    for name in ("x", "y", "z"):
-        if name not in props:
-            raise ParseError(f"{path}: vertex property {name!r} missing")
-    names = ("x", "y", "z", "nx", "ny", "nz") if {"nx", "ny", "nz"} <= set(props) else ("x", "y", "z")
-    cols = [props.index(name) for name in names]
-    rows = [r for r in range(body_start, len(lines)) if lines[r].strip()]
-    if len(rows) < n_vertex:
-        raise ParseError(f"{path}: header declares {n_vertex} vertices, found {len(rows)}")
-    rows = np.array(rows[:max(n_vertex, 0)], dtype=np.intp)
-    fields = [lines[r].split() for r in rows]
-    short = [j for j, f in enumerate(fields) if len(f) < len(props)]
-    end = short[0] if short else len(rows)
-    vals = _floats([f[c] for f in fields[:end] for c in cols], rows[:end], len(cols))
-    if short:
-        raise ParseError("vertex line too short", line=int(rows[end]) + 1)
-    return _finish_cloud(vals.reshape(end, len(cols)), rows, path)
+        if fh.readline().strip() != "ply":
+            raise ParseError(f"{path}: missing 'ply' magic", line=1)
+        n_vertex = None
+        props = []
+        body_start = None
+        in_vertex_element = False
+        for i, line in enumerate(iter(fh.readline, ""), start=2):
+            tok = line.split()
+            if not tok:
+                continue
+            try:
+                if tok[0] == "format":
+                    if tok[1] != "ascii":
+                        raise ParseError(f"unsupported PLY format {tok[1]!r} (ASCII only)", line=i)
+                elif tok[0] == "element":
+                    in_vertex_element = tok[1] == "vertex"
+                    if in_vertex_element:
+                        n_vertex = int(tok[2])
+                elif tok[0] == "property" and in_vertex_element:
+                    props.append(tok[2])
+                elif tok[0] == "end_header":
+                    body_start = i
+                    break
+            except (IndexError, ValueError):
+                raise ParseError(f"malformed header line {line.strip()!r}", line=i) from None
+        if n_vertex is None or body_start is None:
+            raise ParseError(f"{path}: incomplete PLY header")
+        for name in ("x", "y", "z"):
+            if name not in props:
+                raise ParseError(f"{path}: vertex property {name!r} missing")
+        names = ("x", "y", "z", "nx", "ny", "nz") if {"nx", "ny", "nz"} <= set(props) else ("x", "y", "z")
+        cols = [props.index(name) for name in names]
+        return _read_rows(fh, path, body_start, cols, len(props), max(n_vertex, 0))
 
 
 def read_cloud(path) -> PointCloud:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,17 @@ def _neighborhoods(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k: i
     return np.take(pts, idx, axis=0) - np.take(pts, ts, axis=0)[:, None, :], dist
 
 
+def _exit_with(parent: int) -> None:
+    """Pool initializer: a worker exits once the process that made the pool is gone, also
+    when a signal killed it (no exit handler ran).  Not PR_SET_PDEATHSIG: that fires when
+    the forking thread exits, and any thread of the caller may be the one that forks."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _pool(workers: int, broken=None):
     """The pool of at least `workers` processes, replaced when too small, `broken` or inherited
     by a fork.  Workers are forked: spawned ones re-import __main__, killing unguarded scripts."""
@@ -117,7 +129,8 @@ def _pool(workers: int, broken=None):
             from concurrent.futures import ProcessPoolExecutor
             if _POOL is not None and _POOL[2] == os.getpid():
                 _POOL[0].shutdown(wait=False)
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_exit_with, initargs=(os.getpid(),))
             # a multiprocessing child's exit runs this before its queues close (priority 10)
             multiprocessing.util.Finalize(pool, pool.shutdown, exitpriority=20)
             _POOL = (pool, workers, os.getpid())

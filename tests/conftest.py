@@ -6,8 +6,8 @@ single-item views of the library's batched kernels (`fit_plane`,
 brute-force references (`grid_min_normal`, `brute_force_knn`) and the
 `eigh` solve of every row that `plane_fit`'s closed form replaces
 (`plane_fit_eigh`), line-by-line XYZ/PLY text I/O that the array
-readers and writers must match (`read_xyz_lines`, `write_xyz_rows`,
-`write_ply_rows`), and the loop forms of the mode solvers, the subset draw
+readers and writers must match (`read_xyz_lines`, `read_ply_lines`,
+`write_xyz_rows`, `write_ply_rows`), and the loop forms of the mode solvers, the subset draw
 and the sign rule that the compacted kernels must match byte for byte
 (`normal_mode_batch_loop`, `position_mode_batch_loop`,
 `draw_index_sets_sorted`, `canonical_sign_argmax`), and the whole-cloud
@@ -109,6 +109,72 @@ def read_xyz_lines(path) -> PointCloud:
             raise NormalNotUnit(f"{path}: a normal is not unit length")
         nrm = nrm / lens[:, None]
     return PointCloud(points=np.asarray(points, dtype=np.float64), normals=nrm)
+
+
+def read_ply_lines(path) -> PointCloud:
+    """Whole-text ASCII PLY reader: the text, its lines and every vertex line's
+    fields held at once, one float() per kept field, errors in the same order
+    as `normfit.io.read_ply` (too few vertex lines first)."""
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    if lines[0].strip() != "ply":
+        raise ParseError(f"{path}: missing 'ply' magic", line=1)
+    n_vertex = None
+    props = []
+    body_start = None
+    in_vertex_element = False
+    for i, line in enumerate(lines[1:], start=2):
+        tok = line.split()
+        if not tok:
+            continue
+        try:
+            if tok[0] == "format":
+                if tok[1] != "ascii":
+                    raise ParseError(f"unsupported PLY format {tok[1]!r} (ASCII only)", line=i)
+            elif tok[0] == "element":
+                in_vertex_element = tok[1] == "vertex"
+                if in_vertex_element:
+                    n_vertex = int(tok[2])
+            elif tok[0] == "property" and in_vertex_element:
+                props.append(tok[2])
+            elif tok[0] == "end_header":
+                body_start = i
+                break
+        except (IndexError, ValueError):
+            raise ParseError(f"malformed header line {line.strip()!r}", line=i) from None
+    if n_vertex is None or body_start is None:
+        raise ParseError(f"{path}: incomplete PLY header")
+    for name in ("x", "y", "z"):
+        if name not in props:
+            raise ParseError(f"{path}: vertex property {name!r} missing")
+    names = ("x", "y", "z", "nx", "ny", "nz") if {"nx", "ny", "nz"} <= set(props) else ("x", "y", "z")
+    cols = [props.index(name) for name in names]
+    rows = [r for r in range(body_start, len(lines)) if lines[r].strip()]
+    if len(rows) < n_vertex:
+        raise ParseError(f"{path}: header declares {n_vertex} vertices, found {len(rows)}")
+    vals = []
+    for r in rows[:max(n_vertex, 0)]:
+        fields = lines[r].split()
+        if len(fields) < len(props):
+            raise ParseError("vertex line too short", line=r + 1)
+        try:
+            vals.append([float(fields[c]) for c in cols])
+        except ValueError:
+            raise ParseError(f"non-numeric value in {lines[r]!r}", line=r + 1) from None
+    if not vals:
+        raise ParseError(f"{path}: no points found")
+    vals = np.array(vals)
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        raise ParseError("value is not finite", line=rows[int(np.argmin(finite))] + 1)
+    nrm = None
+    if len(cols) == 6:
+        nrm = vals[:, 3:]
+        lens = np.linalg.norm(nrm, axis=1)
+        if np.any(np.abs(lens - 1.0) > 1e-3):
+            raise NormalNotUnit(f"{path}: a normal is not unit length")
+        nrm = nrm / lens[:, None]
+    return PointCloud(points=np.ascontiguousarray(vals[:, :3]), normals=nrm)
 
 
 def _text_rows(fh, cloud, colors=None):

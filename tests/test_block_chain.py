@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import fields
 
@@ -194,6 +195,25 @@ def pid_exists(pid):
     return True
 
 
+def estimate_then_wait(cloud, params, conn):
+    """Child process body: a 2-thread estimate, then its worker pids sent, then a wait
+    that only a signal ends."""
+    estimate_all(cloud, params, 2)
+    conn.send(worker_pids())
+    conn.close()
+    time.sleep(600)
+
+
+def running(pid):
+    """The process exists and has not exited: an orphan's zombie, which waits for
+    whoever adopted it to reap it, does not count."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
 @needs_two_cpus
 class TestWorkerPool:
     # n_threads = 2 on a two-CPU box: the caller plus one worker process.
@@ -244,6 +264,32 @@ class TestWorkerPool:
         assert maker == child.pid
         assert child_workers and not set(child_workers) & set(worker_pids())
         assert not any(pid_exists(pid) for pid in child_workers)
+
+    def test_worker_of_a_killed_caller_exits(self):
+        # SIGKILL runs no exit handler, so nothing shuts the pool down
+        cloud = noisy("wedge", 200, 25)
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=estimate_then_wait,
+                            args=(cloud, EstimationParams(seed=26), writer))
+        child.start()
+        writer.close()
+        try:
+            assert reader.poll(60), "the forked child sent no worker pids"
+            workers = reader.recv()
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(10)
+            deadline = time.monotonic() + 10
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            left = [pid for pid in workers if running(pid)]
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert workers and not left, f"workers {left} outlived their killed caller"
 
     def test_no_worker_outlives_its_caller(self):
         # a plain script, no __main__ guard: what the CLI and the benchmark run

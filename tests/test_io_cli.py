@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +9,14 @@ from hypothesis import given, settings, strategies as st
 from normfit import (
     ConfigError,
     EstimationParams,
+    NoiseSpec,
     NormalNotUnit,
     ParseError,
     PointCloud,
     ShapeSpec,
+    add_noise,
     gen_shape,
+    pca_baseline,
     read_cloud,
     read_ply,
     read_xyz,
@@ -21,9 +26,10 @@ from normfit import (
     write_xyz,
 )
 from normfit import config as cfgmod
+from normfit import io as iomod
 from normfit.cli import _load_config, build_parser, cli_main
 
-from conftest import read_xyz_lines, write_ply_rows, write_xyz_rows
+from conftest import read_ply_lines, read_xyz_lines, write_ply_rows, write_xyz_rows
 
 # file-format names of the adaptive table's elements: (prefix, first index)
 TUPLE_KEYS = {"thresholds": ("adaptive_l", 0), "sizes": ("adaptive_k", 1)}
@@ -158,10 +164,50 @@ def xyz_texts(draw):
     return "".join(lines) + draw(st.sampled_from(["", "1 2 3"]))
 
 
-def read_outcome(reader, path):
-    """The arrays a reader returns, or the type and line of what it raises."""
+@st.composite
+def ply_texts(draw):
+    """ASCII PLY files with or without normals, extra and reordered vertex
+    properties, a face element, blank lines, CRLF/CR endings, extra fields,
+    and now and then a short line, a non-number (in a kept or an ignored
+    field), a non-finite value or a vertex count off by up to two."""
+    props = ["x", "y", "z"] + draw(st.sampled_from([[], ["nx", "ny", "nz"]]))
+    props = draw(st.permutations(
+        props + draw(st.sampled_from([[], ["red", "green", "blue"], ["intensity"]]))))
+    body = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["vertex", "vertex", "vertex", "blank", "extra", "short",
+                                     "word", "non-finite"]))
+        if kind == "blank":
+            body.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        v = np.array([draw(st.integers(-2, 2)) for _ in range(3)], dtype=float)
+        v = v / (np.linalg.norm(v) or 1.0)   # a zero vector stays non-unit
+        tokens = ["%.17g" % v["xyz".index(p[1])] if p in ("nx", "ny", "nz") else draw(NUMBERS)
+                  for p in props]
+        if kind == "extra":
+            tokens += [draw(NUMBERS) for _ in range(draw(st.integers(1, 3)))]
+        elif kind == "short":
+            tokens = tokens[:draw(st.integers(1, len(tokens) - 1))]
+        elif kind != "vertex":
+            bad = {"word": ["abc", "1,5", "0x1"], "non-finite": ["nan", "-inf", "1e400"]}[kind]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(bad))
+        body.append(draw(st.sampled_from(["", " "])) + "".join(
+            tok + draw(SEPARATORS) for tok in tokens[:-1]) + tokens[-1])
+    n_vertex = sum(1 for line in body if line.strip()) + draw(st.integers(-2, 2))
+    header = ["ply", "format ascii 1.0", f"element vertex {n_vertex}"]
+    header += [f"property float {p}" for p in props]
+    if draw(st.booleans()):
+        header += ["element face 0", "property list uchar int vertex_indices"]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(header + ["end_header"] + body) + draw(st.sampled_from(["", newline]))
+
+
+def read_outcome(reader, path, chars=None):
+    """The arrays a reader returns, or the type and line of what it raises;
+    with `chars`, the chunked readers take pieces of that many characters."""
     try:
-        cloud = reader(path)
+        with mock.patch.object(iomod, "_READ_CHARS", chars or iomod._READ_CHARS):
+            cloud = reader(path)
     except (ParseError, NormalNotUnit) as exc:
         return type(exc), exc.__dict__.get("line")
     normals = None if cloud.normals is None else cloud.normals.tobytes()
@@ -178,11 +224,22 @@ class TestArrayIo:
     """The array readers and writers against the line-by-line oracles."""
 
     @settings(max_examples=300, deadline=None)
-    @given(text=xyz_texts())
-    def test_read_xyz_matches_line_reader(self, text, tmp_path_factory):
+    @given(text=xyz_texts(), chars=st.integers(1, 12))
+    def test_read_xyz_matches_line_reader(self, text, chars, tmp_path_factory):
         path = tmp_path_factory.mktemp("xyz") / "c.xyz"
         path.write_bytes(text.encode())
-        assert read_outcome(read_xyz, path) == read_outcome(read_xyz_lines, path)
+        expected = read_outcome(read_xyz_lines, path)
+        assert read_outcome(read_xyz, path) == expected
+        assert read_outcome(read_xyz, path, chars) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=ply_texts(), chars=st.integers(1, 12))
+    def test_read_ply_matches_line_reader(self, text, chars, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ply") / "c.ply"
+        path.write_bytes(text.encode())
+        expected = read_outcome(read_ply_lines, path)
+        assert read_outcome(read_ply, path) == expected
+        assert read_outcome(read_ply, path, chars) == expected
 
     @pytest.mark.parametrize("text, line", [
         ("1 2 3\r\n\r\n4 5\r\n", 3),
@@ -250,6 +307,124 @@ class TestArrayIo:
         for name in ("c.xyz", "c.ply"):
             write_cloud(PointCloud(points=pts), d / name)
             assert read_cloud(d / name).points.tobytes() == pts.tobytes()
+
+
+def sphere_lines(n, normals=False):
+    """The "%.17g" lines of an n-point sphere, with its normals or without."""
+    cloud = gen_shape(ShapeSpec(kind="sphere", n_points=n, seed=3))
+    values = np.hstack([cloud.points, cloud.normals]) if normals else cloud.points
+    return [" ".join("%.17g" % v for v in row) for row in values]
+
+
+PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex {}\nproperty float x\n"
+              "property float y\nproperty float z\nend_header\n")
+
+
+class TestPieces:
+    """Files read in pieces cut at a line end: what straddles a cut, and
+    errors in a later piece."""
+
+    def test_crlf_and_comment_straddle_every_cut(self, tmp_path):
+        xyz = "1 2 3\r\n# a comment 4 5 6\r\n4 5 6 # 7 8 9\r\n\r\n7 8 9\r\n"
+        ply = PLY_HEADER.format(3).replace("\n", "\r\n") + "1 2 3\r\n\r\n4 5 6\r\n7 8 9\r\n"
+        for name, text, reader, oracle in (("c.xyz", xyz, read_xyz, read_xyz_lines),
+                                           ("c.ply", ply, read_ply, read_ply_lines)):
+            path = tmp_path / name
+            path.write_bytes(text.encode())
+            expected = read_outcome(oracle, path)
+            assert expected[0] == (3, 3)
+            for chars in range(1, len(text) + 1):
+                assert read_outcome(reader, path, chars) == expected, (name, chars)
+
+    # 3000 lines hold about 170 000 characters: line 2500 is in the third
+    # piece at the default size
+    @pytest.mark.parametrize("chars", [None, 100])
+    @pytest.mark.parametrize("fault, normals, message", [
+        ("1 two 3", False, "non-numeric"),
+        ("1 2 3 4", False, "expected 3 or 6 values"),
+        ("1 2 3", True, "line without normal"),
+    ])
+    def test_xyz_error_in_a_later_piece_names_its_line(self, fault, normals, message, chars,
+                                                       tmp_path):
+        lines = sphere_lines(3000, normals)
+        lines[2499] = fault
+        path = tmp_path / "c.xyz"
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(iomod, "_READ_CHARS", chars or iomod._READ_CHARS):
+            with pytest.raises(ParseError, match=message) as exc:
+                read_xyz(path)
+        assert exc.value.line == 2500
+        assert read_outcome(read_xyz_lines, path) == (ParseError, 2500)
+
+    @pytest.mark.parametrize("chars", [None, 100])
+    @pytest.mark.parametrize("fault, message", [("1 two 3", "non-numeric"),
+                                                ("1 2", "too short")])
+    def test_ply_error_in_a_later_piece_names_its_line(self, fault, message, chars, tmp_path):
+        lines = sphere_lines(3000)
+        lines[2499] = fault
+        path = tmp_path / "c.ply"
+        path.write_text(PLY_HEADER.format(3000) + "\n".join(lines) + "\n")
+        with mock.patch.object(iomod, "_READ_CHARS", chars or iomod._READ_CHARS):
+            with pytest.raises(ParseError, match=message) as exc:
+                read_ply(path)
+        assert exc.value.line == 7 + 2500
+        assert read_outcome(read_ply_lines, path) == (ParseError, 7 + 2500)
+
+    @pytest.mark.parametrize("chars", [None, 100])
+    @pytest.mark.parametrize("name", ["c.xyz", "c.ply"])
+    def test_parse_error_outranks_an_earlier_non_finite_value(self, name, chars, tmp_path):
+        lines = sphere_lines(3000)
+        lines[9] = "nan 0 0"
+        lines[2499] = "1 two 3"
+        header = PLY_HEADER.format(3000) if name == "c.ply" else ""
+        path = tmp_path / name
+        path.write_text(header + "\n".join(lines) + "\n")
+        line = header.count("\n") + 2500
+        assert read_outcome(read_cloud, path, chars) == (ParseError, line)
+        lines[2499] = lines[0]
+        path.write_text(header + "\n".join(lines) + "\n")
+        assert read_outcome(read_cloud, path, chars) == (ParseError, header.count("\n") + 10)
+
+
+def step_overheads(src, dst):
+    """tracemalloc peak of each step of read -> PCA (k = 64) -> write, less
+    what was allocated before the step and the arrays it returns."""
+    steps = {}
+
+    def run(name, step, *args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = step(*args)
+        kept = 0 if out is None else out.points.nbytes + getattr(out.normals, "nbytes", 0)
+        steps[name] = tracemalloc.get_traced_memory()[1] - start - kept
+        return out
+
+    tracemalloc.start()
+    try:
+        cloud = run("read", read_cloud, src)
+        run("write", write_cloud, run("pca", pca_baseline, cloud, 64), dst)
+    finally:
+        tracemalloc.stop()
+    return steps
+
+
+class TestMemory:
+    # Inputs have no normals, as the benchmark's: PointCloud's check of
+    # given normals holds (N, 3) temporaries of its own.
+    @pytest.mark.parametrize("suffix", [".xyz", ".ply"])
+    def test_read_pca_write_hold_a_few_mb_above_their_arrays(self, suffix, tmp_path):
+        over = {}
+        for n in (10_000, 40_000):
+            noisy = add_noise(gen_shape(ShapeSpec(kind="sphere", n_points=n, seed=5)),
+                              NoiseSpec(std_pct_bbox_diag=0.5, seed=6))
+            src = tmp_path / f"in{n}{suffix}"
+            write_cloud(PointCloud(points=noisy.points), src)
+            over[n] = step_overheads(src, tmp_path / f"out{n}{suffix}")
+        for step in over[10_000]:
+            # a few 2 MB blocks at each size, and no per-point state beyond the
+            # arrays (the index of the k-NN tree adds 8 bytes a point)
+            assert over[10_000][step] < 8e6 and over[40_000][step] < 8e6, (step, over)
+            assert over[40_000][step] - over[10_000][step] < 0.5e6, (step, over)
 
 
 class TestPly:
@@ -552,6 +727,21 @@ class TestCli:
                          "--out", str(out)]) == 2
         self.assert_one_error_line(capsys, "noise")
         assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_bench_without_seeds_is_data_error(self, seeds, capsys):
+        # used to print "mean_rms_deg nan" and exit 0
+        assert cli_main(["bench", "--points", "40", "--seeds", seeds, "--counts", "20"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("empty", ["seeds", "noise_levels", "shapes"])
+    def test_run_suite_rejects_an_empty_suite(self, empty):
+        from normfit.bench import run_suite
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_suite(points_per_cloud=40, candidate_counts=(20,), **{empty: ()})
 
     def test_usage_error_exit_code(self, capsys):
         assert cli_main(["estimate"]) == 1            # missing required flags
