@@ -3,11 +3,10 @@
 XYZ lines carry "x y z" or "x y z nx ny nz"; '#' starts a comment.  PLY is
 the standard ASCII variant with float x y z and optional nx ny nz; binary
 PLY is rejected.  All numeric output uses 17 significant digits so
-round-trips are lossless at double precision.  Values are parsed and
-formatted as arrays, not line by line: a read converts pieces of about
-2**16 characters cut at a line end into one growing array, and a write
-formats 4096 rows at a time, so either holds the cloud plus about 2 MB.  A
-malformed line or a non-finite value raises ParseError naming the line.
+round-trips are lossless at double precision.  Values are parsed and formatted
+as arrays a piece of whole lines at a time: a read holds two copies of the cloud
+and under 1 MB of text, a write the cloud and about 2 MB.  A malformed line or a
+non-finite value raises ParseError naming the line.
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ from .geometry import _BLOCK_ELEMENTS, PointCloud, angles_unoriented
 _FMT = "%.17g"
 # rows formatted per write; bounds the text held for one write
 _WRITE_ROWS = 4096
-# characters of text read and converted at a time: a piece, its lines and its
-# tokens take about 10 bytes a character as Python strings, so about 0.7 MB,
-# a third of one 2 MB working block
+# characters read per piece; as Python strings its lines and tokens take about 10 times that
 _READ_CHARS = _BLOCK_ELEMENTS // 4
 
 
@@ -44,38 +41,19 @@ def _floats(tokens, rows, width):
         raise
 
 
-def _pieces(fh):
-    """Text file `fh` from where it stands, in pieces of about _READ_CHARS
-    characters, each cut at a "\n" it leaves out; the last follows the last "\n"."""
-    rest = ""
-    while True:
-        piece = fh.read(_READ_CHARS)
-        head, cut, rest = (rest + piece).rpartition("\n")
-        if cut:
-            yield head
-        if len(piece) < _READ_CHARS:      # a text file gives fewer characters only at its end
-            break
-    if rest:
-        yield rest
-
-
 def _read_rows(fh, path, line, cols=None, fields=0, count=None) -> PointCloud:
-    """Cloud from the non-blank lines of text file `fh`, whose next line is
-    0-based file line `line`, converted a piece at a time into one array.
-
-    XYZ (`cols` None): '#' starts a comment, and every line holds 3 values,
-    or 6 with a normal as the first line does.  PLY: the first `count`
-    lines are vertices of at least `fields` values, of which those at `cols`
-    are kept; too few of them outranks every other error.  Otherwise the
-    first malformed line raises ParseError naming it, then the first
-    non-finite value does, then the normal furthest off unit length
-    NormalNotUnit.
-    """
-    out = [] if cols is None else [np.empty((0, 3)) for _ in range(len(cols) // 3)]
-    n = seen = 0                         # rows kept; non-blank lines seen
+    """Cloud from the non-blank lines of text file `fh`, whose next line is 0-based `line`.
+    XYZ (`cols` None): '#' starts a comment; lines hold 3 values, or 6 with a normal.  PLY:
+    the first `count` lines are vertices of at least `fields` values, those at `cols` kept,
+    and too few of them outranks every other error.  Otherwise the first malformed line
+    raises ParseError, then the first non-finite value, then the worst normal NormalNotUnit."""
+    parts, kinds, seen = [], set(), 0    # each piece's values; XYZ value counts; lines seen
     error = nonfinite = None             # the first parse error; line of a non-finite value
-    late = False                         # XYZ: a line with a normal after one without
-    for text in _pieces(fh):
+    more = True                          # on to the file's end, the last PLY vertex or an XYZ error
+    while more and seen != count and (error is None or count is not None):
+        text = fh.read(_READ_CHARS)
+        more = len(text) == _READ_CHARS  # a text file reads short only at its end
+        text += fh.readline() if more else ""           # end the piece at a line end
         if cols is None:
             text = re.sub("#[^\n]*", "", text)
         lines = text.split("\n")
@@ -84,17 +62,13 @@ def _read_rows(fh, path, line, cols=None, fields=0, count=None) -> PointCloud:
         seen, width = seen + len(rows), width[rows]
         if error is None and len(rows):
             tokens = text.split()
-            if cols is None:
-                # the first line with a bad value count, or without a normal after one with it
+            if cols is None:     # stop at a bad value count, or no normal after a line with one
                 normal = width == 6
-                out = out or [np.empty((0, 3)) for _ in range(1 + normal[0])]
-                bad = ~normal & (width != 3)
-                mixed = (width == 3) & (late or len(out) == 2 or np.logical_or.accumulate(normal))
-                wrong = np.flatnonzero(bad | mixed)
+                wrong = np.flatnonzero(~normal & (width != 3) | (width == 3) & (
+                    (6 in kinds) | np.logical_or.accumulate(normal)))
                 stop = int(wrong[0]) if len(wrong) else len(rows)
-                if stop < len(rows):
-                    tokens = tokens[:width[:stop].sum()]
-                late |= len(out) == 1 and normal[:stop].any()
+                tokens = tokens[:width[:stop].sum()]
+                kinds.update(width[[0, stop - 1]].tolist())     # kept lines: 3 values, then 6
             else:
                 short = np.flatnonzero(width < fields)
                 stop = int(short[0]) if len(short) else len(rows)
@@ -106,46 +80,36 @@ def _read_rows(fh, path, line, cols=None, fields=0, count=None) -> PointCloud:
                 error = exc
             else:
                 if stop < len(rows):
-                    error = ParseError("vertex line too short" if cols else
-                                       f"expected 3 or 6 values, got {width[stop]}" if bad[stop]
-                                       else "line without normal after lines with normals",
+                    why = (f"expected 3 or 6 values, got {width[stop]}" if width[stop] != 3
+                           else "line without normal after lines with normals")
+                    error = ParseError("vertex line too short" if cols else why,
                                        line=line + int(rows[stop]) + 1)
-                if stop and not late:
-                    vals.shape = (stop, -1)
+                if stop and len(kinds) < 2:
+                    parts.append(vals.reshape(stop, -1))
                     if nonfinite is None and not np.isfinite(vals).all():
-                        nonfinite = line + int(rows[np.argmin(np.isfinite(vals).all(axis=1))]) + 1
-                    if not n and len(out) == 1:
-                        out = [vals]                 # the first points as converted: no copy
-                    else:
-                        for j, part in enumerate(out):
-                            if n + stop > len(part):     # realloc: no second copy of the rows
-                                part.resize((max(len(part) * 5 // 4, n + stop), 3),
-                                            refcheck=False)
-                            part[n:n + stop] = vals[:, 3 * j:3 * j + 3]
-                    n += stop
-        if error is not None and count is None or seen == count:
-            break
-        line += len(lines)
+                        finite = np.isfinite(parts[-1]).all(axis=1)
+                        nonfinite = line + int(rows[np.argmin(finite)]) + 1
+        line += len(lines) - 1           # all but a last piece end in "\n"
     if seen < (count or 0):
         raise ParseError(f"{path}: header declares {count} vertices, found {seen}")
     if error is not None:
         raise error
-    if late:
+    if len(kinds) == 2:
         raise ParseError(f"{path}: some lines have normals and some do not")
-    if not n:
+    if not parts:
         raise ParseError(f"{path}: no points found")
     if nonfinite is not None:
         raise ParseError("value is not finite", line=nonfinite)
-    for part in out:
-        part.resize((n, 3), refcheck=False)
-    points, nrm = (out + [None])[:2]
-    if nrm is not None:
+    vals, nrm = np.concatenate(parts), None
+    del parts                            # one copy of the values at a time from here
+    if vals.shape[1] == 6:
+        nrm = vals[:, 3:]
         lens = np.linalg.norm(nrm, axis=1)
         if np.any(np.abs(lens - 1.0) > 1e-3):
             bad = int(np.argmax(np.abs(lens - 1.0)))
             raise NormalNotUnit(f"{path}: normal {bad} has norm {lens[bad]:.6g}")
-        nrm /= lens[:, None]
-    return PointCloud(points=points, normals=nrm)
+        nrm = nrm / lens[:, None]
+    return PointCloud(points=np.ascontiguousarray(vals[:, :3]), normals=nrm)
 
 
 def read_xyz(path) -> PointCloud:
