@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from array import array
 
 import numpy as np
@@ -38,9 +37,9 @@ def _scan(fh, path, line, cols, fields, count):
         if error or not n:           # after an error a PLY read only counts its vertices
             continue
         if n < fields or not cols and (n not in (3, 6) or n < max(widths, default=n)):
-            error = ParseError("vertex line too short" if cols else
-                               "line without normal after lines with normals" if n == 3 else
-                               f"expected 3 or 6 values, got {n}", line=num)
+            why = ("line without normal after lines with normals" if n == 3
+                   else f"expected 3 or 6 values, got {n}")
+            error = ParseError("vertex line too short" if cols else why, line=num)
             continue
         widths.add(n)
         for tok in [tokens[c] for c in cols] if cols else tokens:
@@ -67,19 +66,16 @@ def _read_rows(fh, path, line, cols=None, fields=0, count=None):
     """Points and unit normals (or None) of the non-blank lines of text-mode `fh`, whose next
     line is 0-based `line`.  XYZ (`cols` None): '#' starts a comment; lines hold 3 or 6 values.
     PLY: the first `count` lines are vertices of at least `fields` values, those at `cols` kept.
-    np.loadtxt parses them; `_scan` answers when it fails, warns or returns what this refuses."""
+    np.loadtxt parses them; `_scan` answers when it raises or returns what this refuses."""
     start = fh.tell()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            vals = np.loadtxt(fh, ndmin=2, comments=None if cols else "#", max_rows=count,
-                              usecols=range(fields) if cols else None)
+    try:                             # its warnings raise only where the caller's filters say so
+        vals = np.loadtxt(fh, ndmin=2, comments=None if cols else "#", max_rows=count,
+                          usecols=range(fields) if cols else None)
         if cols:                     # the kept fields, as a view when they lead each line
             vals = vals[:, :len(cols)] if cols == [*range(len(cols))] else vals[:, cols]
-        fast = len(vals) >= (count or 1) and vals.shape[1] in (3, 6) and np.isfinite(vals).all()
+        if len(vals) < (count or 1) or vals.shape[1] not in (3, 6) or not np.isfinite(vals).all():
+            raise ValueError("values the line scan answers for")
     except (ValueError, Warning):
-        fast = False
-    if not fast:
         fh.seek(start)
         vals = _scan(fh, path, line, cols, fields, count)
     if vals.shape[1] == 3:
@@ -94,6 +90,8 @@ def _read_rows(fh, path, line, cols=None, fields=0, count=None):
 
 
 def read_xyz(path) -> PointCloud:
+    # text mode turns \r\n and \r into \n, and only \n ends a line, as when
+    # the file is iterated (str.splitlines would also split on \v, \f, ...)
     with open(path) as fh:
         return PointCloud(*_read_rows(fh, path, 0))
 
@@ -117,13 +115,16 @@ def _error_colors(normals, reference_normals):
     """(N, 3) RGB red-blue ramp on the unoriented angle error: 0 deg = blue, 90 = red."""
     err = angles_unoriented(normals, reference_normals)
     frac = np.clip(err / 90.0, 0.0, 1.0)
-    return np.column_stack([np.rint(255 * frac), np.zeros(len(err)), np.rint(255 * (1.0 - frac))])
+    return np.stack([np.rint(255 * frac), np.zeros(len(err)), np.rint(255 * (1.0 - frac))],
+                    axis=1)
 
 
 def write_ply(cloud: PointCloud, path, reference_normals=None) -> None:
     """Write ASCII PLY; when reference normals are given, vertices are
     colored by normal-angle error (blue = 0, red = 90 degrees)."""
-    columns = [cloud.points] if cloud.normals is None else [cloud.points, cloud.normals]
+    columns = [cloud.points]
+    if cloud.normals is not None:
+        columns.append(cloud.normals)
     fmts = [_FMT] * 3 * len(columns)
     if reference_normals is not None:
         if cloud.normals is None:
@@ -147,8 +148,10 @@ def read_ply(path) -> PointCloud:
     with open(path) as fh:
         if fh.readline().strip() != "ply":
             raise ParseError(f"{path}: missing 'ply' magic", line=1)
-        n_vertex = body_start = None
-        props, in_vertex_element = [], False
+        n_vertex = None
+        props = []
+        body_start = None
+        in_vertex_element = False
         for i, line in enumerate(iter(fh.readline, ""), start=2):
             tok = line.split()
             if not tok:
@@ -170,8 +173,9 @@ def read_ply(path) -> PointCloud:
                 raise ParseError(f"malformed header line {line.strip()!r}", line=i) from None
         if n_vertex is None or body_start is None:
             raise ParseError(f"{path}: incomplete PLY header")
-        if missing := [name for name in ("x", "y", "z") if name not in props]:
-            raise ParseError(f"{path}: vertex property {missing[0]!r} missing")
+        for name in ("x", "y", "z"):
+            if name not in props:
+                raise ParseError(f"{path}: vertex property {name!r} missing")
         names = ("x", "y", "z", "nx", "ny", "nz") if {"nx", "ny", "nz"} <= set(props) else ("x", "y", "z")
         cols = [props.index(name) for name in names]
         return PointCloud(*_read_rows(fh, path, body_start, cols, len(props), max(n_vertex, 0)))

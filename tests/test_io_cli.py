@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -335,10 +337,10 @@ class TestReadPaths:
         path.write_bytes(text.encode())
         expected = read_outcome(ORACLES[name], path)
         assert expected[0] == (3, 3)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings(), mock.patch.object(
+                iomod, "_scan", side_effect=AssertionError("line scan entered")):
+            warnings.simplefilter("ignore")     # loadtxt warns of the blank PLY line
             assert read_outcome(read_cloud, path) == expected
-        assert not caught
 
     # loadtxt's errors name a data row; the line scan names the file line
     @pytest.mark.parametrize("fault, normals, message", [
@@ -381,6 +383,15 @@ class TestReadPaths:
         path.write_text(header + "\n".join(lines) + "\n")
         assert read_outcome(read_cloud, path) == (ParseError, header.count("\n") + 10)
 
+    @pytest.mark.parametrize("name", ["c.xyz", "c.ply"])
+    def test_the_first_non_finite_line_is_named(self, name, tmp_path):
+        header = PLY_HEADER.format(4) if name == "c.ply" else ""
+        path = tmp_path / name
+        path.write_text(header + "1 2 3\n0 0 -inf\n4 5 6\nnan 0 0\n")
+        with pytest.raises(ParseError, match="not finite") as exc:
+            read_cloud(path)
+        assert exc.value.line == header.count("\n") + 2
+
     @pytest.mark.parametrize("name, text", [
         ("c.xyz", "1_0 2 3\n4 5 6_5\n"),
         ("c.ply", PLY_HEADER.format(2) + "1_0 2 3\n4 5 6_5\n"),
@@ -408,7 +419,7 @@ class TestReadPaths:
         ("c.xyz", " \t\n# 1 2 3\r\n"), ("c.ply", PLY_HEADER.format(0) + "1 2 3\n"),
         ("c.ply", PLY_HEADER.format(-1) + "1 2 3\n"),
     ])
-    def test_empty_body_has_no_points_and_raises_no_warning(self, name, text, tmp_path):
+    def test_empty_body_has_no_points(self, name, text, tmp_path):
         path = tmp_path / name
         path.write_bytes(text.encode())
         for action in ("error", "always"):      # loadtxt warns on input without data
@@ -416,8 +427,41 @@ class TestReadPaths:
                 warnings.simplefilter(action)
                 with pytest.raises(ParseError, match="no points found") as exc:
                     read_cloud(path)
-            assert exc.value.line is None and not caught
+            assert exc.value.line is None
+            assert all("contained no data" in str(w.message) for w in caught), caught
         assert read_outcome(ORACLES[name], path) == (ParseError, None)
+
+    def test_concurrent_reads_leave_the_warning_filters_alone(self, tmp_path):
+        texts = {"a.xyz": "", "b.xyz": "1_0 2 3\n", "c.xyz": "1 2 3\n4 5 6\n",
+                 "d.ply": PLY_HEADER.format(2) + "1 2 3\n\n4 5 6\n",
+                 "e.ply": PLY_HEADER.format(3) + "1 2 3\n"}
+        paths = []
+        for name, text in texts.items():
+            paths.append(tmp_path / name)
+            paths[-1].write_text(text)
+        expected = [read_outcome(ORACLES["c" + p.suffix], p) for p in paths]
+        outcomes = []
+
+        def work():     # each read's arrays or error, and the filters the other threads see
+            outcomes.extend(read_outcome(read_cloud, p) == e and warnings.filters == before
+                            for _ in range(100) for p, e in zip(paths, expected))
+
+        interval = sys.getswitchinterval()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # loadtxt warns on two of the texts
+            before = list(warnings.filters)
+            sys.setswitchinterval(1e-6)         # switch threads inside every read
+            try:
+                threads = [threading.Thread(target=work) for _ in range(3)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert warnings.filters == before
+        assert not any(t.is_alive() for t in threads)
+        assert len(outcomes) == 3 * 100 * len(paths) and all(outcomes)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("kind", ["sphere", "wedge", "plane"])
@@ -425,13 +469,18 @@ class TestReadPaths:
         cloud = gen_shape(ShapeSpec(kind=kind, n_points=500, seed=4))
         ref = np.roll(cloud.normals, 1, axis=0)
         points = PointCloud(points=cloud.points)
-        cases = [("c.xyz", points, {}), ("c.xyz", cloud, {}), ("c.ply", points, {}),
-                 ("c.ply", cloud, {}), ("c.ply", cloud, {"reference_normals": ref})]
-        with mock.patch.object(iomod, "_scan", side_effect=AssertionError("line scan entered")):
-            for name, written, kw in cases:
+        cases = [("c.xyz", points, {}, 0), ("c.xyz", cloud, {}, 0), ("c.ply", points, {}, 0),
+                 ("c.ply", cloud, {}, 0), ("c.ply", cloud, {"reference_normals": ref}, 0),
+                 ("c.xyz", cloud, {}, 1), ("c.ply", cloud, {}, 1)]
+        with warnings.catch_warnings(), mock.patch.object(
+                iomod, "_scan", side_effect=AssertionError("line scan entered")):
+            warnings.simplefilter("ignore")     # loadtxt warns of a blank PLY line
+            for name, written, kw, blank in cases:
                 path = tmp_path / name
                 write_cloud(written, path, **kw)
-                path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+                lines = path.read_bytes().split(b"\n")
+                lines[len(lines) // 2:len(lines) // 2] = [b""] * blank    # a blank body line
+                path.write_bytes(newline.encode().join(lines))
                 outcome = read_outcome(read_cloud, path)
                 assert outcome[1] == written.points.tobytes()
                 assert (outcome[2] is None) == (written.normals is None)
