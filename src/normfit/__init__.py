@@ -32,7 +32,6 @@ from .errors import (
 from .geometry import (
     NeighborIndex,
     PointCloud,
-    angle_unoriented,
     build_index,
 )
 from .io import read_cloud, read_ply, read_xyz, write_cloud, write_ply, write_xyz

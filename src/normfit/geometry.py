@@ -6,8 +6,8 @@ Conventions used throughout the library:
 * normals are unit vectors, sign-canonicalized so the component of largest
   absolute value is positive (normals are unoriented, the sign is only a
   deterministic representative)
-* k-NN results are sorted by ascending distance, ties broken by ascending
-  point index, and never include the query point when querying by index
+* k-NN is exact: rows sorted by ascending distance, ties by ascending point
+  index, the query point left out; `knn` is a batch of one of `knn_batch`
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ DEGENERACY_RTOL = 1e-12
 _CLOSED_FORM_RTOL = 1e-6
 # smallest normal float64
 _TINY = np.finfo(np.float64).tiny
-# query rows per chunk of NeighborIndex.knn_batch
-_KNN_BATCH_ROWS = 2048
 # float64 elements of one working array (a neighbourhood or subset gather, a
 # kernel matrix): 2 MB
 _BLOCK_ELEMENTS = 2**18
@@ -50,14 +48,11 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     Works on a single vector (3,) or a batch (M, 3).
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        i = int(np.argmax(np.abs(v)))
-        return -v if v[i] < 0 else v
     # the first component of largest magnitude, as argmax picks it
-    x, y, z = v[:, 0], v[:, 1], v[:, 2]
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
     ax, ay, az = np.abs(x), np.abs(y), np.abs(z)
     lead = np.where((ax >= ay) & (ax >= az), x, np.where(ay >= az, y, z))
-    return np.where((lead < 0)[:, None], -v, v)
+    return np.where((lead < 0)[..., None], -v, v)
 
 
 @dataclass
@@ -75,8 +70,11 @@ class PointCloud:
             self.normals = as_points(self.normals)
             if len(self.normals) != len(self.points):
                 raise ValueError("normals length must match points length")
-            norms = np.linalg.norm(self.normals, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
+            # row norms in place: 9 bytes a point, not linalg.norm's 40
+            norms = np.einsum("ij,ij->i", self.normals, self.normals)
+            np.sqrt(norms, out=norms)
+            norms -= 1.0
+            if np.any(np.abs(norms, out=norms) > 1e-9):
                 raise ValueError("normals must be unit length")
 
     def __len__(self):
@@ -107,68 +105,47 @@ class NeighborIndex:
         return len(self._points)
 
     def knn(self, query_idx: int, k: int):
-        """k nearest neighbors of point `query_idx`, excluding itself.
-
-        Returns (indices, distances) sorted by (distance, index).  Raises
-        ValueError unless 0 <= query_idx < N.
-        """
-        n = self.n_points
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"k={k} out of range for {n} points")
-        if not 0 <= query_idx < n:
-            raise ValueError(f"point index {query_idx} out of range for {n} points")
-        kq = min(n, k + 3)
-        while True:
-            d, idx = self._tree.query(self._points[query_idx], k=kq)
-            d, idx = np.atleast_1d(d), np.atleast_1d(idx)
-            keep = idx != query_idx
-            dk, ik = d[keep], idx[keep]
-            order = np.lexsort((ik, dk))
-            dk, ik = dk[order], ik[order]
-            # safe to cut at k only if every point at the k-th distance was
-            # returned by the tree; otherwise widen the query
-            if kq == n or dk[k - 1] < d[-1]:
-                return ik[:k].copy(), dk[:k].copy()
-            kq = min(n, kq * 2)
+        """k nearest neighbors of point `query_idx`, excluding itself: row 0
+        of the (indices, distances) of `knn_batch(k, [query_idx])`."""
+        ids, dists = self.knn_batch(k, [query_idx])
+        return ids[0], dists[0]
 
     def knn_batch(self, k: int, rows=None):
         """k-NN of points `rows` (default: every point) at once, self excluded.
 
-        Returns (indices, distances) arrays of shape (len(rows), k) obeying
-        the same (distance, index) ordering as `knn`.  Raises ValueError
-        unless every row lies in [0, N).
+        Returns (indices, distances) arrays of shape (len(rows), k), each row
+        sorted by (distance, index).  Raises ValueError unless 1 <= k <= N - 1
+        and every row lies in [0, N).
         """
         n = self.n_points
         if not 1 <= k <= n - 1:
             raise ValueError(f"k={k} out of range for {n} points")
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
         if len(rows) and not (0 <= rows.min() and rows.max() < n):
-            raise ValueError(f"point indices must lie in [0, {n})")
+            raise ValueError(f"point indices out of range: must lie in [0, {n})")
         kq = min(n, k + 3)
         out_i = np.empty((len(rows), k), dtype=np.intp)
         out_d = np.empty((len(rows), k), dtype=np.float64)
-        # row chunks bound the (rows, kq) temporaries on large clouds
-        for start in range(0, len(rows), _KNN_BATCH_ROWS):
-            ts = rows[start:start + _KNN_BATCH_ROWS]
-            oi, od = out_i[start:start + len(ts)], out_d[start:start + len(ts)]
+        left = np.arange(len(rows))     # the rows not answered yet
+        while len(left):
+            ts = rows[left]
             d, idx = self._tree.query(self._points[ts], k=kq)
             # the tree returns rows by distance; a row with no tie starts at
             # its query point and is already in (distance, index) order
             tied = np.flatnonzero((idx[:, 0] != ts) | (d[:, 1:] <= d[:, :-1]).any(axis=1))
-            oi[:], od[:] = idx[:, 1:k + 1], d[:, 1:k + 1]
-            if not len(tied):
-                continue
-            d, idx, ts = d[tied], idx[tied], ts[tied]
+            out_i[left], out_d[left] = idx[:, 1:k + 1], d[:, 1:k + 1]
+            d, idx, ts, left = d[tied], idx[tied], ts[tied], left[tied]
             # the query point sorts last; the others by (distance, index)
             dk = np.where(idx == ts[:, None], np.inf, d)
             order = np.lexsort((idx, dk), axis=1)
             dk = np.take_along_axis(dk, order, axis=1)[:, :k]
-            oi[tied] = np.take_along_axis(idx, order, axis=1)[:, :k]
-            od[tied] = dk
-            if kq < n:
-                # boundary tie: fall back to the widening single query
-                for r in np.flatnonzero(~(dk[:, k - 1] < d[:, -1])):
-                    oi[tied[r]], od[tied[r]] = self.knn(int(ts[r]), k)
+            out_i[left] = np.take_along_axis(idx, order, axis=1)[:, :k]
+            out_d[left] = dk
+            # a k-th distance that reaches the query's last one may tie points
+            # the tree left out, unless it returned every point: query those
+            # rows again at double the width
+            left = left[~(dk[:, k - 1] < d[:, -1]) & (kq < n)]
+            kq = min(n, 2 * kq)
         return out_i, out_d
 
 
@@ -305,14 +282,6 @@ def fit_planes_batch(pts: np.ndarray):
     normals, c, w = plane_fit(pts)
     degenerate = (w[:, 1] <= DEGENERACY_RTOL * w[:, 2]) | (w[:, 2] <= 0.0)
     return normals, c, degenerate
-
-
-def angle_unoriented(u, v) -> float:
-    """Unoriented angle between two unit vectors, in degrees within [0, 90]."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    c = min(1.0, abs(float(u @ v)))
-    return float(np.degrees(np.arccos(c)))
 
 
 def angles_unoriented(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@
 The oracles are small reference functions only the tests need: thin
 single-item views of the library's batched kernels (`fit_plane`,
 `score_candidate`, `mean_mode_normal`, `point_noise_level`), independent
-brute-force references (`grid_min_normal`, `brute_force_knn`) and the
+brute-force references (`grid_min_normal`, `brute_force_knn`), the
+single-point widening k-NN query that `knn_batch` must match and the rows
+it widens (`knn_widening`, `widened_rows`), the
 `eigh` solve of every row that `plane_fit`'s closed form replaces
 (`plane_fit_eigh`), line-by-line XYZ/PLY text I/O that the array
 readers and writers must match (`read_xyz_lines`, `read_ply_lines`,
@@ -75,6 +77,42 @@ def brute_force_knn(points, query_idx, k):
     d, idx = d[keep], idx[keep]
     order = np.lexsort((idx, d))
     return idx[order][:k], d[order][:k]
+
+
+def knn_widening(index, query_idx, k):
+    """One point's k-NN by its own widening tree query: k + 3 points, then
+    twice as many until every point at the k-th distance is in, with the
+    (distance, index) tie rule.  `NeighborIndex.knn_batch` must match it
+    byte for byte."""
+    n = index.n_points
+    kq = min(n, k + 3)
+    while True:
+        d, idx = index._tree.query(index._points[query_idx], k=kq)
+        keep = idx != query_idx
+        dk, ik = d[keep], idx[keep]
+        order = np.lexsort((ik, dk))
+        dk, ik = dk[order], ik[order]
+        # safe to cut at k only if every point at the k-th distance was
+        # returned by the tree; otherwise widen the query
+        if kq == n or dk[k - 1] < d[-1]:
+            return ik[:k].copy(), dk[:k].copy()
+        kq = min(n, kq * 2)
+
+
+def widened_rows(points, k):
+    """The points whose k-NN query `knn_batch` widens past k + 3 points, in
+    ascending order: those whose sorted distances to every point, their own
+    0 first, hold near[k] == near[k + 2] (a tie at the k-th neighbour reaching
+    the query's last point)."""
+    n = len(points)
+    if k + 3 >= n:
+        return []
+    rows = []
+    for start in range(0, n, 256):
+        block = points[start:start + 256]
+        near = np.sort(np.linalg.norm(block[:, None] - points[None], axis=2), axis=1)
+        rows += (start + np.flatnonzero(near[:, k] == near[:, k + 2])).tolist()
+    return rows
 
 
 def read_xyz_lines(path) -> PointCloud:

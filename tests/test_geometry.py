@@ -1,16 +1,18 @@
+import tracemalloc
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from normfit import (
     PointCloud,
-    angle_unoriented,
     build_index,
 )
-from normfit.geometry import canonical_sign, plane_fit
+from normfit.geometry import angles_unoriented, canonical_sign, plane_fit
 
-from conftest import (DegenerateSample, Plane, brute_force_knn, fit_plane, point_plane_distance,
-                      random_units)
+from conftest import (DegenerateSample, Plane, brute_force_knn, fit_plane, knn_widening,
+                      point_plane_distance, random_units, widened_rows)
 
 
 def tie_grid():
@@ -18,6 +20,31 @@ def tie_grid():
     g = np.arange(5.0)
     grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
     return np.vstack([grid, grid[::2][:50]])
+
+
+class TestPointCloud:
+    def test_normals_more_than_1e_9_off_unit_length_are_rejected(self, rng):
+        pts, normals = rng.normal(size=(50, 3)), random_units(rng, 50)
+        for scale, unit in ((1 + 5e-10, True), (1 - 5e-10, True), (1 + 2e-9, False),
+                            (1 - 2e-9, False)):
+            off = normals.copy()
+            off[17] *= scale
+            if unit:
+                assert PointCloud(points=pts, normals=off).normals.tobytes() == off.tobytes()
+            else:
+                with pytest.raises(ValueError, match="normals must be unit length"):
+                    PointCloud(points=pts, normals=off)
+
+    def test_unit_normal_check_peak(self, rng):
+        # np.linalg.norm of the normals held 40 bytes a point: 1.60 MB here
+        pts, normals = rng.normal(size=(40_000, 3)), random_units(rng, 40_000)
+        tracemalloc.start()
+        try:
+            PointCloud(points=pts, normals=normals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5e6, peak
 
 
 class TestNeighborIndex:
@@ -81,7 +108,7 @@ class TestNeighborIndex:
         idx = build_index(PointCloud(points=pts))
         bi, bd = idx.knn_batch(7)
         for t in range(40):
-            si, sd = idx.knn(t, 7)
+            si, sd = knn_widening(idx, t, 7)
             assert np.array_equal(bi[t], si)
             assert np.allclose(bd[t], sd)
 
@@ -91,18 +118,16 @@ class TestNeighborIndex:
         idx = build_index(PointCloud(points=pts))
         bi, bd = idx.knn_batch(k)
         for t in range(len(pts)):
-            si, sd = idx.knn(t, k)
+            si, sd = knn_widening(idx, t, k)
             assert np.array_equal(bi[t], si), t
             assert np.array_equal(bd[t], sd), t
 
     @pytest.mark.parametrize("k", [1, 6, 26, 60])
     def test_knn_batch_rows_match_single_on_ties(self, k, rng):
-        idx = build_index(PointCloud(points=tie_grid()))
-        # rows whose tie crosses the tree query's cut take the widening knn
-        single, ties = idx.knn, []
-        idx.knn = lambda t, kk: ties.append(t) or single(t, kk)
-        idx.knn_batch(k)
-        del idx.knn
+        pts = tie_grid()
+        idx = build_index(PointCloud(points=pts))
+        # rows whose tie crosses the tree query's cut are queried again wider
+        ties = widened_rows(pts, k)
         assert ties
         for _ in range(5):
             rows = np.concatenate([rng.choice(idx.n_points, 30, replace=False),
@@ -111,9 +136,45 @@ class TestNeighborIndex:
             bi, bd = idx.knn_batch(k, rows)
             assert bi.shape == bd.shape == (len(rows), k)
             for r, t in enumerate(rows):
-                si, sd = idx.knn(int(t), k)
+                si, sd = knn_widening(idx, int(t), k)
                 assert np.array_equal(bi[r], si), t
                 assert np.array_equal(bd[r], sd), t
+
+    def test_knn_batch_widens_rows_over_several_rounds_in_one_call(self, rng):
+        # the origin and the 30 integer points at distance exactly 3 from it,
+        # an octahedron (a centre and its 6 points at distance 1) and 40
+        # untied random points, all far apart
+        shell = {q for base in ((3, 0, 0), (2, 2, 1)) for p in permutations(base)
+                 for q in product(*[(c, -c) for c in p])}
+        assert len(shell) == 30
+        octahedron = np.vstack([np.zeros(3), np.eye(3), -np.eye(3)]) + [0, 0, 20]
+        pts = np.vstack([np.zeros(3), sorted(shell), octahedron, rng.normal(size=(40, 3)) + 50])
+        idx = build_index(PointCloud(points=pts))
+        # at k = 1 the queries hold 4, 8, 16 and 32 points: the origin needs
+        # all four, a shell point on an axis three, the octahedron's centre
+        # two, the other shell points and the random ones one
+        rounds = {0: 4, 1: 3, 30: 3, 31: 2, 2: 1, 21: 1, 32: 1}
+        rows = np.concatenate([list(rounds), rng.choice(np.arange(38, 78), 12, replace=False)])
+        rng.shuffle(rows)
+        tree, queries = idx._tree, []
+
+        class Logged:
+            def query(self, x, k):
+                queries.append((x.copy(), k))
+                return tree.query(x, k=k)
+
+        idx._tree = Logged()
+        got_i, got_d = idx.knn_batch(1, rows)
+        idx._tree = tree
+        assert [k for _, k in queries] == [4, 8, 16, 32]
+        for r, t in enumerate(rows):
+            asked = sum((x == pts[t]).all(axis=1).any() for x, _ in queries)
+            assert asked == rounds.get(t, 1), t
+            want_i, want_d = brute_force_knn(pts, int(t), 1)
+            assert np.array_equal(got_i[r], want_i), t
+            assert np.allclose(got_d[r], want_d)
+            si, sd = idx.knn(int(t), 1)
+            assert np.array_equal(si, got_i[r]) and np.array_equal(sd, got_d[r]), t
 
     def test_k_out_of_range(self, rng):
         idx = build_index(PointCloud(points=rng.normal(size=(5, 3))))
@@ -249,12 +310,11 @@ class TestDistancesAngles:
         assert point_plane_distance([1, 1, 1], x0) == pytest.approx(1.0)
 
     def test_angle_basics(self):
-        assert angle_unoriented([0, 0, 1], [0, 0, 1]) == pytest.approx(0.0)
-        assert angle_unoriented([0, 0, 1], [0, 0, -1]) == pytest.approx(0.0)
-        assert angle_unoriented([0, 0, 1], [1, 0, 0]) == pytest.approx(90.0)
+        got = angles_unoriented(np.array([[0.0, 0, 1]] * 3),
+                                np.array([[0.0, 0, 1], [0, 0, -1], [1, 0, 0]]))
+        assert got == pytest.approx([0.0, 0.0, 90.0])
 
     def test_angle_antipodal_invariance(self, rng):
         us = random_units(rng, 40)
         vs = random_units(rng, 40)
-        for u, v in zip(us, vs):
-            assert angle_unoriented(u, v) == pytest.approx(angle_unoriented(-u, v))
+        assert angles_unoriented(us, vs) == pytest.approx(angles_unoriented(-us, vs))

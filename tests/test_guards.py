@@ -1,7 +1,8 @@
 """Guards for what the library's own tests would not notice: the names the
 benchmark tracer wraps, the stages a single-point call reaches, the one
-eigen kernel, the one mode-solver loop, the one parallel backend, unused
-private code, whole-cloud k-NN blocks, and the demos."""
+eigen kernel, the one k-NN tree query, the one mode-solver loop, the one
+parallel backend, unused private code, whole-cloud k-NN blocks, and the
+demos."""
 
 import ast
 import importlib.util
@@ -91,6 +92,18 @@ def test_one_eigen_kernel():
     # mode solver's weighted principal direction is the one other solve
     assert library_scopes(is_eigen_call) == [("consensus", "_weighted_principal"),
                                              ("geometry", "plane_fit")]
+
+
+def test_one_knn_query():
+    # knn_batch is the one query of the k-NN tree, tied rows widening in it
+    # as a batch; knn is its batch of one
+    def is_tree_query(node):
+        f = getattr(node, "func", None)
+        return (isinstance(node, ast.Call) and isinstance(f, ast.Attribute)
+                and f.attr == "query" and isinstance(f.value, ast.Attribute)
+                and f.value.attr == "_tree")
+
+    assert library_scopes(is_tree_query) == [("geometry", "knn_batch")]
 
 
 def test_one_mode_loop():

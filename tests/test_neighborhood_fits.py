@@ -7,11 +7,10 @@ At k = 200 a chunk holds 2**18 // (3 * 201) = 434 rows, so clouds of 433,
 434, 435, 869 and 1303 points end just before, on and just after a chunk
 edge; at k = 64 a chunk holds 1344 rows.  The lattice clouds have exact
 distance ties everywhere and duplicated points, so the tie path and the
-`knn` fallback of `knn_batch` run on the rows at the chunk edges.
+widened queries of `knn_batch` run on the rows at the chunk edges.
 """
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,10 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 from normfit import (NoiseSpec, PointCloud, ShapeSpec, add_noise, build_index, cloud_noise_scale,
                      gen_shape, pca_baseline)
 from normfit import geometry
-from normfit.geometry import NeighborIndex
 from normfit.synth import SHAPE_KINDS
 
-from conftest import cloud_noise_scale_whole, pca_baseline_whole
+from conftest import cloud_noise_scale_whole, pca_baseline_whole, widened_rows
 
 EDGE_SIZES = (202, 433, 434, 435, 869, 1303)
 
@@ -32,24 +30,10 @@ def chunk_rows(k):
     return max(1, geometry._BLOCK_ELEMENTS // (3 * (k + 1)))
 
 
-def knn_fallback_rows(call):
-    """The points that `NeighborIndex.knn` was asked for while call() ran."""
-    rows = []
-    knn = NeighborIndex.knn
-
-    def counted(self, query_idx, k):
-        rows.append(query_idx)
-        return knn(self, query_idx, k)
-
-    with mock.patch.object(NeighborIndex, "knn", counted):
-        call()
-    return set(rows)
-
-
 def lattice_cloud(n, seed, k=200):
     """n points of a 12 x 12 x 12 integer lattice, about one in twenty
     replaced by a copy of another point, ordered so that the rows on both
-    sides of every chunk edge at k take the `knn` fallback of `knn_batch`
+    sides of every chunk edge at k are queried again wider by `knn_batch`
     (a boundary tie at the k-th distance, which depends on distances only,
     not on the order)."""
     rng = np.random.default_rng(seed)
@@ -57,8 +41,7 @@ def lattice_cloud(n, seed, k=200):
     pts = grid[rng.choice(len(grid), size=n, replace=False)]
     dup = rng.choice(n, size=max(1, n // 20), replace=False)
     pts[dup] = pts[rng.choice(n, size=len(dup))]
-    index = build_index(PointCloud(points=pts))
-    tied = sorted(knn_fallback_rows(lambda: index.knn_batch(k)))
+    tied = widened_rows(pts, k)
     edges = [r for e in range(chunk_rows(k), n, chunk_rows(k)) for r in (e - 1, e)]
     assert len(tied) >= len(edges)
     order = [r for r in range(n) if r not in set(tied[:len(edges)])]
@@ -95,7 +78,8 @@ def test_shapes_match_whole_cloud_at_chunk_edges(kind, n, noise_pct, seed):
 @pytest.mark.parametrize("n", EDGE_SIZES)
 def test_lattice_ties_and_fallbacks_match_whole_cloud(n):
     cloud = lattice_cloud(n, n)
-    fallbacks = knn_fallback_rows(lambda: assert_matches_whole(cloud, 200))
+    assert_matches_whole(cloud, 200)
+    fallbacks = set(widened_rows(cloud.points, 200))
     edges = range(chunk_rows(200), n, chunk_rows(200))
     assert all({e - 1, e} <= fallbacks for e in edges)
     if n > 203:

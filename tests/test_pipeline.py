@@ -7,7 +7,6 @@ from normfit import (
     PointCloud,
     ShapeSpec,
     add_noise,
-    angle_unoriented,
     build_index,
     chamfer,
     denoise_all,
@@ -16,6 +15,7 @@ from normfit import (
     gen_shape,
     rms_angle,
 )
+from normfit.geometry import angles_unoriented
 from normfit.pipeline import point_rng
 from normfit.synth import surface_distance
 
@@ -30,8 +30,8 @@ class TestEstimate:
     def test_exact_plane(self):
         cloud = gen_shape(ShapeSpec(kind="plane", n_points=400, seed=1))
         est, report = estimate_all(cloud, EstimationParams(seed=2))
-        for n in est.normals:
-            assert angle_unoriented(n, [0, 0, 1]) < 0.1
+        up = np.tile([0.0, 0, 1], (len(est.normals), 1))
+        assert (angles_unoriented(est.normals, up) < 0.1).all()
         assert (report.survivors <= 100).all()
 
     def test_all_normals_equal_on_plane(self):
@@ -50,11 +50,10 @@ class TestEstimate:
         assert len(on_a) > 0
         est, _ = estimate_all(clean, EstimationParams(seed=6))
         blur = np.array([0, -1, 1]) / np.sqrt(2)   # average of the two faces
-        for t in on_a:
-            ang_face = angle_unoriented(est.normals[t], [0, 0, 1])
-            ang_blur = angle_unoriented(est.normals[t], blur)
-            assert ang_face < 5.0
-            assert ang_blur > 30.0
+        ang_face = angles_unoriented(est.normals[on_a], np.tile([0.0, 0, 1], (len(on_a), 1)))
+        ang_blur = angles_unoriented(est.normals[on_a], np.tile(blur, (len(on_a), 1)))
+        assert (ang_face < 5.0).all()
+        assert (ang_blur > 30.0).all()
 
     def test_mode_matches_grid_oracle_right_at_edge(self):
         # So close to the fold that half the neighborhood lies on the other
@@ -186,6 +185,5 @@ class TestEquivariance:
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         rotated = PointCloud(points=noisy.points @ q.T)
         rot, _ = estimate_all(rotated, params)
-        errs = [angle_unoriented(rot.normals[i], q @ base.normals[i])
-                for i in range(len(base))]
+        errs = angles_unoriented(rot.normals, base.normals @ q.T)
         assert float(np.sqrt(np.mean(np.square(errs)))) < 0.5
