@@ -128,24 +128,24 @@ class NeighborIndex:
         out_d = np.empty((len(rows), k), dtype=np.float64)
         left = np.arange(len(rows))     # the rows not answered yet
         while len(left):
-            ts = rows[left]
-            d, idx = self._tree.query(self._points[ts], k=kq)
-            # the tree returns rows by distance; a row with no tie starts at
-            # its query point and is already in (distance, index) order
-            tied = np.flatnonzero((idx[:, 0] != ts) | (d[:, 1:] <= d[:, :-1]).any(axis=1))
-            out_i[left], out_d[left] = idx[:, 1:k + 1], d[:, 1:k + 1]
-            d, idx, ts, left = d[tied], idx[tied], ts[tied], left[tied]
-            # the query point sorts last; the others by (distance, index)
-            dk = np.where(idx == ts[:, None], np.inf, d)
-            order = np.lexsort((idx, dk), axis=1)
-            dk = np.take_along_axis(dk, order, axis=1)[:, :k]
-            out_i[left] = np.take_along_axis(idx, order, axis=1)[:, :k]
-            out_d[left] = dk
-            # a k-th distance that reaches the query's last one may tie points
-            # the tree left out, unless it returned every point: query those
-            # rows again at double the width
-            left = left[~(dk[:, k - 1] < d[:, -1]) & (kq < n)]
-            kq = min(n, 2 * kq)
+            # the tie path holds about five (rows, kq) arrays: 1 MB each per slice
+            step, wider = max(1, _BLOCK_ELEMENTS // (2 * kq)), []
+            for part in np.split(left, range(step, len(left), step)):
+                ts = rows[part]
+                d, idx = self._tree.query(self._points[ts], k=kq)
+                # a row with no tie starts at its query point, in (distance, index) order
+                tied = np.flatnonzero((idx[:, 0] != ts) | (d[:, 1:] <= d[:, :-1]).any(axis=1))
+                out_i[part], out_d[part] = idx[:, 1:k + 1], d[:, 1:k + 1]
+                d, idx, ts, part = d[tied], idx[tied], ts[tied], part[tied]
+                # the query point sorts last; the others by (distance, index)
+                dk = np.where(idx == ts[:, None], np.inf, d)
+                order = np.lexsort((idx, dk), axis=1)[:, :k]
+                out_i[part] = np.take_along_axis(idx, order, axis=1)
+                out_d[part] = dk = np.take_along_axis(dk, order, axis=1)
+                # a k-th distance that reaches the query's last one may tie points the
+                # tree left out, unless it returned every point: ask again twice as wide
+                wider.append(part[~(dk[:, k - 1] < d[:, -1]) & (kq < n)])
+            left, kq = np.concatenate(wider), min(n, 2 * kq)
         return out_i, out_d
 
 

@@ -9,6 +9,7 @@ from normfit import (
     PointCloud,
     build_index,
 )
+from normfit import geometry
 from normfit.geometry import angles_unoriented, canonical_sign, plane_fit
 
 from conftest import (DegenerateSample, Plane, brute_force_knn, fit_plane, knn_widening,
@@ -139,6 +140,18 @@ class TestNeighborIndex:
                 si, sd = knn_widening(idx, int(t), k)
                 assert np.array_equal(bi[r], si), t
                 assert np.array_equal(bd[r], sd), t
+
+    @pytest.mark.parametrize("elements", [1, 100, 1000])
+    def test_knn_batch_slices_change_no_byte(self, elements, monkeypatch, rng):
+        # one row per tree query, and slices that split the first round and
+        # the widened ones into several queries each; tied and untied rows
+        idx = build_index(PointCloud(points=np.vstack([tie_grid(), rng.normal(size=(60, 3)) + 20])))
+        for k in (1, 6, 26):
+            want_i, want_d = idx.knn_batch(k)
+            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
+            got_i, got_d = idx.knn_batch(k)
+            monkeypatch.undo()
+            assert got_i.tobytes() == want_i.tobytes() and got_d.tobytes() == want_d.tobytes(), k
 
     def test_knn_batch_widens_rows_over_several_rounds_in_one_call(self, rng):
         # the origin and the 30 integer points at distance exactly 3 from it,

@@ -76,15 +76,25 @@ def test_shapes_match_whole_cloud_at_chunk_edges(kind, n, noise_pct, seed):
 
 
 @pytest.mark.parametrize("n", EDGE_SIZES)
-def test_lattice_ties_and_fallbacks_match_whole_cloud(n):
+def test_lattice_ties_and_fallbacks_match_whole_cloud(n, monkeypatch):
+    wide = []
+
+    class Logged(geometry.cKDTree):
+        # keeps the points of every query wider than k + 3
+        def query(self, x, k):
+            if k > 203:
+                wide.append(x.copy())
+            return super().query(x, k=k)
+
+    monkeypatch.setattr(geometry, "cKDTree", Logged)
     cloud = lattice_cloud(n, n)
     assert_matches_whole(cloud, 200)
-    fallbacks = set(widened_rows(cloud.points, 200))
     edges = range(chunk_rows(200), n, chunk_rows(200))
-    assert all({e - 1, e} <= fallbacks for e in edges)
+    for r in (r for e in edges for r in (e - 1, e)):
+        assert any((x == cloud.points[r]).all(axis=1).any() for x in wide), r
     if n > 203:
         # below that the tree query already returns every point
-        assert fallbacks
+        assert wide
 
 
 @pytest.mark.parametrize("cloud", [shape_cloud("sphere", 3000, 0.5, 7), lattice_cloud(1700, 3, k=64)],
@@ -135,3 +145,14 @@ class TestMemory:
         index = build_index(self.CLOUD)
         peak = self.peak(lambda: cloud_noise_scale(self.CLOUD, index, 64))
         assert peak < 16e6, peak
+
+    def test_coincident_points_peak_within_budget(self):
+        # 2000 copies of one point tie at distance 0 on every row that holds
+        # one, so knn_batch widens those rows to 2144 points; each round
+        # queries them in slices of 1 MB per (rows, width) array
+        pts = self.CLOUD.points.copy()
+        pts[:2000] = pts[0]
+        cloud = PointCloud(points=pts)
+        index = build_index(cloud)
+        assert self.peak(lambda: geometry.neighborhood_fits(index, 64)) < 16e6
+        assert self.peak(lambda: cloud_noise_scale(cloud, index, 64)) < 16e6
