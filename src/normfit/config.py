@@ -1,12 +1,12 @@
 """Flat key-value run configuration over every pipeline parameter.
 
-The keys are derived from the dataclasses: every leaf field of `RunConfig`
-(and of the parameter dataclasses nested in it) is one key named after the
-field, e.g. `seed`, `n_candidates`, `rejection_interval_max`.  A tuple
-field is one key per element, named by the field's `config_key` metadata:
-the adaptive thresholds are `adaptive_l0`..`adaptive_l4` and the sizes
-`adaptive_k1`..`adaptive_k4`.  Values are parsed as the field's annotated
-type.
+The keys come from one walk over the dataclasses (`_map`), shared by
+`SCHEMA`, `serialize` and `from_values`: every leaf field of `RunConfig` (and
+of the dataclasses nested in it) is one key named after the field, e.g.
+`seed`, `n_candidates`, `rejection_interval_max`.  A tuple field is one key
+per element, named by the field's `config_key` metadata: the adaptive
+thresholds are `adaptive_l0`..`adaptive_l4` and the sizes
+`adaptive_k1`..`adaptive_k4`.  Values are parsed as the field's annotated type.
 
 The file format is one `key = value` per line with '#' comments; unknown
 keys are errors so typos never pass silently.  A quoted value is read as
@@ -39,24 +39,28 @@ class RunConfig:
             raise ValueError("threads must be >= 1")
 
 
-def _tuple_keys(f, n: int) -> list:
-    pattern, first = f.metadata["config_key"]
-    return [pattern.format(first + i) for i in range(n)]
-
-
-def _leaves(obj):
-    """(key, type, value) of every leaf of dataclass `obj`, depth first."""
+def _map(obj, fn):
+    """Copy of dataclass `obj` with each leaf replaced by fn(key, type, value), depth first."""
     hints = get_type_hints(type(obj))
+    changes = {}
     for f in fields(obj):
         value = getattr(obj, f.name)
         if is_dataclass(value):
-            yield from _leaves(value)
+            changes[f.name] = _map(value, fn)
         elif isinstance(value, tuple):
-            item_type = get_args(hints[f.name])[0]
-            for key, item in zip(_tuple_keys(f, len(value)), value):
-                yield key, item_type, item
+            pattern, first = f.metadata["config_key"]
+            typ = get_args(hints[f.name])[0]
+            changes[f.name] = tuple(fn(pattern.format(i), typ, v) for i, v in enumerate(value, first))
         else:
-            yield f.name, hints[f.name], value
+            changes[f.name] = fn(f.name, hints[f.name], value)
+    return replace(obj, **changes)
+
+
+def _leaves(obj) -> list:
+    """(key, type, value) of every leaf of dataclass `obj`, depth first."""
+    found = []
+    _map(obj, lambda *leaf: found.append(leaf) or leaf[2])
+    return found
 
 
 # key -> value type, for every settable parameter
@@ -66,21 +70,6 @@ _TYPE_NAMES = {int: "an integer", float: "a number"}
 
 # a quoted string literal as repr() writes it, then an optional comment
 _QUOTED = re.compile(r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")\s*(?:#.*)?""")
-
-
-def _overlay(obj, values: dict):
-    """Copy of dataclass `obj` with the leaves named in `values` replaced."""
-    changes = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            changes[f.name] = _overlay(value, values)
-        elif isinstance(value, tuple):
-            keys = _tuple_keys(f, len(value))
-            changes[f.name] = tuple(values.get(k, item) for k, item in zip(keys, value))
-        else:
-            changes[f.name] = values.get(f.name, value)
-    return replace(obj, **changes)
 
 
 def serialize(cfg: RunConfig) -> str:
@@ -128,6 +117,6 @@ def from_values(values: dict, base: Optional[RunConfig] = None) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown keys: {unknown}")
     try:
-        return _overlay(RunConfig() if base is None else base, values)
+        return _map(RunConfig() if base is None else base, lambda k, _, v: values.get(k, v))
     except ValueError as exc:
         raise ConfigError(str(exc))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from itertools import islice
 
 import numpy as np
 
@@ -69,8 +70,8 @@ def _read_rows(fh, path, line, cols=None, fields=0, count=None):
     np.loadtxt parses them; `_scan` answers when it raises or returns what this refuses."""
     start = fh.tell()
     try:                             # its warnings raise only where the caller's filters say so
-        vals = np.loadtxt(fh, ndmin=2, comments=None if cols else "#", max_rows=count,
-                          usecols=range(fields) if cols else None)
+        vals = np.loadtxt(islice(filter(str.strip, fh), count) if cols else fh, ndmin=2,
+                          comments=None if cols else "#", usecols=range(fields) if cols else None)
         if cols:                     # the kept fields, as a view when they lead each line
             vals = vals[:, :len(cols)] if cols == [*range(len(cols))] else vals[:, cols]
         if len(vals) < (count or 1) or vals.shape[1] not in (3, 6) or not np.isfinite(vals).all():

@@ -196,15 +196,10 @@ def _estimate_block(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k_h
         rel, nbr_d, nrm, anc = rel[ok], nbr_d[ok], nrm[ok], anc[ok]
         scores = _chunked_scores(cand.score_plane_block, rel, nrm, anc,
                                  cand.rejection_sigma(nbr_d))
-        if reject:
-            keep = cand.rejection_order(scores, sp.rejection_fraction_normals)
-            nrm = np.take_along_axis(nrm, keep[:, :, None], axis=1)
-            init = nrm[:, 0]              # survivors are score-sorted
-        else:
-            # rejection off: scores only pick the solver initialization
-            init = nrm[np.arange(len(nrm)), np.argmax(scores, axis=1)]
+        keep = cand.rejection_order(scores, sp.rejection_fraction_normals if reject else 0.0)
+        nrm = np.take_along_axis(nrm, keep[:, :, None], axis=1)
         normals[ok], loss[ok], iterations[ok], converged[ok] = normal_mode_batch(
-            nrm, params.consensus, init)
+            nrm, params.consensus, nrm[:, 0])    # the best survivor; rejection off keeps all M
         survivors[ok] = nrm.shape[1]
     return normals, survivors, iterations, converged, loss, failed
 
@@ -236,7 +231,7 @@ def estimate_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1
     _require_threads(n_threads)
     _require_points(cloud, params.sampling.k_s)
     index = build_index(cloud)
-    profile = cloud_noise_scale(cloud, index, min(params.noise_k, len(cloud) - 1))
+    profile = cloud_noise_scale(cloud, index, params.noise_k)
     f = profile.cloud_f
     k_hat = _k_hat(cloud, f, params)
     reject = rejection_enabled(f, params.adaptive)

@@ -31,9 +31,10 @@ from normfit import (
     estimate_normal,
     gen_shape,
 )
-from normfit import geometry, pipeline
+from normfit import candidates as cand, geometry, pipeline
 from normfit.candidates import POSITION_SUBSET, _draw_index_sets
 from normfit.cli import cli_main
+from normfit.consensus import normal_mode_batch
 from normfit.io import write_cloud
 from normfit.pipeline import point_rng
 
@@ -104,6 +105,29 @@ class TestBatchOfOne:
     def test_rejection_is_off_on_the_blob(self):
         _, report = estimate_all(blob(150, 5), EstimationParams(seed=7))
         assert (report.survivors == 100).all()
+
+    def test_rejection_off_rejects_nothing(self):
+        # rejection off is rejection_order(scores, 0.0): every row keeps all M
+        # candidates sorted best first, and the solver starts at the first
+        cloud, params = blob(150, 5), EstimationParams(seed=7)
+        est, report = estimate_all(cloud, params)
+        ts = np.arange(len(cloud))              # one block: the whole cloud on one thread
+        assert pipeline._block_size(len(cloud), 1, params.sampling.n_candidates,
+                                    params.sampling.k_s) == len(cloud)
+        rel, nbr_d = pipeline._neighborhoods(cloud, build_index(cloud), ts, report.k_hat)
+        nrm, anc, failed = cand.sample_plane_block(rel, point_rng(params.seed, ts),
+                                                   params.sampling)
+        ok = ~failed
+        scores = pipeline._chunked_scores(cand.score_plane_block, rel[ok], nrm[ok], anc[ok],
+                                          cand.rejection_sigma(nbr_d[ok]))
+        keep = cand.rejection_order(scores, 0.0)
+        nrm = np.take_along_axis(nrm[ok], keep[:, :, None], axis=1)
+        normals, loss, iterations, _ = normal_mode_batch(nrm, params.consensus, nrm[:, 0])
+        assert ok.any() and (report.fallback == failed).all()
+        assert (report.survivors[ok] == params.sampling.n_candidates).all()
+        assert normals.tobytes() == est.normals[ok].tobytes()
+        assert loss.tobytes() == report.loss[ok].tobytes()
+        assert iterations.tobytes() == report.iterations[ok].tobytes()
 
 
 def drop_pool():

@@ -1,8 +1,8 @@
 """Guards for what the library's own tests would not notice: the names the
 benchmark tracer wraps, the stages a single-point call reaches, the one
-eigen kernel, the one k-NN tree query, the one mode-solver loop, the one
-parallel backend, unused private code, whole-cloud k-NN blocks, and the
-demos."""
+eigen kernel, the one k-NN tree query, the one walk over the parameter
+tree, the one mode-solver loop, the one parallel backend, unused private
+code, whole-cloud k-NN blocks, and the demos."""
 
 import ast
 import importlib.util
@@ -92,6 +92,17 @@ def test_one_eigen_kernel():
     # mode solver's weighted principal direction is the one other solve
     assert library_scopes(is_eigen_call) == [("consensus", "_weighted_principal"),
                                              ("geometry", "plane_fit")]
+
+
+def test_one_parameter_walk():
+    # config's one walk over the dataclass tree (`_map`) names the keys of
+    # SCHEMA, serialize and from_values alike
+    def calls_fields(node):
+        f = getattr(node, "func", None)
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        return isinstance(node, ast.Call) and name == "fields"
+
+    assert library_scopes(calls_fields) == [("config", "_map")]
 
 
 def test_one_knn_query():

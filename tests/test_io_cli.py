@@ -339,7 +339,7 @@ class TestReadPaths:
         assert expected[0] == (3, 3)
         with warnings.catch_warnings(), mock.patch.object(
                 iomod, "_scan", side_effect=AssertionError("line scan entered")):
-            warnings.simplefilter("ignore")     # loadtxt warns of the blank PLY line
+            warnings.simplefilter("error")      # a warning would enter the line scan
             assert read_outcome(read_cloud, path) == expected
 
     # loadtxt's errors name a data row; the line scan names the file line
@@ -431,6 +431,18 @@ class TestReadPaths:
             assert all("contained no data" in str(w.message) for w in caught), caught
         assert read_outcome(ORACLES[name], path) == (ParseError, None)
 
+    def test_blank_ply_body_lines_read_without_warning(self, tmp_path):
+        path = tmp_path / "c.ply"
+        path.write_text(PLY_NORMALS.format(3) + "\n1 2 3 0 0 1\n\n \n4 5 6 0 1 0\n\n"
+                        "7 8 9 1 0 0\n\n")
+        with warnings.catch_warnings(record=True) as caught, mock.patch.object(
+                iomod, "_scan", side_effect=AssertionError("line scan entered")):
+            warnings.simplefilter("always")
+            outcome = read_outcome(read_cloud, path)
+        assert caught == []
+        assert outcome == read_outcome(read_ply_lines, path)
+        assert outcome[0] == (3, 3) and outcome[2] is not None
+
     def test_concurrent_reads_leave_the_warning_filters_alone(self, tmp_path):
         texts = {"a.xyz": "", "b.xyz": "1_0 2 3\n", "c.xyz": "1 2 3\n4 5 6\n",
                  "d.ply": PLY_HEADER.format(2) + "1 2 3\n\n4 5 6\n",
@@ -448,7 +460,7 @@ class TestReadPaths:
 
         interval = sys.getswitchinterval()
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")     # loadtxt warns on two of the texts
+            warnings.simplefilter("ignore")     # loadtxt warns on the empty text
             before = list(warnings.filters)
             sys.setswitchinterval(1e-6)         # switch threads inside every read
             try:
@@ -474,7 +486,7 @@ class TestReadPaths:
                  ("c.xyz", cloud, {}, 1), ("c.ply", cloud, {}, 1)]
         with warnings.catch_warnings(), mock.patch.object(
                 iomod, "_scan", side_effect=AssertionError("line scan entered")):
-            warnings.simplefilter("ignore")     # loadtxt warns of a blank PLY line
+            warnings.simplefilter("error")      # a warning would enter the line scan
             for name, written, kw, blank in cases:
                 path = tmp_path / name
                 write_cloud(written, path, **kw)

@@ -1,10 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normfit import (
     EstimationParams,
     NoiseSpec,
     PointCloud,
+    RunReport,
     ShapeSpec,
     add_noise,
     build_index,
@@ -17,7 +21,7 @@ from normfit import (
 )
 from normfit.geometry import angles_unoriented
 from normfit.pipeline import point_rng
-from normfit.synth import surface_distance
+from normfit.synth import SHAPE_KINDS, surface_distance
 
 
 def wedge_cloud(n=3000, noise=0.0, seed=0):
@@ -187,3 +191,22 @@ class TestEquivariance:
         rot, _ = estimate_all(rotated, params)
         errs = angles_unoriented(rot.normals, base.normals @ q.T)
         assert float(np.sqrt(np.mean(np.square(errs)))) < 0.5
+
+    @settings(max_examples=10, deadline=None)
+    @given(kind=st.sampled_from(SHAPE_KINDS), noise=st.sampled_from([0.0, 1.0]),
+           seed=st.integers(0, 2**16), j=st.integers(-40, 60))
+    def test_power_of_two_scale_is_byte_exact(self, kind, noise, seed, j):
+        # scaling by 2**j is exact in floating point and every stage is
+        # scale-free (bandwidths, tol_pos * sigma, the closed-form eigen
+        # ratios), so the scaled cloud gives the same bytes
+        cloud = add_noise(gen_shape(ShapeSpec(kind=kind, n_points=300, seed=seed)),
+                          NoiseSpec(std_pct_bbox_diag=noise, seed=seed + 1))
+        scaled = PointCloud(points=cloud.points * 2.0 ** j)
+        params = EstimationParams(seed=seed)
+        (base, base_report), (out, report) = (estimate_all(c, params) for c in (cloud, scaled))
+        assert out.normals.tobytes() == base.normals.tobytes()
+        assert report.k_hat == base_report.k_hat
+        for f in fields(RunReport)[1:]:
+            assert getattr(report, f.name).tobytes() == getattr(base_report, f.name).tobytes(), f.name
+        moved = denoise_all(cloud, params).points * 2.0 ** j
+        assert denoise_all(scaled, params).points.tobytes() == moved.tobytes()
