@@ -12,7 +12,7 @@ import sys
 from . import config as cfgmod
 from .errors import NormfitError
 from .io import read_cloud, write_cloud
-from .metrics import CSV_HEADER, chamfer, evaluate_normals, p2s as p2s_metric
+from .metrics import CSV_HEADER, EvalReport, chamfer, evaluate_normals, p2s as p2s_metric
 from .pipeline import denoise_all, estimate_all
 from .synth import SHAPE_KINDS, NoiseSpec, ShapeSpec, add_noise, gen_shape
 
@@ -32,8 +32,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _add_param_flags(p):
-    # every flag whose dest is a config key overrides that key
+def _add_run_flags(p):
+    # every flag whose dest is a config key, --in and --out included, overrides that key
+    p.add_argument("--in", dest="input_path", help="input cloud (default: config input_path)")
+    p.add_argument("--out", dest="output_path", help="output cloud (default: config output_path)")
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int)
     p.add_argument("--candidates", type=int, dest="n_candidates")
@@ -43,21 +45,21 @@ def _add_param_flags(p):
     p.add_argument("--threads", type=int, help=_THREADS_HELP)
 
 
-def _add_io_flags(p):
-    # dests are the config keys, so the flags override the file's paths
-    p.add_argument("--in", dest="input_path", help="input cloud (default: config input_path)")
-    p.add_argument("--out", dest="output_path", help="output cloud (default: config output_path)")
-
-
 def _load_config(args) -> cfgmod.RunConfig:
+    """The run config, which must name an input and an output path."""
     if args.config:
         with open(args.config) as fh:
             cfg = cfgmod.parse(fh.read())
     else:
         cfg = cfgmod.RunConfig()
-    # explicit flags override config file values
     flags = {k: v for k, v in vars(args).items() if k in cfgmod.SCHEMA and v is not None}
-    return cfgmod.from_values(flags, base=cfg)
+    cfg = cfgmod.from_values(flags, base=cfg)
+    missing = [flag for flag, path in (("--in", cfg.input_path), ("--out", cfg.output_path))
+               if not path]
+    if missing:
+        raise _UsageError(f"{args.command}: no {' or '.join(missing)} path in the flags "
+                          f"or the config file")
+    return cfg
 
 
 def _cmd_synth(args) -> int:
@@ -71,19 +73,8 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _io_config(args) -> cfgmod.RunConfig:
-    """The run config; --in and --out override its input_path and output_path."""
-    cfg = _load_config(args)
-    missing = [flag for flag, path in (("--in", cfg.input_path), ("--out", cfg.output_path))
-               if not path]
-    if missing:
-        raise _UsageError(f"{args.command}: no {' or '.join(missing)} path in the flags "
-                          f"or the config file")
-    return cfg
-
-
 def _cmd_estimate(args) -> int:
-    cfg = _io_config(args)
+    cfg = _load_config(args)
     cloud = read_cloud(cfg.input_path)
     est, report = estimate_all(cloud, cfg.params, n_threads=cfg.threads)
     write_cloud(est, cfg.output_path)
@@ -96,7 +87,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    cfg = _io_config(args)
+    cfg = _load_config(args)
     cloud = read_cloud(cfg.input_path)
     out = denoise_all(cloud, cfg.params, n_threads=cfg.threads)
     write_cloud(out, cfg.output_path)
@@ -118,18 +109,14 @@ def _cmd_eval(args) -> int:
         p2s_val = p2s_metric(est, spec)
     if est.normals is None or gt.normals is None:
         print("note: one of the clouds has no normals; reporting position metrics only")
-        print(f"cd = {cd:.6g}")
-        if p2s_val is not None:
-            print(f"p2s = {p2s_val:.6g}")
-        return 0
-    report = evaluate_normals(est, gt, cd=cd, p2s_val=p2s_val)
+        report = EvalReport(cd=cd, p2s=p2s_val)
+    else:
+        report = evaluate_normals(est, gt, cd=cd, p2s_val=p2s_val)
     print("# cd: symmetric mean squared NN distance; p2s: mean |distance to surface|")
     print(report.as_text())
     if args.csv:
-        import os
-        new = not os.path.exists(args.csv)
         with open(args.csv, "a") as fh:
-            if new:
+            if fh.tell() == 0:      # a new or empty file gets the header first
                 fh.write(CSV_HEADER + "\n")
             fh.write(report.as_csv_row() + "\n")
     return 0
@@ -174,13 +161,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("estimate", help="estimate normals for a cloud")
-    _add_io_flags(p)
-    _add_param_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("denoise", help="denoise a cloud")
-    _add_io_flags(p)
-    _add_param_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_denoise)
 
     p = sub.add_parser("eval", help="compare an estimated cloud to ground truth")

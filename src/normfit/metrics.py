@@ -5,7 +5,7 @@ peak memory is O(N) plus 2 MB whatever k."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -17,36 +17,32 @@ from .synth import ShapeSpec, surface_distance
 RMS_TAU_LEVELS = (10.0, 15.0, 20.0)
 PGP_LEVELS = (5.0, 10.0, 15.0, 20.0, 25.0)
 
-CSV_HEADER = "rms,rms10,rms15,rms20,pgp5,pgp10,pgp15,pgp20,pgp25,cd,p2s"
+# (CSV column, EvalReport attribute, level) of every value; unmeasured ones are None
+FIELDS = (("rms", "rms_deg", None),
+          *((f"rms{t:g}", "rms_tau", t) for t in RMS_TAU_LEVELS),
+          *((f"pgp{a:g}", "pgp", a) for a in PGP_LEVELS),
+          ("cd", "cd", None), ("p2s", "p2s", None))
+CSV_HEADER = ",".join(name for name, _, _ in FIELDS)
 
 
 @dataclass
 class EvalReport:
-    rms_deg: float
-    rms_tau: dict
-    pgp: dict
+    rms_deg: Optional[float] = None
+    rms_tau: dict = field(default_factory=dict)
+    pgp: dict = field(default_factory=dict)
     cd: Optional[float] = None
     p2s: Optional[float] = None
 
+    def _values(self):
+        for name, attr, level in FIELDS:
+            value = getattr(self, attr)
+            yield name, value if level is None else value.get(level)
+
     def as_text(self) -> str:
-        lines = [f"rms = {self.rms_deg:.6g}"]
-        for tau, v in sorted(self.rms_tau.items()):
-            lines.append(f"rms{tau:g} = {v:.6g}")
-        for a, v in sorted(self.pgp.items()):
-            lines.append(f"pgp{a:g} = {v:.6g}")
-        if self.cd is not None:
-            lines.append(f"cd = {self.cd:.6g}")
-        if self.p2s is not None:
-            lines.append(f"p2s = {self.p2s:.6g}")
-        return "\n".join(lines)
+        return "\n".join(f"{name} = {v:.6g}" for name, v in self._values() if v is not None)
 
     def as_csv_row(self) -> str:
-        cells = [f"{self.rms_deg:.6g}"]
-        cells += [f"{self.rms_tau[t]:.6g}" for t in RMS_TAU_LEVELS]
-        cells += [f"{self.pgp[a]:.6g}" for a in PGP_LEVELS]
-        cells.append("" if self.cd is None else f"{self.cd:.6g}")
-        cells.append("" if self.p2s is None else f"{self.p2s:.6g}")
-        return ",".join(cells)
+        return ",".join("" if v is None else f"{v:.6g}" for _, v in self._values())
 
 
 def _angle_errors(est: np.ndarray, gt: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ The profile streams the cloud in row chunks of a 2 MB neighbourhood gather
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,15 +72,12 @@ def cloud_noise_scale(cloud: PointCloud, index: NeighborIndex, k_f: int = DEFAUL
 def adaptive_k(f: float, cfg: AdaptiveConfig = AdaptiveConfig()) -> int:
     """Neighborhood size for a cloud noise level f (half-open intervals).
 
-    Values at or above the last threshold clamp to the largest size.
+    f below the first threshold clamps to the smallest size, and f at or above
+    the last (NaN too) to the largest, so the size never falls as f grows.
     """
     if f < 0:
         raise ValueError("noise level must be nonnegative")
-    th = cfg.thresholds
-    for i, size in enumerate(cfg.sizes):
-        if th[i] <= f < th[i + 1]:
-            return size
-    return cfg.sizes[-1]
+    return cfg.sizes[min(max(bisect_right(cfg.thresholds, f) - 1, 0), len(cfg.sizes) - 1)]
 
 
 def rejection_enabled(f: float, cfg: AdaptiveConfig = AdaptiveConfig()) -> bool:

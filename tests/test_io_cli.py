@@ -31,6 +31,7 @@ from normfit import (
 from normfit import config as cfgmod
 from normfit import io as iomod
 from normfit.cli import _load_config, build_parser, cli_main
+from normfit.metrics import CSV_HEADER
 
 from conftest import read_ply_lines, read_xyz_lines, write_ply_rows, write_xyz_rows
 
@@ -630,8 +631,9 @@ class TestPly:
             path = os.path.join(d, "c.ply")
             write_ply(PointCloud(points=pts, normals=normals), path,
                       reference_normals=ref)
-            rows = [ln.split() for ln in open(path).read().splitlines()
-                    if ln and ln[0] not in "pef"]
+            with open(path) as fh:
+                rows = [ln.split() for ln in fh.read().splitlines()
+                        if ln and ln[0] not in "pef"]
         for row in rows:
             assert row[-3:] == ["255", "0", "0"]
 
@@ -946,3 +948,41 @@ class TestCli:
         assert lines[0].startswith("rms,")
         assert len(lines) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("surface", [None, "plane"])
+    def test_eval_without_normals_reports_positions(self, surface, tmp_path, capsys):
+        clean, noisy, den = (tmp_path / f"{name}.xyz" for name in ("clean", "noisy", "den"))
+        cli_main(["synth", "--shape", "plane", "--n", "200", "--out", str(clean)])
+        cli_main(["synth", "--shape", "plane", "--n", "200", "--noise", "1.0",
+                  "--out", str(noisy)])
+        assert cli_main(["denoise", "--in", str(noisy), "--out", str(den)]) == 0
+        csv = tmp_path / "rows.csv"
+        extra = [] if surface is None else ["--surface", surface]
+        capsys.readouterr()
+        for _ in range(2):
+            assert cli_main(["eval", "--est", str(den), "--gt", str(clean),
+                             "--csv", str(csv)] + extra) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("note: one of the clouds has no normals")
+        assert out[1].startswith("# cd: ")
+        names = [ln.split(" = ")[0] for ln in out if " = " in ln]
+        assert names == (["cd", "p2s"] if surface else ["cd"]) * 2
+        lines = csv.read_text().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == 3
+        for row in lines[1:]:
+            cells = row.split(",")
+            assert cells[:9] == [""] * 9 and cells[9] != ""
+            assert (cells[10] != "") == (surface is not None)
+
+    def test_bench_csv_matches_the_table(self, tmp_path, capsys):
+        csv = tmp_path / "bench.csv"
+        assert cli_main(["bench", "--points", "40", "--seeds", "1", "--counts", "20", "40",
+                         "--csv", str(csv)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        table = out[out.index("candidates  mean_rms_deg") + 1:]
+        lines = csv.read_text().splitlines()
+        assert lines[0] == "n_candidates,mean_rms_deg" and len(table) == len(lines) - 1 == 2
+        for printed, row in zip(table, lines[1:]):
+            count, rms = row.split(",")
+            assert printed.split()[0] == count
+            assert float(printed.split()[1]) == pytest.approx(float(rms), abs=5.1e-5)

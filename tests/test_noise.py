@@ -124,14 +124,19 @@ class TestAdaptiveK:
         (0.16, 450),
         (0.3, 450),      # clamp at and above the last threshold
         (5.0, 450),
+        (float("nan"), 450),
     ])
     def test_lookup(self, f, expected):
         assert adaptive_k(f, CFG) == expected
 
     def test_monotone(self):
+        # a table whose first threshold is above 0: f below it takes the smallest size
+        raised = AdaptiveConfig(thresholds=(0.01, 0.02, 0.14, 0.16, 0.3))
         fs = np.linspace(0, 0.5, 400)
-        ks = [adaptive_k(float(f), CFG) for f in fs]
-        assert all(a <= b for a, b in zip(ks, ks[1:]))
+        for cfg in (CFG, raised):
+            ks = [adaptive_k(float(f), cfg) for f in fs]
+            assert all(a <= b for a, b in zip(ks, ks[1:])), cfg
+        assert [adaptive_k(f, raised) for f in (0.0, 0.005, 0.01)] == [32, 32, 32]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

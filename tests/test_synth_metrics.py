@@ -17,6 +17,7 @@ from normfit import (
     rms_angle,
     rms_tau,
 )
+from normfit.metrics import CSV_HEADER
 from normfit.synth import surface_distance
 
 
@@ -269,6 +270,13 @@ class TestEvaluateReport:
         row = rep.as_csv_row()
         assert len(row.split(",")) == 11
         assert "cd = 0.5" in rep.as_text()
+        # text lines, CSV cells and header columns come from one field list
+        columns = CSV_HEADER.split(",")
+        assert [ln.split(" = ")[0] for ln in rep.as_text().splitlines()] == columns
+        assert len(row.split(",")) == len(columns)
+        position_only = EvalReport(cd=0.5)
+        assert position_only.as_text() == "cd = 0.5"
+        assert position_only.as_csv_row() == "," * 9 + "0.5,"
 
     def test_missing_normals(self):
         a = PointCloud(points=np.zeros((5, 3)))
