@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PersistentDegeneracy, TooFewNeighbors
-from .geometry import as_points, fit_planes_batch
+from .geometry import as_points, fit_planes_batch, lift
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -199,10 +199,12 @@ def _kernel_sum(d: np.ndarray, axis: int) -> np.ndarray:
 def score_plane_block(nbrs: np.ndarray, normals: np.ndarray, anchors: np.ndarray,
                       sigma: np.ndarray) -> np.ndarray:
     """Gaussian-kernel consensus score (P, M) of each plane over its point's
-    neighbors: (P, k, 3) neighbors, (P, M, 3) planes, (P,) bandwidths."""
-    d = np.matmul(nbrs, normals.transpose(0, 2, 1))              # (P, k, M)
-    d -= np.einsum("pmc,pmc->pm", anchors, normals)[:, None, :]
-    d /= sigma[:, None, None]
+    neighbors: (P, k, 3) neighbors, (P, M, 3) planes, (P,) bandwidths.
+    Distances (p - a).n / sigma are one stacked matmul of lifted neighbors
+    [p, 1] and planes [n, -a.n] / sigma."""
+    planes = np.concatenate([normals, -np.einsum("pmc,pmc->pm", anchors, normals)[..., None]], 2)
+    planes /= sigma[:, None, None]
+    d = np.matmul(lift(nbrs)[:, :, :4], planes.transpose(0, 2, 1))      # (P, k, M)
     np.square(d, out=d)
     return _kernel_sum(d, axis=1)
 
@@ -263,14 +265,13 @@ def sample_position_candidates(neighbors, params: SamplingParams, key) -> Positi
 
 def score_position_block(nbrs: np.ndarray, positions: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Gaussian-kernel density (P, M) of each point's neighbors (P, k, 3)
-    around its candidate positions (P, M, 3), for bandwidths (P,)."""
-    d = np.matmul(positions, nbrs.transpose(0, 2, 1))            # (P, M, k)
-    d *= -2.0
-    d += np.einsum("pmc,pmc->pm", positions, positions)[:, :, None]
-    d += np.einsum("pkc,pkc->pk", nbrs, nbrs)[:, None, :]
-    np.maximum(d, 0.0, out=d)
-    d /= (sigma**2)[:, None, None]
-    return _kernel_sum(d, axis=2)
+    around its candidate positions (P, M, 3), for bandwidths (P,).  The
+    exponents -|p - q|^2 / sigma^2 are one stacked matmul of lifts, clipped
+    to [-700, 0]: below as in `_kernel_sum`, above to drop round-off."""
+    e = np.matmul(lift(positions, (sigma**2)[:, None]), lift(nbrs).transpose(0, 2, 1))
+    np.clip(e, -700.0, 0.0, out=e)                                # (P, M, k)
+    np.exp(e, out=e)
+    return e.sum(axis=2)
 
 
 def score_position_candidates(neighbors, cands: PositionCandidates, sigma: float) -> np.ndarray:

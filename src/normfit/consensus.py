@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCandidates
-from .geometry import angles_unoriented, as_points, canonical_sign
+from .geometry import angles_unoriented, as_points, canonical_sign, lift
 
 # default kernel bandwidth: sin(30 degrees)
 DEFAULT_TAU = math.sin(math.pi / 6)
@@ -55,34 +55,38 @@ class ModeResult:
     converged: bool
 
 
-def _ccn_kernel(m: np.ndarray, n: np.ndarray, tau2: float) -> np.ndarray:
+def _ccn_kernel(m: np.ndarray, n: np.ndarray, tau: float) -> np.ndarray:
     """Kernel terms of ccn_loss: (A, M, 3) candidates at (A, 3) normals -> (A, M).
 
-    Minus their row sums are the losses; they are also the weights of the
-    solver's next step from these normals.
+    exp(-(1 - (m.n)^2) / tau^2) as exp(c^2 - 1 / tau^2), with c = m.(n / tau)
+    one stacked matmul.  Minus their row sums are the losses; they are also
+    the weights of the solver's next step from these normals.
     """
-    c = np.einsum("amc,ac->am", m, n)
-    return np.exp(-(1.0 - c**2) / tau2)
+    c = np.matmul(m, (n / tau)[:, :, None])[:, :, 0]
+    np.square(c, out=c)
+    c -= (1.0 / tau) ** 2
+    return np.exp(c, out=c)
 
 
 def ccn_loss(n, candidates, tau: float = DEFAULT_TAU) -> float:
     """Candidate consensus loss for a trial normal."""
     n = np.asarray(n, dtype=np.float64).reshape(1, 3)
-    return float(-_ccn_kernel(as_points(candidates)[None], n, tau**2).sum(axis=1)[0])
+    return float(-_ccn_kernel(as_points(candidates)[None], n, tau).sum(axis=1)[0])
 
 
 def _weighted_principal(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Principal direction of sum_i w_i m_i m_i^T per row: (A, M, 3), (A, M) -> (A, 3)."""
+    """Principal direction, of either sign, of sum_i w_i m_i m_i^T per row:
+    (A, M, 3), (A, M) -> (A, 3)."""
     mat = np.matmul((m * w[:, :, None]).transpose(0, 2, 1), m)
     _, v = np.linalg.eigh(mat)
-    return canonical_sign(v[:, :, 2])
+    return v[:, :, 2]
 
 
 def _descend(c, x, kernel, step, stopped, nearest, max_iters: int, *rows):
     """Minimize -kernel(c, x, *rows).sum(axis=1) for each of A points from
-    (A, M, 3) candidates c, (A, 3) starts x and per-point arrays rows.
+    (A, M, ...) candidates c, (A, 3) starts x and per-point arrays rows.
 
-    A pass moves each point to step(c, kern, total), from its kernel terms
+    A pass moves each point to step(c, kern, -loss), from its kernel terms
     and their sum; it converges when stopped(x_new, x, *rows).  Unconverged,
     a point stops where it was if its step would raise its loss by more than
     _LOSS_SLACK (only round-off can), and at nearest(c, x) if its kernel
@@ -100,17 +104,16 @@ def _descend(c, x, kernel, step, stopped, nearest, max_iters: int, *rows):
     for it in range(1, max_iters + 1):
         if len(act) == 0:
             break
-        total = kern.sum(axis=1)
-        empty = total == 0.0
+        # a point whose loss no longer matches its kern has left the batch
+        empty = loss == 0.0
         if empty.any():
             e = np.flatnonzero(empty)
             xe = nearest(c[e], x[e])
             out_x[act[e]], iterations[act[e]] = xe, it
             out_loss[act[e]] = -kernel(c[e], xe, *(r[e] for r in rows)).sum(axis=1)
             live = ~empty
-            act, c, x, kern, loss, total, *rows = (
-                a[live] for a in (act, c, x, kern, loss, total, *rows))
-        x_new = step(c, kern, total)
+            act, c, x, kern, loss, *rows = (a[live] for a in (act, c, x, kern, loss, *rows))
+        x_new = step(c, kern, -loss)
         new_kern = kernel(c, x_new, *rows)
         new_loss = -new_kern.sum(axis=1)
         up = new_loss > loss + _LOSS_SLACK
@@ -135,17 +138,18 @@ def normal_mode_batch(m: np.ndarray, params: ConsensusParams, init: np.ndarray):
     normal and moves to the principal direction of the weighted outer-
     product sum.  A point whose step would raise the loss stops where it
     was; one whose kernel weights all underflow to zero stops at its nearest
-    candidate (largest |n.m|, sign-canonical); both unconverged.
+    candidate (largest |n.m|); both unconverged.  No step sees a normal's
+    sign, so the results are sign-canonicalized once, on the way out.
     Returns (normals (A, 3), losses (A,), iterations (A,), converged (A,)).
     """
-    tau2 = params.tau_normal**2
-    return _descend(m, canonical_sign(np.array(init, dtype=np.float64)),
-                    lambda m, n: _ccn_kernel(m, n, tau2),
-                    lambda m, kern, total: _weighted_principal(m, kern),
-                    lambda n_new, n: angles_unoriented(n_new, n) < params.tol_deg,
-                    lambda m, n: canonical_sign(m[np.arange(len(m)), np.argmax(
-                        np.abs(np.einsum("amc,ac->am", m, n)), axis=1)]),
-                    params.max_iters)
+    n, loss, iterations, converged = _descend(
+        m, np.array(init, dtype=np.float64),
+        lambda m, n: _ccn_kernel(m, n, params.tau_normal),
+        lambda m, kern, total: _weighted_principal(m, kern),
+        lambda n_new, n: angles_unoriented(n_new, n) < params.tol_deg,
+        lambda m, n: m[np.arange(len(m)), np.argmax(np.abs(np.einsum("amc,ac->am", m, n)), axis=1)],
+        params.max_iters)
+    return canonical_sign(n), loss, iterations, converged
 
 
 def normal_mode(candidates, params: ConsensusParams, init) -> ModeResult:
@@ -159,22 +163,19 @@ def normal_mode(candidates, params: ConsensusParams, init) -> ModeResult:
                       converged=bool(converged[0]))
 
 
-def _sq_dists(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Squared distances of (A, M, 3) candidates to (A, 3) positions -> (A, M).
-
-    The bytes of ((q - x[:, None, :]) ** 2).sum(axis=2), whose reduction
-    over an axis of length 3 costs more than the arithmetic.
-    """
-    d = q - x[:, None, :]
-    d *= d
-    return d[:, :, 0] + d[:, :, 1] + d[:, :, 2]
+def _ccp_exponent(q: np.ndarray, x: np.ndarray, tau2: np.ndarray) -> np.ndarray:
+    """-|q - x|^2 / tau^2 of (A, M, 5) lifted candidates (`geometry.lift`) at
+    (A, 3) positions, (A,) squared bandwidths -> (A, M): one stacked matmul."""
+    return np.matmul(q, lift(x, tau2)[:, :, None])[:, :, 0]
 
 
 def _ccp_kernel(q: np.ndarray, x: np.ndarray, tau2: np.ndarray) -> np.ndarray:
-    """Kernel terms of ccp_loss: (A, M, 3) candidates at (A, 3) positions,
-    (A,) squared bandwidths -> (A, M); like `_ccn_kernel`, both losses and
-    the next mean-shift weights."""
-    return np.exp(-_sq_dists(q, x) / tau2[:, None])
+    """Kernel terms of ccp_loss, like `_ccn_kernel` both losses and the next
+    mean-shift weights: exp of `_ccp_exponent`, clamped at 0 for round-off
+    only, so a far candidate's term underflows to 0."""
+    e = _ccp_exponent(q, x, tau2)
+    np.minimum(e, 0.0, out=e)
+    return np.exp(e, out=e)
 
 
 def ccp_loss(x, candidates, tau: float) -> float:
@@ -182,7 +183,7 @@ def ccp_loss(x, candidates, tau: float) -> float:
     if tau <= 0:
         raise ValueError("tau must be positive")
     x = np.asarray(x, dtype=np.float64).reshape(1, 3)
-    kern = _ccp_kernel(as_points(candidates)[None], x, np.array([tau**2]))
+    kern = _ccp_kernel(lift(as_points(candidates)[None]), x, np.array([tau**2]))
     return float(-kern.sum(axis=1)[0])
 
 
@@ -194,16 +195,18 @@ def position_mode_batch(q: np.ndarray, params: ConsensusParams, init: np.ndarray
     A point converges when a step moves it less than tol_pos * tau, so the
     iterations do not depend on the cloud's scale.  A point whose step would
     raise the loss stops where it was; one whose kernel weights all underflow
-    to zero stops at its nearest candidate; both unconverged.  Returns
-    (positions (A, 3), losses (A,), iterations (A,), converged (A,)).
+    to zero stops at its nearest candidate; both unconverged.  The
+    candidates are lifted once; each step is one matmul of the weights with
+    them.  Returns (positions (A, 3), losses (A,), iterations (A,),
+    converged (A,)).
     """
-    return _descend(q, np.array(init, dtype=np.float64),
-                    lambda q, x, tau2, tol: _ccp_kernel(q, x, tau2),
-                    # the bytes of (kern[:, :, None] * q).sum(axis=1), faster
-                    lambda q, kern, total: np.einsum("am,amc->ac", kern, q) / total[:, None],
-                    lambda x_new, x, tau2, tol: np.linalg.norm(x_new - x, axis=1) < tol,
-                    lambda q, x: q[np.arange(len(q)), np.argmin(_sq_dists(q, x), axis=1)],
-                    params.max_iters, tau**2, params.tol_pos * tau)
+    return _descend(
+        lift(q), np.array(init, dtype=np.float64),
+        lambda q, x, tau2, tol: _ccp_kernel(q, x, tau2),
+        lambda q, kern, total: np.matmul(kern[:, None, :], q[..., :3])[:, 0] / total[:, None],
+        lambda x_new, x, tau2, tol: np.linalg.norm(x_new - x, axis=1) < tol,
+        lambda q, x: q[np.arange(len(q)), _ccp_exponent(q, x, np.ones(len(q))).argmax(axis=1), :3],
+        params.max_iters, tau**2, params.tol_pos * tau)
 
 
 def position_mode(candidates, params: ConsensusParams, init, tau: float) -> ModeResult:

@@ -129,13 +129,15 @@ class NeighborIndex:
         left = np.arange(len(rows))     # the rows not answered yet
         while len(left):
             # the tie path holds about five (rows, kq) arrays: 1 MB each per slice
-            step, wider = max(1, _BLOCK_ELEMENTS // (2 * kq)), []
+            step, wider = max(1, _BLOCK_ELEMENTS // (2 * kq)), [left[:0]]
             for part in np.split(left, range(step, len(left), step)):
                 ts = rows[part]
                 d, idx = self._tree.query(self._points[ts], k=kq)
                 # a row with no tie starts at its query point, in (distance, index) order
                 tied = np.flatnonzero((idx[:, 0] != ts) | (d[:, 1:] <= d[:, :-1]).any(axis=1))
                 out_i[part], out_d[part] = idx[:, 1:k + 1], d[:, 1:k + 1]
+                if len(tied) == 0:
+                    continue
                 d, idx, ts, part = d[tied], idx[tied], ts[tied], part[tied]
                 # the query point sorts last; the others by (distance, index)
                 dk = np.where(idx == ts[:, None], np.inf, d)
@@ -282,6 +284,21 @@ def fit_planes_batch(pts: np.ndarray):
     normals, c, w = plane_fit(pts)
     degenerate = (w[:, 1] <= DEGENERACY_RTOL * w[:, 2]) | (w[:, 2] <= 0.0)
     return normals, c, degenerate
+
+
+def lift(p: np.ndarray, s2=None) -> np.ndarray:
+    """Homogeneous lifts (..., 5) of points (..., 3): lift(q) is [q, 1, |q|^2]
+    and lift(p, s2) is [2p, -|p|^2, -1] / s2 (s2 broadcast over p's leading
+    axes), so lift(q).lift(p, s2) = -|p - q|^2 / s2 and one stacked matmul
+    gives a block's Gaussian exponents; lift(q)[..., :4] is [q, 1]."""
+    sq = np.einsum("...c,...c->...", p, p)
+    out = np.empty(p.shape[:-1] + (5,))
+    if s2 is None:
+        out[..., :3], out[..., 3], out[..., 4] = p, 1.0, sq
+    else:
+        out[..., :3], out[..., 3], out[..., 4] = 2.0 * p, -sq, -1.0
+        out /= np.asarray(s2)[..., None]
+    return out
 
 
 def angles_unoriented(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -26,10 +26,10 @@ import pytest
 
 from normfit import consensus
 from normfit.candidates import _GOLDEN, CandidatePlanes, _mix64, score_candidates
-from normfit.consensus import _sq_dists, _weighted_principal
+from normfit.consensus import _ccp_exponent, _weighted_principal
 from normfit.errors import EmptyCandidates, NormalNotUnit, NormfitError, ParseError
 from normfit.geometry import (PointCloud, angles_unoriented, as_points, build_index,
-                              canonical_sign, fit_planes_batch, plane_fit)
+                              canonical_sign, fit_planes_batch, lift, plane_fit)
 from normfit.noise import DEFAULT_NOISE_K, NoiseProfile
 
 
@@ -301,7 +301,7 @@ def mean_mode_normal(candidates) -> np.ndarray:
     m = as_points(candidates)
     if len(m) == 0:
         raise EmptyCandidates("mean_mode_normal needs at least one candidate")
-    return _weighted_principal(m[None], np.ones((1, len(m))))[0]
+    return canonical_sign(_weighted_principal(m[None], np.ones((1, len(m))))[0])
 
 
 def gather_with_self(points, nbr_idx, query_idx):
@@ -368,16 +368,17 @@ def draw_index_sets_sorted(keys, counters, pool, k):
 
 def normal_mode_batch_loop(m, params, init, hits=None):
     """`normal_mode_batch` gathering the active rows from full-size arrays
-    and scattering them back on every iteration.  Reads
-    `consensus._LOSS_SLACK` and `consensus._ccn_kernel` at call time, so a
-    test can patch them for both implementations.  Counts the points that
-    take each branch in the Counter `hits`: "underflow" (all weights zero,
+    and scattering them back on every iteration, and sign-canonicalizing
+    every iterate.  Reads `consensus._LOSS_SLACK` and `consensus._ccn_kernel`
+    at call time, so a test can patch them for both implementations; takes
+    the library's step, `_weighted_principal`.  Counts the points that take
+    each branch in the Counter `hits`: "underflow" (all weights zero,
     stopped at the candidate of largest |n.m|), "gave_up" (a step raised
     the loss), "converged" and "max_iters"."""
     hits = Counter() if hits is None else hits
-    tau2 = params.tau_normal**2
+    tau = params.tau_normal
     n = canonical_sign_argmax(np.array(init, dtype=np.float64))
-    kern = consensus._ccn_kernel(m, n, tau2)
+    kern = consensus._ccn_kernel(m, n, tau)
     loss = -kern.sum(axis=1)
     iterations = np.zeros(len(m), dtype=np.int64)
     converged = np.zeros(len(m), dtype=bool)
@@ -392,11 +393,11 @@ def normal_mode_batch_loop(m, params, init, hits=None):
             e = act[empty]
             dots = np.abs(np.einsum("amc,ac->am", m[e], n[e]))
             n[e] = canonical_sign_argmax(m[e, np.argmax(dots, axis=1)])
-            loss[e] = -consensus._ccn_kernel(m[e], n[e], tau2).sum(axis=1)
+            loss[e] = -consensus._ccn_kernel(m[e], n[e], tau).sum(axis=1)
             act = act[~empty]
         ma, na, la = m[act], n[act], loss[act]
         n_new = _weighted_principal(ma, kern[act])
-        new_kern = consensus._ccn_kernel(ma, n_new, tau2)
+        new_kern = consensus._ccn_kernel(ma, n_new, tau)
         new_loss = -new_kern.sum(axis=1)
         up = new_loss > la + consensus._LOSS_SLACK
         hits["gave_up"] += int(np.count_nonzero(up))
@@ -415,13 +416,16 @@ def normal_mode_batch_loop(m, params, init, hits=None):
 def position_mode_batch_loop(q, params, init, tau, hits=None):
     """`position_mode_batch` gathering the active rows from full-size arrays
     and scattering them back on every iteration.  Reads
-    `consensus._LOSS_SLACK` and `consensus._ccp_kernel` at call time; counts
-    its branches in `hits` as `normal_mode_batch_loop` does, an "underflow"
-    point stopping at its nearest candidate."""
+    `consensus._LOSS_SLACK` and `consensus._ccp_kernel` at call time, on
+    the candidates lifted once (`geometry.lift`), and takes the library's
+    matmul step; counts its branches in `hits` as `normal_mode_batch_loop`
+    does, an "underflow" point stopping at its nearest candidate (largest
+    `_ccp_exponent`)."""
     hits = Counter() if hits is None else hits
     tau2 = tau**2
     x = np.array(init, dtype=np.float64)
-    kern = consensus._ccp_kernel(q, x, tau2)
+    ql = lift(q)
+    kern = consensus._ccp_kernel(ql, x, tau2)
     loss = -kern.sum(axis=1)
     iterations = np.zeros(len(q), dtype=np.int64)
     converged = np.zeros(len(q), dtype=bool)
@@ -430,18 +434,18 @@ def position_mode_batch_loop(q, params, init, tau, hits=None):
         if len(act) == 0:
             break
         iterations[act] += 1
-        qa, xa, w = q[act], x[act], kern[act]
+        qa, xa, w = ql[act], x[act], kern[act]
         total = w.sum(axis=1)
         empty = total == 0.0
         if empty.any():
             hits["underflow"] += int(np.count_nonzero(empty))
             e = np.flatnonzero(empty)
-            x[act[e]] = qa[e, np.argmin(_sq_dists(qa[e], xa[e]), axis=1)]
+            x[act[e]] = q[act[e], np.argmax(_ccp_exponent(qa[e], xa[e], np.ones(len(e))), axis=1)]
             loss[act[e]] = -consensus._ccp_kernel(qa[e], x[act[e]], tau2[act[e]]).sum(axis=1)
             live = ~empty
             act, qa, xa, w, total = act[live], qa[live], xa[live], w[live], total[live]
         la, t2 = loss[act], tau2[act]
-        x_new = (w[:, :, None] * qa).sum(axis=1) / total[:, None]
+        x_new = np.matmul(w[:, None, :], qa[..., :3])[:, 0] / total[:, None]
         new_kern = consensus._ccp_kernel(qa, x_new, t2)
         new_loss = -new_kern.sum(axis=1)
         up = new_loss > la + consensus._LOSS_SLACK

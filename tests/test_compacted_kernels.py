@@ -1,14 +1,15 @@
 """The compacted mode solvers, the sorted-insertion subset draw, the sign
-rule, the einsum centroids and the squared distances against their loop
-and reduction forms: every returned array must match byte for byte.
+rule and the einsum centroids against their loop and reduction forms:
+every returned array must match byte for byte.
 
 Both solver steps are minorize-maximize steps, whose loss can rise only by
 round-off, so natural inputs do not reach the branch that stops a point whose
 step raised its loss.  The solver properties therefore also run both
 implementations with `consensus._LOSS_SLACK` negative, which makes every step
 that does not lower the loss by that much count as a rise, and with a
-heavy-tailed kernel swapped in (the profile 1 / (1 + s) for exp(-s)), under
-which a step is no longer a minorize-maximize step.  Each asserts that every
+heavy-tailed kernel swapped in (the profile 1 / (1 - e) for exp(e), on the
+library's lifted exponent e), under which a step is no longer a
+minorize-maximize step.  Each asserts that every
 branch of its solver was taken.  Two further properties bound the loss each
 solver returns by its initial loss plus what the guard lets through.
 """
@@ -21,8 +22,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from normfit import consensus
 from normfit.candidates import POSITION_SUBSET, _draw_index_sets, point_rng, sample_position_block
-from normfit.consensus import ConsensusParams, _sq_dists, normal_mode_batch, position_mode_batch
-from normfit.geometry import canonical_sign
+from normfit.consensus import (ConsensusParams, _ccp_exponent, normal_mode_batch,
+                               position_mode_batch)
+from normfit.geometry import canonical_sign, lift
 
 from conftest import (canonical_sign_argmax, draw_index_sets_sorted, normal_mode_batch_loop,
                       position_mode_batch_loop, random_units)
@@ -37,14 +39,17 @@ TIED_UNITS = np.array([[1.0, -1.0, 0.0], [0.0, -1.0, 1.0], [-1.0, 1.0, -1.0],
 TIED_UNITS /= np.linalg.norm(TIED_UNITS, axis=1, keepdims=True)
 
 
-def cauchy_ccn_kernel(m, n, tau2):
-    """`_ccn_kernel` with the profile 1 / (1 + s) in place of exp(-s)."""
-    return 1.0 / (1.0 + (1.0 - np.einsum("amc,ac->am", m, n) ** 2) / tau2)
+def cauchy_ccn_kernel(m, n, tau):
+    """`_ccn_kernel` with the profile 1 / (1 - e) in place of exp(e), on the
+    same lifted exponent e = c^2 - 1 / tau^2, c = m.(n / tau)."""
+    c = np.matmul(m, (n / tau)[:, :, None])[:, :, 0]
+    return 1.0 / (1.0 - (c**2 - (1.0 / tau) ** 2))
 
 
 def cauchy_ccp_kernel(q, x, tau2):
-    """`_ccp_kernel` with the profile 1 / (1 + s) in place of exp(-s)."""
-    return 1.0 / (1.0 + _sq_dists(q, x) / tau2[:, None])
+    """`_ccp_kernel` with the profile 1 / (1 - e) in place of exp(e), on the
+    same lifted exponent e, `_ccp_exponent` clamped at 0."""
+    return 1.0 / (1.0 - np.minimum(_ccp_exponent(q, x, tau2), 0.0))
 
 
 def assert_same_bytes(got, want):
@@ -99,18 +104,6 @@ def test_position_centroids_match_mean(seed, n_pts, pool, n_candidates, exponent
     assert_same_bytes([sample_position_block(nbrs, keys, n_candidates)], [want])
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), a=st.integers(0, 6), m=st.integers(1, 40),
-       exponent=st.integers(0, 150))
-def test_sq_dists_match_reduction(seed, a, m, exponent):
-    rng = np.random.default_rng(seed)
-    q, x = (rng.normal(size=shape) * 10.0 ** rng.integers(-exponent, exponent + 1, shape)
-            for shape in ((a, m, 3), (a, 3)))
-    q[rng.random(q.shape) < 0.2] = -0.0
-    x[rng.random(x.shape) < 0.2] = 0.0
-    assert_same_bytes([_sq_dists(q, x)], [((q - x[:, None, :]) ** 2).sum(axis=2)])
-
-
 @st.composite
 def normal_batches(draw, slacks=SLACKS):
     """(candidates (A, M, 3), inits (A, 3), params, loss slack, kernel):
@@ -163,7 +156,7 @@ def test_normal_loss_never_rises_past_the_guard(case):
     m, init, params, _, kernel = case
     with mock.patch.object(consensus, "_ccn_kernel", kernel):
         _, loss, iterations, _ = normal_mode_batch(m, params, init)
-    start = initial_loss(kernel, m, init, params.tau_normal**2)
+    start = initial_loss(kernel, m, init, params.tau_normal)
     assert (loss <= start + iterations * consensus._LOSS_SLACK).all(), (loss, start)
 
 
@@ -213,5 +206,5 @@ def test_position_loss_never_rises_past_the_guard(case):
     q, init, tau, params, _, kernel = case
     with mock.patch.object(consensus, "_ccp_kernel", kernel):
         _, loss, iterations, _ = position_mode_batch(q, params, init, tau)
-    start = initial_loss(kernel, q, init, tau**2)
+    start = initial_loss(kernel, lift(q), init, tau**2)
     assert (loss <= start + iterations * consensus._LOSS_SLACK).all(), (loss, start)

@@ -141,6 +141,25 @@ class TestNeighborIndex:
                 assert np.array_equal(bi[r], si), t
                 assert np.array_equal(bd[r], sd), t
 
+    def test_tie_free_query_skips_the_tie_path(self, monkeypatch, rng):
+        # a slice with no tied row makes no lexsort call and keeps the bytes;
+        # the tied grid shows the patched lexsort is the one knn_batch calls
+        pts = np.vstack([rng.normal(size=(300, 3)), tie_grid() + 50])
+        idx = build_index(PointCloud(points=pts))
+        want = {k: [knn_widening(idx, t, k) for t in range(300)] for k in (1, 8, 40)}
+        calls, lexsort = [], np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda *a, **kw: calls.append(1) or lexsort(*a, **kw))
+        for k, rows in want.items():
+            got_i, got_d = idx.knn_batch(k, np.arange(300))
+            one_i, one_d = idx.knn(7, k)
+            assert calls == [], k
+            for t, (want_i, want_d) in enumerate(rows):
+                assert got_i[t].tobytes() == want_i.tobytes()
+                assert got_d[t].tobytes() == want_d.tobytes()
+            assert one_i.tobytes() == rows[7][0].tobytes() and one_d.tobytes() == rows[7][1].tobytes()
+        idx.knn_batch(8, [300])
+        assert calls
+
     @pytest.mark.parametrize("elements", [1, 100, 1000])
     def test_knn_batch_slices_change_no_byte(self, elements, monkeypatch, rng):
         # one row per tree query, and slices that split the first round and
