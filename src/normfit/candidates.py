@@ -124,6 +124,20 @@ def _draw_index_sets(keys: np.ndarray, counters: np.ndarray, pool: int, k: int) 
     return np.ascontiguousarray(out.T)
 
 
+def _subsets(nbrs: np.ndarray, keys: np.ndarray, rows: np.ndarray, m: int, attempt: int,
+             size: int) -> np.ndarray:
+    """(len(rows), size, 3) neighbors of the candidate rows `rows` = point * m + slot: each
+    row's `size` distinct neighbors of its point, drawn from the point's key at counter
+    attempt * m + slot.  `nbrs` is (P, k, 3) and `keys` (P,)."""
+    pool = nbrs.shape[1]
+    if pool < size:
+        raise TooFewNeighbors(f"{pool} neighbors < subset size {size}")
+    p, slot = np.divmod(rows, m)
+    sets = _draw_index_sets(keys[p], attempt * m + slot, pool, size)
+    sets += (p * pool)[:, None]             # rows of the flattened (P * k, 3) neighbors
+    return np.take(nbrs.reshape(-1, 3), sets, axis=0)
+
+
 def sample_plane_block(nbrs: np.ndarray, keys: np.ndarray, params: SamplingParams):
     """Fit one plane per candidate slot to k_s random neighbors, per point.
 
@@ -133,17 +147,10 @@ def sample_plane_block(nbrs: np.ndarray, keys: np.ndarray, params: SamplingParam
     (P, M, 3), failed (P,)); a failed point has a slot that stayed
     degenerate, and its rows are meaningless.
     """
-    n_pts, pool = nbrs.shape[:2]
-    if pool < params.k_s:
-        raise TooFewNeighbors(f"{pool} neighbors < k_s={params.k_s}")
-    m = params.n_candidates
-    flat = nbrs.reshape(-1, 3)
+    n_pts, m = len(nbrs), params.n_candidates
     pending = np.arange(n_pts * m)
     for attempt in range(params.max_resample_attempts):
-        p, slot = np.divmod(pending, m)
-        sets = _draw_index_sets(keys[p], attempt * m + slot, pool, params.k_s)
-        sets += (p * pool)[:, None]         # rows of the flattened (P * k, 3) neighbors
-        nrm, anc, bad = fit_planes_batch(np.take(flat, sets, axis=0))
+        nrm, anc, bad = fit_planes_batch(_subsets(nbrs, keys, pending, m, attempt, params.k_s))
         if attempt == 0:
             # the first attempt fills every slot; redraws overwrite only their own
             normals, anchors = nrm, anc
@@ -183,17 +190,14 @@ def rejection_sigma(neighbor_distances):
     return 0.01 * d.max(axis=-1)
 
 
-def _kernel_sum(d: np.ndarray, axis: int) -> np.ndarray:
-    """sum(exp(-d)) over `axis` for d >= 0, overwriting d.
-
-    Exponents are clamped at 700 first: exp is many times slower on inputs
-    below -708, where it underflows, and a term below e**-700 (about 1e-304)
-    cannot change a sum that has any term above about 1e-288.
-    """
-    np.minimum(d, 700.0, out=d)
-    np.negative(d, out=d)
-    np.exp(d, out=d)
-    return d.sum(axis=axis)
+def _kernel_sum(e: np.ndarray, axis: int) -> np.ndarray:
+    """sum(exp(e)) over `axis` for exponents e <= 0, overwriting e.  Exponents are
+    clipped to [-700, 0] first: exp is many times slower below -708, where it
+    underflows, and a term below e**-700 (about 1e-304) cannot change a sum that has
+    any term above about 1e-288; a lifted exponent can exceed 0 by round-off."""
+    np.clip(e, -700.0, 0.0, out=e)
+    np.exp(e, out=e)
+    return e.sum(axis=axis)
 
 
 def score_plane_block(nbrs: np.ndarray, normals: np.ndarray, anchors: np.ndarray,
@@ -204,9 +208,10 @@ def score_plane_block(nbrs: np.ndarray, normals: np.ndarray, anchors: np.ndarray
     [p, 1] and planes [n, -a.n] / sigma."""
     planes = np.concatenate([normals, -np.einsum("pmc,pmc->pm", anchors, normals)[..., None]], 2)
     planes /= sigma[:, None, None]
-    d = np.matmul(lift(nbrs)[:, :, :4], planes.transpose(0, 2, 1))      # (P, k, M)
-    np.square(d, out=d)
-    return _kernel_sum(d, axis=1)
+    e = np.matmul(lift(nbrs)[:, :, :4], planes.transpose(0, 2, 1))      # (P, k, M)
+    np.square(e, out=e)
+    np.negative(e, out=e)
+    return _kernel_sum(e, axis=1)
 
 
 def score_candidates(neighbors, cands: CandidatePlanes, sigma: float) -> np.ndarray:
@@ -243,16 +248,11 @@ def reject_candidates(cands: CandidatePlanes, fraction: float) -> CandidatePlane
 def sample_position_block(nbrs: np.ndarray, keys: np.ndarray, n_candidates: int) -> np.ndarray:
     """Denoising hypotheses (P, M, 3): centroids of POSITION_SUBSET distinct
     random neighbors."""
-    n_pts, pool = nbrs.shape[:2]
-    if pool < POSITION_SUBSET:
-        raise TooFewNeighbors(f"{pool} neighbors < {POSITION_SUBSET}")
-    p, slot = np.divmod(np.arange(n_pts * n_candidates), n_candidates)
-    sets = _draw_index_sets(keys[p], slot, pool, POSITION_SUBSET)
-    sets += (p * pool)[:, None]             # rows of the flattened (P * k, 3) neighbors
-    subsets = np.take(nbrs.reshape(-1, 3), sets, axis=0)
+    rows = np.arange(len(nbrs) * n_candidates)
+    subsets = _subsets(nbrs, keys, rows, n_candidates, 0, POSITION_SUBSET)
     # the bytes of subsets.mean(axis=1), faster
     centroids = np.einsum("mkc->mc", subsets) / POSITION_SUBSET
-    return centroids.reshape(n_pts, n_candidates, 3)
+    return centroids.reshape(len(nbrs), n_candidates, 3)
 
 
 def sample_position_candidates(neighbors, params: SamplingParams, key) -> PositionCandidates:
@@ -266,12 +266,9 @@ def sample_position_candidates(neighbors, params: SamplingParams, key) -> Positi
 def score_position_block(nbrs: np.ndarray, positions: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Gaussian-kernel density (P, M) of each point's neighbors (P, k, 3)
     around its candidate positions (P, M, 3), for bandwidths (P,).  The
-    exponents -|p - q|^2 / sigma^2 are one stacked matmul of lifts, clipped
-    to [-700, 0]: below as in `_kernel_sum`, above to drop round-off."""
+    exponents -|p - q|^2 / sigma^2 are one stacked matmul of lifts."""
     e = np.matmul(lift(positions, (sigma**2)[:, None]), lift(nbrs).transpose(0, 2, 1))
-    np.clip(e, -700.0, 0.0, out=e)                                # (P, M, k)
-    np.exp(e, out=e)
-    return e.sum(axis=2)
+    return _kernel_sum(e, axis=2)                                 # e is (P, M, k)
 
 
 def score_position_candidates(neighbors, cands: PositionCandidates, sigma: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from .synth import SHAPE_KINDS, NoiseSpec, ShapeSpec, add_noise, gen_shape
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
-_THREADS_HELP = "parallel workers: the caller plus n-1 forked processes"
+_THREADS_HELP = "parallel workers (the caller plus forked processes), at most the usable CPUs"
 
 
 class _UsageError(Exception):

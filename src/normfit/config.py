@@ -30,7 +30,7 @@ from .pipeline import EstimationParams
 @dataclass
 class RunConfig:
     params: EstimationParams = field(default_factory=EstimationParams)
-    threads: int = 1      # parallel workers: the caller plus threads - 1 forked processes
+    threads: int = 1      # workers, capped at the usable CPUs: the caller plus forked processes
     input_path: str = ""
     output_path: str = ""
 

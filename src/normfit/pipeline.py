@@ -1,20 +1,21 @@
 """Whole-cloud orchestration: normal estimation and denoising.
 
 Points run the three-stage chain (sample hypotheses, score + reject, seek the
-main mode) in blocks of P = min(ceil(N / n_threads), 2**18 // (3 * k_s * M))
-points: one block per worker on small clouds, and on large ones as many points
-as keep a block's (P * M, k_s, 3) subset gather near 2 MB.  A block's
-neighborhoods come from one k-NN tree query, and its (P, k, M) plane scores
-and (P, M, k) position scores are computed in row chunks of 2**18 // (M * k)
-points, so each kernel matrix also stays near 2 MB; the noise profile, taken
-once per cloud, streams in 2 MB row chunks too.  The blocks are a fixed
-partition of range(N): the caller runs the first of w = min(n_threads, usable
-CPUs, blocks) contiguous shares of them, and the w - 1 forked workers of one
-persistent pool the others.  Every random draw is a pure function of (seed,
-point index, candidate slot, attempt), and every stage computes each point's
-rows independently of the others, so outputs are identical for any worker
-count and block size.  `estimate_normal` and `denoise_point` run the same
-block function on a block of one and give that point's result byte for byte.
+main mode) in blocks of P = min(ceil(N / w), 2**18 // (3 * s * M)) points, for
+the w = min(n_threads, usable CPUs) workers that run and subsets of s points:
+one block per worker on small clouds, and on large ones as many points as keep
+a block's (P * M, s, 3) subset gather near 2 MB.  A block's neighborhoods come
+from one k-NN tree query, and its (P, k, M) plane scores and (P, M, k) position
+scores are computed in row chunks of 2**18 // (M * k) points, so each kernel
+matrix also stays near 2 MB; the noise profile, taken once per cloud, streams
+in 2 MB row chunks too.  The blocks are a fixed partition of range(N): the
+caller runs the first of min(w, blocks) contiguous shares of them, and the
+forked workers of one persistent pool the others.  Every random draw is a pure
+function of (seed, point index, candidate slot, attempt), and every stage
+computes each point's rows independently of the others, so outputs are
+identical for any worker count and block size.  `estimate_normal` and
+`denoise_point` run the same block function on a block of one and give that
+point's result byte for byte.
 """
 
 from __future__ import annotations
@@ -82,23 +83,25 @@ def _require_points(cloud: PointCloud, need: int) -> None:
 
 
 def _block_size(n: int, n_threads: int, n_candidates: int, subset: int) -> int:
-    """Points per block: an equal share of the n points per thread, capped
+    """Points per block: an equal share of the n points per worker, capped
     so that the block's (P * M, subset, 3) gather of candidate subsets holds
     at most _BLOCK_ELEMENTS doubles."""
     share = -(-n // n_threads)
     return max(1, min(share, _BLOCK_ELEMENTS // (3 * subset * n_candidates)))
 
 
-def _chunked_scores(score, nbrs: np.ndarray, cands: np.ndarray, *per_point) -> np.ndarray:
-    """score(nbrs, cands, *per_point) -> (P, M), run on row chunks so that
-    each chunk's (rows, k, M) kernel matrix holds at most _BLOCK_ELEMENTS
-    doubles (at least one row).  A block of no rows gives (0, M)."""
+def _survivors(score, nbrs: np.ndarray, cands: np.ndarray, fraction: float,
+               *per_point) -> np.ndarray:
+    """Survivors (P, M', 3) of cands (P, M, 3): each row best first by score(nbrs, cands,
+    *per_point) -> (P, M), less its lowest `fraction`.  Scored in row chunks whose (rows, k,
+    M) kernel matrix holds at most _BLOCK_ELEMENTS doubles; no rows give (0, M', 3)."""
     rows = max(1, _BLOCK_ELEMENTS // (cands.shape[1] * nbrs.shape[1]))
-    out = np.empty(cands.shape[:2])
-    for start in range(0, len(out), rows):
+    scores = np.empty(cands.shape[:2])
+    for start in range(0, len(scores), rows):
         part = slice(start, start + rows)
-        out[part] = score(nbrs[part], cands[part], *(a[part] for a in per_point))
-    return out
+        scores[part] = score(nbrs[part], cands[part], *(a[part] for a in per_point))
+    keep = cand.rejection_order(scores, fraction)
+    return np.take_along_axis(cands, keep[:, :, None], axis=1)
 
 
 def _neighborhoods(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k: int):
@@ -144,12 +147,15 @@ def _share_rows(block_fn, points: np.ndarray, share: list, *args) -> list:
     return [block_fn(cloud, index, ts, *args) for ts in share]
 
 
-def _run_blocks(block_fn, cloud: PointCloud, index: NeighborIndex, block: int,
-                n_threads: int, *args) -> list:
-    """block_fn(cloud, index, ts, *args) on each block ts, in block order: the caller runs
-    the first of w contiguous shares, the pool the others (rerun once if it breaks)."""
+def _run_blocks(block_fn, cloud: PointCloud, index: NeighborIndex, n_candidates: int,
+                subset: int, n_threads: int, *args) -> list:
+    """block_fn(cloud, index, ts, *args) on each block ts, in block order, over blocks sized
+    for the w = min(n_threads, usable CPUs) workers that run: the caller runs the first of
+    min(w, blocks) contiguous shares, the pool the others (rerun once if it breaks)."""
+    w = min(n_threads, len(os.sched_getaffinity(0)))
+    block = _block_size(len(cloud), w, n_candidates, subset)
     blocks = [np.arange(s, min(s + block, len(cloud))) for s in range(0, len(cloud), block)]
-    w = min(n_threads, len(os.sched_getaffinity(0)), len(blocks))
+    w = min(w, len(blocks))
     if w == 1:
         return [block_fn(cloud, index, ts, *args) for ts in blocks]
     from concurrent.futures.process import BrokenProcessPool
@@ -193,11 +199,9 @@ def _estimate_block(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k_h
         normals[failed] = plane_fit(pts)[0]
     ok = ~failed
     if ok.any():
-        rel, nbr_d, nrm, anc = rel[ok], nbr_d[ok], nrm[ok], anc[ok]
-        scores = _chunked_scores(cand.score_plane_block, rel, nrm, anc,
-                                 cand.rejection_sigma(nbr_d))
-        keep = cand.rejection_order(scores, sp.rejection_fraction_normals if reject else 0.0)
-        nrm = np.take_along_axis(nrm, keep[:, :, None], axis=1)
+        nrm = _survivors(cand.score_plane_block, rel[ok], nrm[ok],
+                         sp.rejection_fraction_normals if reject else 0.0, anc[ok],
+                         cand.rejection_sigma(nbr_d[ok]))
         normals[ok], loss[ok], iterations[ok], converged[ok] = normal_mode_batch(
             nrm, params.consensus, nrm[:, 0])    # the best survivor; rejection off keeps all M
         survivors[ok] = nrm.shape[1]
@@ -236,8 +240,8 @@ def estimate_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1
     k_hat = _k_hat(cloud, f, params)
     reject = rejection_enabled(f, params.adaptive)
     sp = params.sampling
-    block = _block_size(len(cloud), n_threads, sp.n_candidates, sp.k_s)
-    rows = _run_blocks(_estimate_block, cloud, index, block, n_threads, k_hat, reject, params)
+    rows = _run_blocks(_estimate_block, cloud, index, sp.n_candidates, sp.k_s, n_threads,
+                       k_hat, reject, params)
     normals, *cols = (np.concatenate(c) for c in zip(*rows))
     return PointCloud(points=cloud.points.copy(), normals=normals), RunReport(k_hat, *cols)
 
@@ -261,9 +265,7 @@ def _denoise_block(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k: i
     live = sigma > 0.0
     rel, sigma = rel[live], sigma[live]
     pos = cand.sample_position_block(rel, point_rng(params.seed, ts[live]), sp.n_candidates)
-    scores = _chunked_scores(cand.score_position_block, rel, pos, sigma)
-    keep = cand.rejection_order(scores, sp.rejection_fraction_positions)
-    pos = np.take_along_axis(pos, keep[:, :, None], axis=1)
+    pos = _survivors(cand.score_position_block, rel, pos, sp.rejection_fraction_positions, sigma)
     x, _, _, _ = position_mode_batch(pos, params.consensus, np.zeros((len(pos), 3)), sigma)
     out[live] += x
     return out
@@ -288,7 +290,6 @@ def denoise_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1)
     _require_threads(n_threads)
     k = _denoise_k(cloud, params)
     index = build_index(cloud)
-    block = _block_size(len(cloud), n_threads, params.sampling.n_candidates,
-                        cand.POSITION_SUBSET)
-    blocks = _run_blocks(_denoise_block, cloud, index, block, n_threads, k, params)
+    blocks = _run_blocks(_denoise_block, cloud, index, params.sampling.n_candidates,
+                         cand.POSITION_SUBSET, n_threads, k, params)
     return PointCloud(points=np.concatenate(blocks))

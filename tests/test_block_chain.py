@@ -118,10 +118,8 @@ class TestBatchOfOne:
         nrm, anc, failed = cand.sample_plane_block(rel, point_rng(params.seed, ts),
                                                    params.sampling)
         ok = ~failed
-        scores = pipeline._chunked_scores(cand.score_plane_block, rel[ok], nrm[ok], anc[ok],
-                                          cand.rejection_sigma(nbr_d[ok]))
-        keep = cand.rejection_order(scores, 0.0)
-        nrm = np.take_along_axis(nrm[ok], keep[:, :, None], axis=1)
+        nrm = pipeline._survivors(cand.score_plane_block, rel[ok], nrm[ok], 0.0, anc[ok],
+                                  cand.rejection_sigma(nbr_d[ok]))
         normals, loss, iterations, _ = normal_mode_batch(nrm, params.consensus, nrm[:, 0])
         assert ok.any() and (report.fallback == failed).all()
         assert (report.survivors[ok] == params.sampling.n_candidates).all()
@@ -194,6 +192,32 @@ class TestBlockSize:
                                     (2000, 1, 218), (2000, 3, 218), (1, 2, 1)):
             assert pipeline._block_size(n, n_threads, 100, 4) == block, (n, n_threads)
 
+    def test_blocks_sized_by_the_workers_that_run(self):
+        # n_threads above the usable CPU count runs on one worker per CPU, so
+        # it cuts the blocks of that count (150 points each on two CPUs), not
+        # of the count asked for (5 points each at 64); no more processes
+        # start than there are usable CPUs
+        cpus = len(os.sched_getaffinity(0))
+        cloud = noisy("plane", 300, 17)
+        index = build_index(cloud)
+        params = EstimationParams(seed=18)
+        blocks, normals, reports, points = [], [], [], []
+        for n_threads in (cpus, cpus + 62):
+            rows = pipeline._run_blocks(block_rows, cloud, index, 100, 4, n_threads)
+            blocks.append([ts.tolist() for ts in rows])
+            est, report = estimate_all(cloud, params, n_threads)
+            normals.append(est.normals.tobytes())
+            reports.append([getattr(report, f.name).tobytes() for f in fields(RunReport)[1:]])
+            points.append(denoise_all(cloud, params, n_threads).points.tobytes())
+        assert blocks[0] == blocks[1]
+        assert normals[0] == normals[1] and reports[0] == reports[1]
+        assert points[0] == points[1]
+
+
+def block_rows(cloud, index, ts):
+    """A block function that returns the rows of its block."""
+    return ts
+
 
 def fail_in_a_worker(cloud, index, ts):
     """A block function that fails on every block but the first, naming the
@@ -246,7 +270,8 @@ class TestWorkerPool:
     def test_worker_exception_reaches_the_caller(self):
         cloud = noisy("plane", 100, 13)
         with pytest.raises(TooFewNeighbors) as info:
-            pipeline._run_blocks(fail_in_a_worker, cloud, build_index(cloud), 50, 2)
+            # M = 100 and subsets of 4 on two workers: two 50-point blocks
+            pipeline._run_blocks(fail_in_a_worker, cloud, build_index(cloud), 100, 4, 2)
         assert type(info.value) is TooFewNeighbors
         message = str(info.value)
         assert message.startswith("block 50 in process ")

@@ -238,5 +238,5 @@ class TestKernelSum:
         d = np.array([0.0, 650.0, 699.0, 700.0, 701.5, 708.3, 730.0, 745.2, 1e4, np.inf])
         exact = math.fsum(math.exp(-x) for x in d)
         d = d[None, :] if axis == 1 else d[:, None]
-        got = _kernel_sum(np.tile(d, (3, 1) if axis == 1 else (1, 3)), axis=axis)
+        got = _kernel_sum(-np.tile(d, (3, 1) if axis == 1 else (1, 3)), axis=axis)
         assert got.tobytes() == np.full(3, exact).tobytes()

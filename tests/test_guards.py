@@ -1,8 +1,10 @@
 """Guards for what the library's own tests would not notice: the names the
 benchmark tracer wraps, the stages a single-point call reaches, the one
 eigen kernel, the one k-NN tree query, the one walk over the parameter
-tree, the one mode-solver loop, the one parallel backend, unused private
-code, whole-cloud k-NN blocks, and the demos."""
+tree, the one mode-solver loop, the one subset draw, kernel sum and survivor
+step of the consensus chain, the one parallel backend, unused private code,
+whole-cloud k-NN blocks, outputs under any BLAS thread count, and the
+demos."""
 
 import ast
 import importlib.util
@@ -117,6 +119,39 @@ def test_one_knn_query():
     assert library_scopes(is_tree_query) == [("geometry", "knn_batch")]
 
 
+def calls_to(name):
+    """hit(node) for a call of a function or method named `name`."""
+    def hit(node):
+        f = getattr(node, "func", None)
+        called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        return isinstance(node, ast.Call) and called == name
+    return hit
+
+
+def test_one_subset_draw():
+    # plane and position candidates draw and gather their neighbor subsets
+    # through one helper
+    assert library_scopes(calls_to("_draw_index_sets")) == [("candidates", "_subsets")]
+
+
+def test_one_kernel_sum():
+    # both candidate scores clip their exponents and sum their kernel terms
+    # in one place
+    def is_np_exp(node):
+        f = getattr(node, "func", None)
+        return (isinstance(node, ast.Call) and isinstance(f, ast.Attribute)
+                and f.attr == "exp" and getattr(f.value, "id", None) == "np")
+
+    assert [s for s in library_scopes(is_np_exp)
+            if s[0] == "candidates"] == [("candidates", "_kernel_sum")]
+
+
+def test_one_survivor_step():
+    # both chains score, reject and reorder their candidates in one helper
+    assert [s for s in library_scopes(calls_to("rejection_order"))
+            if s[0] == "pipeline"] == [("pipeline", "_survivors")]
+
+
 def test_one_mode_loop():
     # both mode solvers descend through one loop, and only the loop guards
     # a step against a rise of the loss
@@ -182,6 +217,39 @@ def test_no_whole_cloud_knn_block():
                 calls.append((f"{path.name}:{node.lineno}", has_rows))
     assert calls, "no knn_batch calls found"
     assert [where for where, has_rows in calls if not has_rows] == []
+
+
+BLAS_RUN = """
+import hashlib
+from dataclasses import fields
+from normfit import (EstimationParams, NoiseSpec, RunReport, ShapeSpec, add_noise,
+                     denoise_all, estimate_all, gen_shape)
+cloud = add_noise(gen_shape(ShapeSpec(kind="wedge", n_points=600, seed=1)),
+                  NoiseSpec(std_pct_bbox_diag=1.0, seed=2))
+est, report = estimate_all(cloud, EstimationParams(seed=3))
+out = denoise_all(cloud, EstimationParams(seed=3))
+for a in [est.normals, out.points] + [getattr(report, f.name) for f in fields(RunReport)[1:]]:
+    print(hashlib.md5(a.tobytes()).hexdigest())
+"""
+
+
+def test_outputs_independent_of_blas_threads():
+    # the stacked matmuls and eigen solves run in OpenBLAS, whose thread
+    # count must not change a byte of the normals, the report or the
+    # denoised points; the three runs go one after another
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    digests = []
+    for blas_threads in ("1", "2", None):
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        done = subprocess.run([sys.executable, "-c", BLAS_RUN], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 7
+    assert digests[0] == digests[1] == digests[2]
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
