@@ -1,34 +1,9 @@
 """Point-cloud normal estimation and denoising by multi-sample consensus:
 random plane hypotheses, kernel-score rejection, and mode seeking."""
 
-from .candidates import (
-    CandidatePlanes,
-    PositionCandidates,
-    SamplingParams,
-    reject_candidates,
-    rejection_sigma,
-    sample_normal_candidates,
-    sample_position_candidates,
-    score_candidates,
-    score_position_candidates,
-)
-from .consensus import (
-    ConsensusParams,
-    ModeResult,
-    ccn_loss,
-    ccp_loss,
-    normal_mode,
-    position_mode,
-)
-from .errors import (
-    ConfigError,
-    EmptyCandidates,
-    NormalNotUnit,
-    NormfitError,
-    ParseError,
-    PersistentDegeneracy,
-    TooFewNeighbors,
-)
+from .candidates import SamplingParams, rejection_sigma
+from .consensus import ConsensusParams
+from .errors import ConfigError, NormalNotUnit, NormfitError, ParseError, TooFewNeighbors
 from .geometry import (
     NeighborIndex,
     PointCloud,

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
+from .candidates import SamplingParams
 from .metrics import rms_angle
 from .pipeline import EstimationParams, estimate_all
 from .synth import SHAPE_KINDS, NoiseSpec, ShapeSpec, add_noise, gen_shape
@@ -14,11 +13,10 @@ SUITE_SHAPES = SHAPE_KINDS
 SUITE_NOISE = (0.0, 0.5, 1.0)            # percent of bbox diagonal
 
 
-def suite_clouds(points_per_cloud=600, seeds=(0, 1, 2), noise_levels=SUITE_NOISE,
-                 shapes=SUITE_SHAPES):
+def suite_clouds(points_per_cloud=600, seeds=(0, 1, 2)):
     """Yield (label, noisy cloud with GT normals) for the whole suite."""
-    for shape in shapes:
-        for noise in noise_levels:
+    for shape in SUITE_SHAPES:
+        for noise in SUITE_NOISE:
             for seed in seeds:
                 spec = ShapeSpec(kind=shape, n_points=points_per_cloud, seed=seed)
                 clean = gen_shape(spec)
@@ -27,18 +25,16 @@ def suite_clouds(points_per_cloud=600, seeds=(0, 1, 2), noise_levels=SUITE_NOISE
 
 
 def run_suite(points_per_cloud=600, candidate_counts=(20, 100, 400), seeds=(0, 1, 2),
-              noise_levels=SUITE_NOISE, shapes=SUITE_SHAPES, base_params=None,
               n_threads=1, verbose=False):
     """Mean RMS angle error over the suite for each candidate count.  Raises
-    ValueError when there are no seeds, noise levels or shapes to average."""
-    if not (len(seeds) and len(noise_levels) and len(shapes)):
-        raise ValueError("the suite needs at least one seed, noise level and shape")
-    base = base_params or EstimationParams()
+    ValueError when there are no seeds to average."""
+    if not len(seeds):
+        raise ValueError("the suite needs at least one seed")
     results = {}
     for count in candidate_counts:
-        params = replace(base, sampling=replace(base.sampling, n_candidates=count))
+        params = EstimationParams(sampling=SamplingParams(n_candidates=count))
         errs = []
-        for label, cloud in suite_clouds(points_per_cloud, seeds, noise_levels, shapes):
+        for label, cloud in suite_clouds(points_per_cloud, seeds):
             est, _ = estimate_all(cloud, params, n_threads=n_threads)
             rms = rms_angle(est.normals, cloud.normals)
             errs.append(rms)

@@ -128,7 +128,6 @@ def _cmd_bench(args) -> int:
     results = run_suite(points_per_cloud=args.points,
                         candidate_counts=tuple(args.counts),
                         seeds=tuple(range(args.seeds)),
-                        noise_levels=(0.0, 0.5, 1.0),
                         n_threads=1 if args.threads is None else args.threads,
                         verbose=True)
     print()

@@ -30,6 +30,13 @@ _TINY = np.finfo(np.float64).tiny
 _BLOCK_ELEMENTS = 2**18
 
 
+def row_chunks(n: int, row_elements: int, most=None) -> list:
+    """Consecutive slices of range(n), each max(1, min(most, _BLOCK_ELEMENTS // row_elements))
+    rows long but the last: the one rule that turns the 2 MB budget into rows."""
+    step = max(1, min(n if most is None else most, _BLOCK_ELEMENTS // row_elements))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
 def as_points(a) -> np.ndarray:
     """Coerce input to a float64 (N, 3) array, validating finiteness."""
     pts = np.asarray(a, dtype=np.float64)
@@ -129,8 +136,8 @@ class NeighborIndex:
         left = np.arange(len(rows))     # the rows not answered yet
         while len(left):
             # the tie path holds about five (rows, kq) arrays: 1 MB each per slice
-            step, wider = max(1, _BLOCK_ELEMENTS // (2 * kq)), [left[:0]]
-            for part in np.split(left, range(step, len(left), step)):
+            wider = [left[:0]]
+            for part in (left[chunk] for chunk in row_chunks(len(left), 2 * kq)):
                 ts = rows[part]
                 d, idx = self._tree.query(self._points[ts], k=kq)
                 # a row with no tie starts at its query point, in (distance, index) order
@@ -159,31 +166,30 @@ def neighborhood_fits(index: NeighborIndex, k: int):
     """`plane_fit` of every indexed point's k nearest neighbours followed by
     the point itself: (normals (N, 3), eigenvalues (N, 3)).
 
-    Walks range(N) in row chunks of _BLOCK_ELEMENTS // (3 * (k + 1)) points
-    (at least one), so a chunk's (rows, k + 1, 3) gather holds at most 2 MB
-    and the peak is the O(N) outputs plus one chunk.  `knn_batch` and
+    Walks range(N) in the `row_chunks` of its (rows, k + 1, 3) gather, 2 MB
+    each, so the peak is the O(N) outputs plus one chunk.  `knn_batch` and
     `plane_fit` compute each row independently of the others, so the chunk
     size changes no byte.  Raises ValueError unless 1 <= k <= N - 1.
     """
     n = index.n_points
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range for {n} points")
-    step = max(1, _BLOCK_ELEMENTS // (3 * (k + 1)))
+    chunks = row_chunks(n, 3 * (k + 1))
     normals = np.empty((n, 3))
     eigenvalues = np.empty((n, 3))
     # one index and one gather buffer for every chunk: allocating them per
     # chunk makes the allocator hand the pages back and fault them in again;
     # the gather clips because mode "raise" copies through a temporary, and
     # knn_batch indices are in range
-    full = np.empty((min(step, n), k + 1), dtype=np.intp)
+    full = np.empty((chunks[0].stop, k + 1), dtype=np.intp)
     gather = np.empty((len(full), k + 1, 3))
-    for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
+    for part in chunks:
+        rows = np.arange(part.start, part.stop)
         sets, pts = full[:len(rows)], gather[:len(rows)]
         sets[:, :-1] = index.knn_batch(k, rows)[0]
         sets[:, -1] = rows
         np.take(index._points, sets, axis=0, out=pts, mode="clip")
-        normals[rows], _, eigenvalues[rows] = plane_fit(pts)
+        normals[part], _, eigenvalues[part] = plane_fit(pts)
     return normals, eigenvalues
 
 

@@ -1,7 +1,7 @@
 """Evaluation metrics for unoriented normals and denoised positions,
-plus the classic PCA baseline estimator, which streams the cloud in row
-chunks of a 2 MB neighbourhood gather (`geometry.neighborhood_fits`), so its
-peak memory is O(N) plus 2 MB whatever k."""
+plus the classic PCA baseline estimator, which streams the cloud in the 2 MB
+`geometry.row_chunks` of a neighbourhood gather (`geometry.neighborhood_fits`),
+so its peak memory is O(N) plus 2 MB whatever k."""
 
 from __future__ import annotations
 

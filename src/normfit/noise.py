@@ -4,8 +4,9 @@ The per-point noise level is the surface variation of a small covariance
 neighborhood: lam1 / (lam1 + lam2 + lam3), which is 0 on an exact plane and
 1/3 for isotropic scatter.  The cloud-level mean selects one of four
 neighborhood sizes and decides whether low-score candidates get rejected.
-The profile streams the cloud in row chunks of a 2 MB neighbourhood gather
-(`geometry.neighborhood_fits`), so its peak memory is O(N) plus 2 MB.
+The profile streams the cloud in the 2 MB `geometry.row_chunks` of a
+neighbourhood gather (`geometry.neighborhood_fits`), so its peak memory is
+O(N) plus 2 MB.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ function of (seed, point index, candidate slot, attempt), and every stage
 computes each point's rows independently of the others, so outputs are
 identical for any worker count and block size.  `estimate_normal` and
 `denoise_point` run the same block function on a block of one and give that
-point's result byte for byte.
+point's result byte for byte.  One rule, `geometry.row_chunks`, cuts the
+blocks and every chunk.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .consensus import ConsensusParams, normal_mode_batch, position_mode_batch
 # unused here: perfbench/tracer.py probes these two names on this module
 from .consensus import normal_mode, position_mode  # noqa: F401
 from .errors import TooFewNeighbors
-from .geometry import _BLOCK_ELEMENTS, NeighborIndex, PointCloud, build_index, plane_fit
+from .geometry import NeighborIndex, PointCloud, build_index, plane_fit, row_chunks
 from .noise import AdaptiveConfig, DEFAULT_NOISE_K, adaptive_k, cloud_noise_scale, rejection_enabled
 
 # neighbors whose mean distance sets the denoising bandwidth
@@ -82,23 +83,21 @@ def _require_points(cloud: PointCloud, need: int) -> None:
         raise TooFewNeighbors(f"need more than {need} points, got {len(cloud)}")
 
 
-def _block_size(n: int, n_threads: int, n_candidates: int, subset: int) -> int:
-    """Points per block: an equal share of the n points per worker, capped
-    so that the block's (P * M, subset, 3) gather of candidate subsets holds
-    at most _BLOCK_ELEMENTS doubles."""
-    share = -(-n // n_threads)
-    return max(1, min(share, _BLOCK_ELEMENTS // (3 * subset * n_candidates)))
+def _blocks(n: int, workers: int, n_candidates: int, subset: int) -> list:
+    """The fixed partition of range(n) into blocks: an equal share of the n points per
+    worker, cut by `row_chunks` so that a block's (P * M, subset, 3) gather of candidate
+    subsets holds at most 2 MB."""
+    ids = np.arange(n)
+    return [ids[s] for s in row_chunks(n, 3 * subset * n_candidates, most=-(-n // workers))]
 
 
 def _survivors(score, nbrs: np.ndarray, cands: np.ndarray, fraction: float,
                *per_point) -> np.ndarray:
     """Survivors (P, M', 3) of cands (P, M, 3): each row best first by score(nbrs, cands,
-    *per_point) -> (P, M), less its lowest `fraction`.  Scored in row chunks whose (rows, k,
-    M) kernel matrix holds at most _BLOCK_ELEMENTS doubles; no rows give (0, M', 3)."""
-    rows = max(1, _BLOCK_ELEMENTS // (cands.shape[1] * nbrs.shape[1]))
+    *per_point) -> (P, M), less its lowest `fraction`.  Scored in the `row_chunks` of a (rows,
+    k, M) kernel matrix, 2 MB each; no rows give (0, M', 3)."""
     scores = np.empty(cands.shape[:2])
-    for start in range(0, len(scores), rows):
-        part = slice(start, start + rows)
+    for part in row_chunks(len(scores), cands.shape[1] * nbrs.shape[1]):
         scores[part] = score(nbrs[part], cands[part], *(a[part] for a in per_point))
     keep = cand.rejection_order(scores, fraction)
     return np.take_along_axis(cands, keep[:, :, None], axis=1)
@@ -153,8 +152,7 @@ def _run_blocks(block_fn, cloud: PointCloud, index: NeighborIndex, n_candidates:
     for the w = min(n_threads, usable CPUs) workers that run: the caller runs the first of
     min(w, blocks) contiguous shares, the pool the others (rerun once if it breaks)."""
     w = min(n_threads, len(os.sched_getaffinity(0)))
-    block = _block_size(len(cloud), w, n_candidates, subset)
-    blocks = [np.arange(s, min(s + block, len(cloud))) for s in range(0, len(cloud), block)]
+    blocks = _blocks(len(cloud), w, n_candidates, subset)
     w = min(w, len(blocks))
     if w == 1:
         return [block_fn(cloud, index, ts, *args) for ts in blocks]

@@ -57,12 +57,12 @@ def blob(n, seed):
     return PointCloud(points=np.random.default_rng(seed).uniform(-1, 1, (n, 3)))
 
 
-def sampled_points(n, block):
-    """First and last points of the first two blocks, a middle point and
-    the whole last, partial block."""
-    last = (n // block) * block
-    assert last < n, "the cloud must end in a partial block"
-    return sorted({0, block - 1, block, n // 2, *range(last, n)})
+def sampled_points(blocks):
+    """First and last points of every block, a middle point and the whole
+    last block."""
+    n = int(blocks[-1][-1]) + 1
+    ends = {int(t) for ts in blocks for t in (ts[0], ts[-1])}
+    return sorted({*ends, n // 2, *blocks[-1].tolist()})
 
 
 def assert_report_row(one: RunReport, report: RunReport, t: int):
@@ -75,8 +75,8 @@ def assert_report_row(one: RunReport, report: RunReport, t: int):
 
 
 class TestBatchOfOne:
-    # one block per thread on these small clouds: four threads make the
-    # clouds end in a partial block
+    # one block per worker on these small clouds; the sampled points come
+    # from the blocks the run cuts, for the workers that run at THREADS
     @pytest.mark.parametrize("cloud", [noisy("wedge", 333, 1), noisy("plane", 301, 3),
                                        blob(150, 5)], ids=["wedge", "plane", "blob"])
     def test_estimate_normal_equals_estimate_all(self, cloud):
@@ -85,8 +85,8 @@ class TestBatchOfOne:
         index = build_index(cloud)
         f = cloud_noise_scale(cloud, index, min(params.noise_k, len(cloud) - 1)).cloud_f
         sp = params.sampling
-        block = pipeline._block_size(len(cloud), THREADS, sp.n_candidates, sp.k_s)
-        for t in sampled_points(len(cloud), block):
+        blocks = pipeline._run_blocks(block_rows, cloud, index, sp.n_candidates, sp.k_s, THREADS)
+        for t in sampled_points(blocks):
             normal, one = estimate_normal(cloud, index, t, f, params)
             assert normal.tobytes() == est.normals[t].tobytes(), t
             assert_report_row(one, report, t)
@@ -97,9 +97,9 @@ class TestBatchOfOne:
         params = EstimationParams(seed=8)
         out = denoise_all(cloud, params, n_threads=THREADS)
         index = build_index(cloud)
-        block = pipeline._block_size(len(cloud), THREADS, params.sampling.n_candidates,
-                                     POSITION_SUBSET)
-        for t in sampled_points(len(cloud), block):
+        blocks = pipeline._run_blocks(block_rows, cloud, index, params.sampling.n_candidates,
+                                      POSITION_SUBSET, THREADS)
+        for t in sampled_points(blocks):
             assert denoise_point(cloud, index, t, params).tobytes() == out.points[t].tobytes(), t
 
     def test_rejection_is_off_on_the_blob(self):
@@ -112,8 +112,9 @@ class TestBatchOfOne:
         cloud, params = blob(150, 5), EstimationParams(seed=7)
         est, report = estimate_all(cloud, params)
         ts = np.arange(len(cloud))              # one block: the whole cloud on one thread
-        assert pipeline._block_size(len(cloud), 1, params.sampling.n_candidates,
-                                    params.sampling.k_s) == len(cloud)
+        blocks = pipeline._blocks(len(cloud), 1, params.sampling.n_candidates,
+                                  params.sampling.k_s)
+        assert [block.tolist() for block in blocks] == [ts.tolist()]
         rel, nbr_d = pipeline._neighborhoods(cloud, build_index(cloud), ts, report.k_hat)
         nrm, anc, failed = cand.sample_plane_block(rel, point_rng(params.seed, ts),
                                                    params.sampling)
@@ -137,8 +138,8 @@ def drop_pool():
 
 
 def worker_budgets():
-    """The block budgets a worker process sees."""
-    return pipeline._BLOCK_ELEMENTS, geometry._BLOCK_ELEMENTS
+    """The block budget a worker process sees."""
+    return geometry._BLOCK_ELEMENTS
 
 
 def worker_pids():
@@ -162,18 +163,17 @@ class TestBlockSize:
             # points), scoring chunks from one row to the whole block, and
             # noise profile chunks from one row to the whole cloud
             for elements in (1, 7 * 1200, 7 * 12800, 32 * 12800, 2**40):
-                monkeypatch.setattr(pipeline, "_BLOCK_ELEMENTS", elements)
                 monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
-                # workers forked before the patch keep the old budgets, so
+                # workers forked before the patch keep the old budget, so
                 # drop the pool: the 2- and 3-thread calls fork a new one
-                # whose worker runs its share at the patched budgets
+                # whose worker runs its share at the patched budget
                 drop_pool()
                 for n_threads in (1, 2, 3):
                     assert run(n_threads) == ref, (elements, n_threads)
                 if pipeline._POOL is not None:
-                    assert pipeline._POOL[0].submit(worker_budgets).result() == (elements,) * 2
+                    assert pipeline._POOL[0].submit(worker_budgets).result() == elements
         finally:
-            drop_pool()     # later tests fork workers at the default budgets
+            drop_pool()     # later tests fork workers at the default budget
 
     @pytest.mark.parametrize("n_threads", [0, -3])
     def test_thread_counts_below_one_rejected(self, n_threads):
@@ -188,9 +188,11 @@ class TestBlockSize:
 
     def test_block_size(self):
         # at the defaults (M = 100, subsets of 4) the cap is 2**18 // 1200
-        for n, n_threads, block in ((200, 1, 200), (200, 2, 100), (200, 3, 67),
-                                    (2000, 1, 218), (2000, 3, 218), (1, 2, 1)):
-            assert pipeline._block_size(n, n_threads, 100, 4) == block, (n, n_threads)
+        for n, workers, block in ((200, 1, 200), (200, 2, 100), (200, 3, 67),
+                                  (2000, 1, 218), (2000, 3, 218), (1, 2, 1)):
+            blocks = pipeline._blocks(n, workers, 100, 4)
+            assert len(blocks[0]) == block, (n, workers)
+            assert np.concatenate(blocks).tolist() == list(range(n))
 
     def test_blocks_sized_by_the_workers_that_run(self):
         # n_threads above the usable CPU count runs on one worker per CPU, so
@@ -421,8 +423,27 @@ def spike_cloud():
     return PointCloud(points=np.vstack([plane, spike]))
 
 
-def copies_cloud():
-    return PointCloud(points=np.tile([0.3, -0.2, 0.7], (200, 1)))
+def copies_cloud(n=200):
+    return PointCloud(points=np.tile([0.3, -0.2, 0.7], (n, 1)))
+
+
+def collinear_cloud(n=200):
+    pts = np.zeros((n, 3))
+    pts[:, 0] = np.linspace(-1.0, 1.0, n)
+    return PointCloud(points=pts)
+
+
+def uniform_and_copies_cloud():
+    """100 uniform points and 100 copies of the first of them."""
+    pts = np.random.default_rng(1).uniform(-1.0, 1.0, (100, 3))
+    return PointCloud(points=np.vstack([pts, np.repeat(pts[:1], 100, axis=0)]))
+
+
+def far_blobs_cloud():
+    """Two 150-point normal blobs 1e6 apart."""
+    near = np.random.default_rng(2).normal(size=(150, 3))
+    far = np.random.default_rng(3).normal(size=(150, 3)) + 1e6
+    return PointCloud(points=np.vstack([near, far]))
 
 
 class TestDegenerateNeighborhoods:
@@ -472,6 +493,41 @@ class TestDegenerateNeighborhoods:
         out = capsys.readouterr().out
         count = int(out.split("PCA fallbacks = ")[1].split()[0])
         assert count > 0
+
+
+class TestDegenerateClouds:
+    # whole clouds without a surface: the neighbourhood size and the PCA
+    # fallback count are what the code gives for each, pinned so that a
+    # change to either shows
+    @pytest.mark.parametrize("make, k_hat, fallbacks",
+                             [(collinear_cloud, 32, 200), (copies_cloud, 32, 200),
+                              (uniform_and_copies_cloud, 128, 78), (far_blobs_cloud, 299, 0)],
+                             ids=["collinear", "copies", "uniform-and-copies", "far-blobs"])
+    def test_finite_unit_and_thread_independent(self, make, k_hat, fallbacks):
+        cloud, params = make(), EstimationParams()
+        (est, report), (est2, report2) = (estimate_all(cloud, params, t) for t in (1, 2))
+        out, out2 = (denoise_all(cloud, params, t).points for t in (1, 2))
+        assert np.isfinite(est.normals).all() and np.isfinite(out).all()
+        assert np.allclose(np.linalg.norm(est.normals, axis=1), 1.0)
+        assert est.normals.tobytes() == est2.normals.tobytes()
+        for f in fields(RunReport)[1:]:
+            assert getattr(report, f.name).tobytes() == getattr(report2, f.name).tobytes(), f.name
+        assert out.tobytes() == out2.tobytes()
+        assert (report.k_hat, int(report.fallback.sum())) == (k_hat, fallbacks)
+
+    @pytest.mark.parametrize("make", [collinear_cloud, copies_cloud], ids=["collinear", "copies"])
+    def test_four_points_raise(self, make):
+        for call in (estimate_all, denoise_all):
+            with pytest.raises(TooFewNeighbors):
+                call(make(4), EstimationParams())
+
+    @pytest.mark.parametrize("make", [collinear_cloud, copies_cloud], ids=["collinear", "copies"])
+    def test_five_points_run(self, make):
+        cloud = make(5)
+        est, report = estimate_all(cloud, EstimationParams())
+        assert np.allclose(np.linalg.norm(est.normals, axis=1), 1.0)
+        assert report.k_hat == 4 and report.fallback.all()
+        assert np.isfinite(denoise_all(cloud, EstimationParams()).points).all()
 
 
 class TestTinyClouds:

@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from normfit import (
-    PersistentDegeneracy,
-    SamplingParams,
-    TooFewNeighbors,
+from normfit import SamplingParams, TooFewNeighbors, rejection_sigma
+from normfit.candidates import (
+    CandidatePlanes,
+    _kernel_sum,
     reject_candidates,
-    rejection_sigma,
+    reject_position_candidates,
     sample_normal_candidates,
     sample_position_candidates,
     score_candidates,
     score_position_candidates,
 )
-from normfit.candidates import CandidatePlanes, _kernel_sum, reject_position_candidates
+from normfit.errors import PersistentDegeneracy
 from normfit.pipeline import point_rng
 
 from conftest import Plane, score_candidate

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from normfit import (
-    ConsensusParams,
-    EmptyCandidates,
-    ccn_loss,
-    ccp_loss,
-    normal_mode,
-    position_mode,
-)
-from normfit.consensus import position_mode_batch
+from normfit import ConsensusParams
+from normfit.consensus import ccn_loss, ccp_loss, normal_mode, position_mode, position_mode_batch
+from normfit.errors import EmptyCandidates
 
 from conftest import grid_min_normal, mean_mode_normal, random_units
 

@@ -2,9 +2,9 @@
 benchmark tracer wraps, the stages a single-point call reaches, the one
 eigen kernel, the one k-NN tree query, the one walk over the parameter
 tree, the one mode-solver loop, the one subset draw, kernel sum and survivor
-step of the consensus chain, the one parallel backend, unused private code,
-whole-cloud k-NN blocks, outputs under any BLAS thread count, and the
-demos."""
+step of the consensus chain, the one row-chunk rule, the one parallel
+backend, unused private code, whole-cloud k-NN blocks, outputs under any
+BLAS thread count, and the demos."""
 
 import ast
 import importlib.util
@@ -160,6 +160,22 @@ def test_one_mode_loop():
                 and isinstance(node.ctx, ast.Load))
 
     assert library_scopes(reads_slack) == [("consensus", "_descend")]
+
+
+def test_one_row_chunk_rule():
+    # the 2 MB budget turns into rows in one place: every row-chunk loop and
+    # the block partition take their slices from geometry.row_chunks, and no
+    # other module binds or reads the budget
+    def reads_budget(node):
+        return ((isinstance(node, ast.Name) and node.id == "_BLOCK_ELEMENTS"
+                 and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr == "_BLOCK_ELEMENTS"))
+
+    def imports_budget(node):
+        return isinstance(node, ast.alias) and node.name == "_BLOCK_ELEMENTS"
+
+    assert library_scopes(reads_budget) == [("geometry", "row_chunks")]
+    assert library_scopes(imports_budget) == []
 
 
 def test_one_parallel_backend():

@@ -868,7 +868,7 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("empty", ["seeds", "noise_levels", "shapes"])
+    @pytest.mark.parametrize("empty", ["seeds"])
     def test_run_suite_rejects_an_empty_suite(self, empty):
         from normfit.bench import run_suite
         with pytest.raises(ValueError, match="at least one seed"):

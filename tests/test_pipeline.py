@@ -65,8 +65,10 @@ class TestEstimate:
         # must still land on the global mode of that set: compare its loss
         # against an exhaustive 1-degree grid search over the sphere.
         from conftest import grid_min_normal
-        from normfit import (ccn_loss, reject_candidates, rejection_sigma,
-                             sample_normal_candidates, score_candidates)
+        from normfit import rejection_sigma
+        from normfit.candidates import (reject_candidates, sample_normal_candidates,
+                                        score_candidates)
+        from normfit.consensus import ccn_loss
         from normfit.pipeline import estimate_normal
 
         clean, _ = wedge_cloud(n=4000, noise=0.0, seed=5)
