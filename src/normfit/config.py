@@ -1,8 +1,8 @@
 """Flat key-value run configuration over every pipeline parameter.
 
 The keys come from one walk over the dataclasses (`_map`), shared by
-`SCHEMA`, `serialize` and `from_values`: every leaf field of `RunConfig` (and
-of the dataclasses nested in it) is one key named after the field, e.g.
+`SCHEMA` and `from_values`: every leaf field of `RunConfig` (and of the
+dataclasses nested in it) is one key named after the field, e.g.
 `seed`, `n_candidates`, `rejection_interval_max`.  A tuple field is one key
 per element, named by the field's `config_key` metadata: the adaptive
 thresholds are `adaptive_l0`..`adaptive_l4` and the sizes
@@ -70,11 +70,6 @@ _TYPE_NAMES = {int: "an integer", float: "a number"}
 
 # a quoted string literal as repr() writes it, then an optional comment
 _QUOTED = re.compile(r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")\s*(?:#.*)?""")
-
-
-def serialize(cfg: RunConfig) -> str:
-    lines = [f"{k} = {v!r}" if isinstance(v, str) else f"{k} = {v}" for k, _, v in _leaves(cfg)]
-    return "\n".join(lines) + "\n"
 
 
 def _string_literal(val: str) -> Optional[str]:

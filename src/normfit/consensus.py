@@ -2,10 +2,12 @@
 
 For normals the loss puts a Gaussian kernel on the sine of the angle to each
 candidate (antipodally invariant since ||n x m||^2 = 1 - (n.m)^2); the
-minimizer is found by an iteratively reweighted eigenvector update.  For
-positions the loss is the classic Gaussian kernel on distance and the
-minimizer is a mean-shift fixed point.  Both steps are minorize-maximize
-steps (Hunter & Lange 2004): the loss rises only by round-off.
+minimizer is found by power steps of the scatter S = sum_i w_i m_i m_i^T
+weighted by the kernel terms at the current normal.  For positions the loss
+is the classic Gaussian kernel on distance and the minimizer is a mean-shift
+fixed point.  Both steps are (generalized) minorize-maximize steps (Hunter &
+Lange 2004): a power step of the positive semidefinite S never lowers the
+minorizer n^T S n, so the loss rises only by round-off.
 
 The solvers run on a batch of A points at once (`normal_mode_batch`,
 `position_mode_batch`) through one loop, `_descend`; each point keeps its
@@ -27,6 +29,9 @@ from .geometry import angles_unoriented, as_points, canonical_sign, lift
 DEFAULT_TAU = math.sin(math.pi / 6)
 
 _LOSS_SLACK = 1e-12
+
+# power steps n <- S n per normal solver step, normalized once
+_POWER_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -74,23 +79,36 @@ def ccn_loss(n, candidates, tau: float = DEFAULT_TAU) -> float:
     return float(-_ccn_kernel(as_points(candidates)[None], n, tau).sum(axis=1)[0])
 
 
-def _weighted_principal(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Principal direction, of either sign, of sum_i w_i m_i m_i^T per row:
-    (A, M, 3), (A, M) -> (A, 3)."""
-    mat = np.matmul((m * w[:, :, None]).transpose(0, 2, 1), m)
-    _, v = np.linalg.eigh(mat)
-    return v[:, :, 2]
+def _power_step(m: np.ndarray, w: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """S^j n / ||S^j n|| for S = sum_i w_i m_i m_i^T per row, j = _POWER_STEPS:
+    (A, M, 3), (A, M), (A, 3) -> (A, 3).  S x = sum_i w_i (m_i.x) m_i is two
+    stacked matmuls.  The weights are rescaled by their row maximum first,
+    so subnormal ones do not underflow S^j n; a row whose S^j n vanishes
+    keeps n."""
+    w = w / w.max(axis=1, keepdims=True)
+    x = n
+    for _ in range(_POWER_STEPS):
+        d = np.matmul(m, x[:, :, None])[:, :, 0]
+        d *= w
+        x = np.matmul(d[:, None, :], m)[:, 0]
+    norm = np.linalg.norm(x, axis=1)
+    vanished = norm == 0.0
+    if vanished.any():
+        x[vanished], norm[vanished] = n[vanished], 1.0
+    x /= norm[:, None]
+    return x
 
 
 def _descend(c, x, kernel, step, stopped, nearest, max_iters: int, *rows):
     """Minimize -kernel(c, x, *rows).sum(axis=1) for each of A points from
     (A, M, ...) candidates c, (A, 3) starts x and per-point arrays rows.
 
-    A pass moves each point to step(c, kern, -loss), from its kernel terms
-    and their sum; it converges when stopped(x_new, x, *rows).  Unconverged,
-    a point stops where it was if its step would raise its loss by more than
-    _LOSS_SLACK (only round-off can), and at nearest(c, x) if its kernel
-    terms all vanish.  Returns (iterates, losses, iterations, converged).
+    A pass moves each point to step(c, kern, -loss, x), from its kernel
+    terms, their sum and its iterate; it converges when
+    stopped(x_new, x, *rows).  Unconverged, a point stops where it was if
+    its step would raise its loss by more than _LOSS_SLACK (only round-off
+    can), and at nearest(c, x) if its kernel terms all vanish.  Returns
+    (iterates, losses, iterations, converged).
     """
     kern = kernel(c, x, *rows)           # at the current iterates, kept across steps
     loss = -kern.sum(axis=1)
@@ -113,7 +131,7 @@ def _descend(c, x, kernel, step, stopped, nearest, max_iters: int, *rows):
             out_loss[act[e]] = -kernel(c[e], xe, *(r[e] for r in rows)).sum(axis=1)
             live = ~empty
             act, c, x, kern, loss, *rows = (a[live] for a in (act, c, x, kern, loss, *rows))
-        x_new = step(c, kern, -loss)
+        x_new = step(c, kern, -loss, x)
         new_kern = kernel(c, x_new, *rows)
         new_loss = -new_kern.sum(axis=1)
         up = new_loss > loss + _LOSS_SLACK
@@ -135,21 +153,23 @@ def normal_mode_batch(m: np.ndarray, params: ConsensusParams, init: np.ndarray):
     """Minimize ccn_loss for each row of (A, M, 3) candidates from (A, 3) inits.
 
     Each step weights candidates by their kernel value at the current
-    normal and moves to the principal direction of the weighted outer-
-    product sum.  A point whose step would raise the loss stops where it
-    was; one whose kernel weights all underflow to zero stops at its nearest
-    candidate (largest |n.m|); both unconverged.  No step sees a normal's
-    sign, so the results are sign-canonicalized once, on the way out.
+    normal and takes `_power_step`.  A point whose step would raise the loss
+    stops where it was; one whose kernel weights all underflow to zero stops
+    at its nearest candidate (largest |n.m|); both unconverged.  The step
+    is sign-equivariant (-n goes to -S n) and neither the kernel nor the
+    stopping angle sees the sign, so the results are sign-canonicalized
+    once, on the way out, with zero components +0: a sum that cancels is +0
+    whatever the iterate's sign.
     Returns (normals (A, 3), losses (A,), iterations (A,), converged (A,)).
     """
     n, loss, iterations, converged = _descend(
         m, np.array(init, dtype=np.float64),
         lambda m, n: _ccn_kernel(m, n, params.tau_normal),
-        lambda m, kern, total: _weighted_principal(m, kern),
+        lambda m, kern, total, n: _power_step(m, kern, n),
         lambda n_new, n: angles_unoriented(n_new, n) < params.tol_deg,
         lambda m, n: m[np.arange(len(m)), np.argmax(np.abs(np.einsum("amc,ac->am", m, n)), axis=1)],
         params.max_iters)
-    return canonical_sign(n), loss, iterations, converged
+    return canonical_sign(n) + 0.0, loss, iterations, converged
 
 
 def normal_mode(candidates, params: ConsensusParams, init) -> ModeResult:
@@ -203,7 +223,7 @@ def position_mode_batch(q: np.ndarray, params: ConsensusParams, init: np.ndarray
     return _descend(
         lift(q), np.array(init, dtype=np.float64),
         lambda q, x, tau2, tol: _ccp_kernel(q, x, tau2),
-        lambda q, kern, total: np.matmul(kern[:, None, :], q[..., :3])[:, 0] / total[:, None],
+        lambda q, kern, total, x: np.matmul(kern[:, None, :], q[..., :3])[:, 0] / total[:, None],
         lambda x_new, x, tau2, tol: np.linalg.norm(x_new - x, axis=1) < tol,
         lambda q, x: q[np.arange(len(q)), _ccp_exponent(q, x, np.ones(len(q))).argmax(axis=1), :3],
         params.max_iters, tau**2, params.tol_pos * tau)

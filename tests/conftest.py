@@ -4,6 +4,7 @@ The oracles are small reference functions only the tests need: thin
 single-item views of the library's batched kernels (`fit_plane`,
 `score_candidate`, `mean_mode_normal`, `point_noise_level`), independent
 brute-force references (`grid_min_normal`, `brute_force_knn`), the
+`eigh` update that the normal solver's power step replaces (`eigen_step`), the
 single-point widening k-NN query that `knn_batch` must match and the rows
 it widens (`knn_widening`, `widened_rows`), the
 `eigh` solve of every row that `plane_fit`'s closed form replaces
@@ -15,18 +16,21 @@ and the sign rule that the compacted kernels must match byte for byte
 `draw_index_sets_sorted`, `canonical_sign_argmax`), and the whole-cloud
 forms of the PCA baseline and the noise profile that the row-chunked
 `geometry.neighborhood_fits` must match byte for byte
-(`pca_baseline_whole`, `cloud_noise_scale_whole`).
+(`pca_baseline_whole`, `cloud_noise_scale_whole`), and the config writer
+whose text `config.parse` must read back to the same `RunConfig` (`serialize`).
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from normfit import consensus
 from normfit.candidates import _GOLDEN, CandidatePlanes, _mix64, score_candidates
-from normfit.consensus import _ccp_exponent, _weighted_principal
+from normfit.config import _leaves
+from normfit.consensus import _ccp_exponent, _power_step
 from normfit.errors import EmptyCandidates, NormalNotUnit, NormfitError, ParseError
 from normfit.geometry import (PointCloud, angles_unoriented, as_points, build_index,
                               canonical_sign, fit_planes_batch, lift, plane_fit)
@@ -67,6 +71,13 @@ def plane_fit_eigh(pts):
     cov = np.einsum("mki,mkj->mij", q, q) / pts.shape[1]
     w, v = np.linalg.eigh(cov)
     return canonical_sign(v[:, :, 0]), c, np.maximum(w, 0.0)
+
+
+def serialize(cfg) -> str:
+    """A `RunConfig` as the `key = value` text `config.parse` reads back, one
+    line per leaf: strings by repr, everything else by str."""
+    lines = [f"{k} = {v!r}" if isinstance(v, str) else f"{k} = {v}" for k, _, v in _leaves(cfg)]
+    return "\n".join(lines) + "\n"
 
 
 def brute_force_knn(points, query_idx, k):
@@ -249,6 +260,16 @@ def write_ply_rows(cloud, path, reference_normals=None) -> None:
         _text_rows(fh, cloud, colors)
 
 
+def pytest_collection_modifyitems(items):
+    """Make every warning an error in the items under tests/, so a new one
+    (a 0/0 in a solver step, say) fails the test that meets it.  The mark
+    goes first, so a test's own filterwarnings marks still take precedence."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
@@ -301,7 +322,16 @@ def mean_mode_normal(candidates) -> np.ndarray:
     m = as_points(candidates)
     if len(m) == 0:
         raise EmptyCandidates("mean_mode_normal needs at least one candidate")
-    return canonical_sign(_weighted_principal(m[None], np.ones((1, len(m))))[0])
+    return canonical_sign(np.linalg.eigh(m.T @ m)[1][:, 2])
+
+
+def eigen_step(m, w, n):
+    """The exact reweighted update that `consensus._power_step` approximates:
+    the principal eigenvector, of either sign, of sum_i w_i m_i m_i^T per
+    row, by `np.linalg.eigh`.  (A, M, 3), (A, M), (A, 3) -> (A, 3); ignores
+    the iterate n."""
+    _, v = np.linalg.eigh(np.matmul((m * w[:, :, None]).transpose(0, 2, 1), m))
+    return v[:, :, 2]
 
 
 def gather_with_self(points, nbr_idx, query_idx):
@@ -369,12 +399,13 @@ def draw_index_sets_sorted(keys, counters, pool, k):
 def normal_mode_batch_loop(m, params, init, hits=None):
     """`normal_mode_batch` gathering the active rows from full-size arrays
     and scattering them back on every iteration, and sign-canonicalizing
-    every iterate.  Reads `consensus._LOSS_SLACK` and `consensus._ccn_kernel`
-    at call time, so a test can patch them for both implementations; takes
-    the library's step, `_weighted_principal`.  Counts the points that take
-    each branch in the Counter `hits`: "underflow" (all weights zero,
-    stopped at the candidate of largest |n.m|), "gave_up" (a step raised
-    the loss), "converged" and "max_iters"."""
+    every iterate; zero components of the returned normals are +0.  Reads
+    `consensus._LOSS_SLACK` and `consensus._ccn_kernel` at call time, so a
+    test can patch them for both implementations; takes the library's step,
+    `_power_step`.  Counts the points that take each branch in the Counter
+    `hits`: "underflow" (all weights zero, stopped at the candidate of
+    largest |n.m|), "gave_up" (a step raised the loss), "converged" and
+    "max_iters"."""
     hits = Counter() if hits is None else hits
     tau = params.tau_normal
     n = canonical_sign_argmax(np.array(init, dtype=np.float64))
@@ -396,7 +427,7 @@ def normal_mode_batch_loop(m, params, init, hits=None):
             loss[e] = -consensus._ccn_kernel(m[e], n[e], tau).sum(axis=1)
             act = act[~empty]
         ma, na, la = m[act], n[act], loss[act]
-        n_new = _weighted_principal(ma, kern[act])
+        n_new = _power_step(ma, kern[act], na)
         new_kern = consensus._ccn_kernel(ma, n_new, tau)
         new_loss = -new_kern.sum(axis=1)
         up = new_loss > la + consensus._LOSS_SLACK
@@ -410,7 +441,7 @@ def normal_mode_batch_loop(m, params, init, hits=None):
         act = act[moved & ~done]
     hits["converged"] += int(np.count_nonzero(converged))
     hits["max_iters"] += len(act)
-    return n, loss, iterations, converged
+    return n + 0.0, loss, iterations, converged
 
 
 def position_mode_batch_loop(q, params, init, tau, hits=None):

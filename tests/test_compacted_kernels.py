@@ -14,6 +14,7 @@ branch of its solver was taken.  Two further properties bound the loss each
 solver returns by its initial loss plus what the guard lets through.
 """
 
+import math
 from collections import Counter
 from unittest import mock
 
@@ -127,11 +128,38 @@ def normal_batches(draw, slacks=SLACKS):
     return cands, init, params, draw(slacks), kernel
 
 
+def power_step_case(cands, init, tau):
+    """A `normal_batches` case of one point at the default slack and kernel."""
+    return (np.array([cands], dtype=np.float64), np.array([init], dtype=np.float64),
+            ConsensusParams(tau_normal=tau), consensus._LOSS_SLACK, consensus._ccn_kernel)
+
+
+# a unit candidate 32.9 degrees from e_z: at tau = 0.02 its kernel weight at
+# e_z, exp(0.84^2 / tau^2 - 1 / tau^2) = exp(-736), is subnormal
+SUBNORMAL = np.array([math.sqrt(1.0 - 0.84**2), 0.0, 0.84])
+# edge cases of the power step: its weighted scatter S vanishes on a point
+# whose candidates are all zero and on an init orthogonal to every candidate
+# (S n = 0, so the point keeps its init); subnormal weights underflow S n
+# unless they are rescaled first
+POWER_STEP_EDGES = [
+    power_step_case(np.zeros((5, 3)), [0.0, 0.0, 1.0], 0.5),
+    power_step_case([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.6, 0.8, 0.0]], [0.0, 0.0, 1.0], 0.5),
+    power_step_case([SUBNORMAL, SUBNORMAL * [1.0, 1.0, -1.0], -SUBNORMAL], [0.0, 0.0, 1.0], 0.02),
+]
+
+
+def edge_examples(test):
+    for case in POWER_STEP_EDGES:
+        test = example(case)(test)
+    return test
+
+
 def test_normal_mode_batch_matches_loop():
     hits = Counter()
 
     @settings(max_examples=300, deadline=None)
     @given(normal_batches())
+    @edge_examples
     def check(case):
         m, init, params, slack, kernel = case
         with mock.patch.object(consensus, "_LOSS_SLACK", slack), \
@@ -150,14 +178,20 @@ def initial_loss(kernel, c, x, *rows):
 
 @settings(max_examples=200, deadline=None)
 @given(normal_batches(slacks=st.just(consensus._LOSS_SLACK)))
+@edge_examples
 def test_normal_loss_never_rises_past_the_guard(case):
     # each kept step raises the loss by at most _LOSS_SLACK; under the
     # heavy-tailed kernel a step can raise it, and the guard must stop it
     m, init, params, _, kernel = case
     with mock.patch.object(consensus, "_ccn_kernel", kernel):
-        _, loss, iterations, _ = normal_mode_batch(m, params, init)
+        n, loss, iterations, _ = normal_mode_batch(m, params, init)
     start = initial_loss(kernel, m, init, params.tau_normal)
     assert (loss <= start + iterations * consensus._LOSS_SLACK).all(), (loss, start)
+    # finite unit normals, but for a point that stopped at a zero candidate
+    # (its nearest when every kernel weight underflows)
+    assert np.isfinite(n).all() and np.isfinite(loss).all(), (n, loss)
+    unit = np.abs(np.linalg.norm(n, axis=1) - 1.0) < 1e-12
+    assert (unit | (n == 0.0).all(axis=1)).all(), n
 
 
 def position_case(seed, a, m, spread, max_iters, tol_pos, slack, kernel):

@@ -91,14 +91,13 @@ def is_eigen_call(node):
 
 def test_one_eigen_kernel():
     # plane_fit (with its eigh fallback) is the covariance/eigen kernel; the
-    # mode solver's weighted principal direction is the one other solve
-    assert library_scopes(is_eigen_call) == [("consensus", "_weighted_principal"),
-                                             ("geometry", "plane_fit")]
+    # normal mode solver takes power steps, not eigen solves
+    assert library_scopes(is_eigen_call) == [("geometry", "plane_fit")]
 
 
 def test_one_parameter_walk():
     # config's one walk over the dataclass tree (`_map`) names the keys of
-    # SCHEMA, serialize and from_values alike
+    # SCHEMA and from_values alike
     def calls_fields(node):
         f = getattr(node, "func", None)
         name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)

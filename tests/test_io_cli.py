@@ -33,7 +33,7 @@ from normfit import io as iomod
 from normfit.cli import _load_config, build_parser, cli_main
 from normfit.metrics import CSV_HEADER
 
-from conftest import read_ply_lines, read_xyz_lines, write_ply_rows, write_xyz_rows
+from conftest import read_ply_lines, read_xyz_lines, serialize, write_ply_rows, write_xyz_rows
 
 # file-format names of the adaptive table's elements: (prefix, first index)
 TUPLE_KEYS = {"thresholds": ("adaptive_l", 0), "sizes": ("adaptive_k", 1)}
@@ -651,7 +651,7 @@ class TestPly:
 class TestConfig:
     def test_roundtrip_defaults(self):
         cfg = cfgmod.RunConfig()
-        assert cfgmod.parse(cfgmod.serialize(cfg)) == cfg
+        assert cfgmod.parse(serialize(cfg)) == cfg
 
     def test_roundtrip_modified(self):
         cfg = cfgmod.parse("seed = 7\nn_candidates = 40\ntau_normal = 0.3\n"
@@ -661,7 +661,7 @@ class TestConfig:
         assert cfg.params.consensus.tau_normal == 0.3
         assert cfg.input_path == "in.xyz"
         assert cfg.threads == 4
-        assert cfgmod.parse(cfgmod.serialize(cfg)) == cfg
+        assert cfgmod.parse(serialize(cfg)) == cfg
 
     def test_unknown_key_with_line_number(self):
         with pytest.raises(ConfigError) as exc:
@@ -680,7 +680,7 @@ class TestConfig:
 
     def test_quoted_value_keeps_hash(self):
         cfg = cfgmod.RunConfig(input_path="scans/run#2.xyz")
-        assert cfgmod.parse(cfgmod.serialize(cfg)).input_path == "scans/run#2.xyz"
+        assert cfgmod.parse(serialize(cfg)).input_path == "scans/run#2.xyz"
         cfg = cfgmod.parse("input_path = 'a # b.xyz'  # trailing\nseed = 3  # trailing\n")
         assert cfg.input_path == "a # b.xyz" and cfg.params.seed == 3
 
@@ -689,7 +689,7 @@ class TestConfig:
                                st.characters(blacklist_categories=("Cs",))), max_size=24)] * 2)
     def test_roundtrip_any_path(self, input_path, output_path):
         cfg = cfgmod.RunConfig(input_path=input_path, output_path=output_path)
-        assert cfgmod.parse(cfgmod.serialize(cfg)) == cfg
+        assert cfgmod.parse(serialize(cfg)) == cfg
 
     def test_invalid_combination_rejected(self):
         with pytest.raises(ConfigError):
@@ -904,8 +904,8 @@ class TestCli:
         src = tmp_path / "in put#1.xyz"
         cli_main(["synth", "--shape", "plane", "--n", "100", "--out", str(src)])
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(cfgmod.serialize(cfgmod.RunConfig(input_path=str(src),
-                                                         output_path=str(tmp_path / "cfg.xyz"))))
+        cfg.write_text(serialize(cfgmod.RunConfig(input_path=str(src),
+                                                  output_path=str(tmp_path / "cfg.xyz"))))
         assert cli_main([command, "--config", str(cfg)]) == 0
         assert read_cloud(tmp_path / "cfg.xyz").points.shape == (100, 3)
         # a flag overrides the file's path
