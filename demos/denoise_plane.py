@@ -1,8 +1,9 @@
-"""Denoise a noisy plane by mean-shift over random centroid candidates.
+"""Denoise a noisy plane by seeking the kernel mode of random centroid candidates.
 
 Each point gathers its 64 nearest neighbors, draws many 4-point centroids
 as position candidates, drops the lowest-scoring 10%, and moves to the
-kernel mode of the survivors.  Chamfer distance (CD) to the clean cloud and
+kernel mode of the survivors, found by Newton steps on the kernel density
+with mean-shift steps where it is not concave.  Chamfer distance (CD) to the clean cloud and
 mean distance to the analytic surface (P2S) both drop sharply.
 """
 

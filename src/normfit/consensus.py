@@ -3,11 +3,14 @@
 For normals the loss puts a Gaussian kernel on the sine of the angle to each
 candidate (antipodally invariant since ||n x m||^2 = 1 - (n.m)^2); the
 minimizer is found by power steps of the scatter S = sum_i w_i m_i m_i^T
-weighted by the kernel terms at the current normal.  For positions the loss
-is the classic Gaussian kernel on distance and the minimizer is a mean-shift
-fixed point.  Both steps are (generalized) minorize-maximize steps (Hunter &
-Lange 2004): a power step of the positive semidefinite S never lowers the
-minorizer n^T S n, so the loss rises only by round-off.
+weighted by the kernel terms at the current normal.  A power step of the
+positive semidefinite S never lowers the minorizer n^T S n, a (generalized)
+minorize-maximize step (Hunter & Lange 2004), so the loss rises only by
+round-off.  For positions the loss is the classic Gaussian kernel on
+distance, and the minimizer is found by Newton steps on the kernel density
+where it is locally concave and by mean-shift steps, which are
+minorize-maximize steps, where it is not or where a Newton point would
+raise the loss (Carreira-Perpinan, CVPR 2006).
 
 The solvers run on a batch of A points at once (`normal_mode_batch`,
 `position_mode_batch`) through one loop, `_descend`; each point keeps its
@@ -99,16 +102,18 @@ def _power_step(m: np.ndarray, w: np.ndarray, n: np.ndarray) -> np.ndarray:
     return x
 
 
-def _descend(c, x, kernel, step, stopped, nearest, max_iters: int, *rows):
+def _descend(c, x, kernel, step, stopped, nearest, max_iters: int, *rows, fallback=None):
     """Minimize -kernel(c, x, *rows).sum(axis=1) for each of A points from
-    (A, M, ...) candidates c, (A, 3) starts x and per-point arrays rows.
+    (A, ...) candidates c, (A, 3) starts x and per-point arrays rows.
 
-    A pass moves each point to step(c, kern, -loss, x), from its kernel
-    terms, their sum and its iterate; it converges when
-    stopped(x_new, x, *rows).  Unconverged, a point stops where it was if
-    its step would raise its loss by more than _LOSS_SLACK (only round-off
-    can), and at nearest(c, x) if its kernel terms all vanish.  Returns
-    (iterates, losses, iterations, converged).
+    A pass moves each point to step(c, kern, -loss, x, *rows), from its
+    kernel terms, their sum, its iterate and its rows; it converges when
+    stopped(x_new, x, *rows).  A point whose step would raise its loss by
+    more than _LOSS_SLACK is retried at fallback(...) of the same arguments,
+    the kernel evaluated for those points only; unconverged, it stops where
+    it was if that raises the loss too (or if there is no fallback), and at
+    nearest(c, x) if its kernel terms all vanish.  Returns (iterates,
+    losses, iterations, converged).
     """
     kern = kernel(c, x, *rows)           # at the current iterates, kept across steps
     loss = -kern.sum(axis=1)
@@ -131,10 +136,18 @@ def _descend(c, x, kernel, step, stopped, nearest, max_iters: int, *rows):
             out_loss[act[e]] = -kernel(c[e], xe, *(r[e] for r in rows)).sum(axis=1)
             live = ~empty
             act, c, x, kern, loss, *rows = (a[live] for a in (act, c, x, kern, loss, *rows))
-        x_new = step(c, kern, -loss, x)
+        x_new = step(c, kern, -loss, x, *rows)
         new_kern = kernel(c, x_new, *rows)
         new_loss = -new_kern.sum(axis=1)
-        up = new_loss > loss + _LOSS_SLACK
+        limit = loss + _LOSS_SLACK
+        up = new_loss > limit
+        if fallback is not None and up.any():
+            r = np.flatnonzero(up)
+            cr, rr = c[r], [a[r] for a in rows]
+            xr = fallback(cr, kern[r], -loss[r], x[r], *rr)
+            kr = kernel(cr, xr, *rr)
+            x_new[r], new_kern[r], new_loss[r] = xr, kr, -kr.sum(axis=1)
+            up[r] = new_loss[r] > limit[r]
         done = ~up & stopped(x_new, x, *rows)
         if up.any():
             x_new[up], new_loss[up] = x[up], loss[up]
@@ -183,15 +196,45 @@ def normal_mode(candidates, params: ConsensusParams, init) -> ModeResult:
                       converged=bool(converged[0]))
 
 
+# the entries (i, j), i <= j, of a symmetric 3x3 matrix as 6 rows, diagonal
+# first; `_lift_products` writes its products in this order
+_SYM = (np.array([0, 1, 2, 0, 1, 0]), np.array([0, 1, 2, 1, 2, 2]))
+# _ENTRY[i, k] is the row of entry (i, k); cofactor (i, k) of a symmetric
+# 3x3 matrix is H[i+1, k+1] H[i+2, k+2] - H[i+1, k+2] H[i+2, k+1], indices
+# mod 3, and _COFACTOR holds the rows of those four factors
+_ENTRY = np.zeros((3, 3), dtype=np.intp)
+_ENTRY[_SYM] = _ENTRY[_SYM[::-1]] = np.arange(6)
+_COFACTOR = np.stack([_ENTRY[np.ix_(a, b)] for a, b in
+                      (([1, 2, 0], [1, 2, 0]), ([2, 0, 1], [2, 0, 1]),
+                       ([1, 2, 0], [2, 0, 1]), ([2, 0, 1], [1, 2, 0]))])
+
+
+def _lift_products(q: np.ndarray) -> np.ndarray:
+    """(A, 11, M) lifts of (A, M, 3) candidates, coordinate-major: rows
+    [q, 1, |q|^2] (`geometry.lift`), which the kernel reads, then the products
+    q_i q_j for (i, j) in _SYM, so that one matmul with the kernel terms gives
+    S0, S1 and the second moments."""
+    out = np.empty((len(q), 11, q.shape[1]))
+    qt = out[:, :3]
+    qt[...], out[:, 3] = q.transpose(0, 2, 1), 1.0
+    np.multiply(qt, qt, out=out[:, 5:8])
+    np.multiply(qt[:, :2], qt[:, 1:], out=out[:, 8:10])
+    np.multiply(qt[:, 0], qt[:, 2], out=out[:, 10])
+    np.add(out[:, 5], out[:, 6], out=out[:, 4])
+    out[:, 4] += out[:, 7]
+    return out
+
+
 def _ccp_exponent(q: np.ndarray, x: np.ndarray, tau2: np.ndarray) -> np.ndarray:
-    """-|q - x|^2 / tau^2 of (A, M, 5) lifted candidates (`geometry.lift`) at
-    (A, 3) positions, (A,) squared bandwidths -> (A, M): one stacked matmul."""
-    return np.matmul(q, lift(x, tau2)[:, :, None])[:, :, 0]
+    """-|q - x|^2 / tau^2 of (A, 11, M) lifted candidates (`_lift_products`)
+    at (A, 3) positions, (A,) squared bandwidths -> (A, M): one stacked
+    matmul with lift(x, tau2)."""
+    return np.matmul(lift(x, tau2)[:, None, :], q[:, :5])[:, 0]
 
 
 def _ccp_kernel(q: np.ndarray, x: np.ndarray, tau2: np.ndarray) -> np.ndarray:
     """Kernel terms of ccp_loss, like `_ccn_kernel` both losses and the next
-    mean-shift weights: exp of `_ccp_exponent`, clamped at 0 for round-off
+    step's weights: exp of `_ccp_exponent`, clamped at 0 for round-off
     only, so a far candidate's term underflows to 0."""
     e = _ccp_exponent(q, x, tau2)
     np.minimum(e, 0.0, out=e)
@@ -203,30 +246,79 @@ def ccp_loss(x, candidates, tau: float) -> float:
     if tau <= 0:
         raise ValueError("tau must be positive")
     x = np.asarray(x, dtype=np.float64).reshape(1, 3)
-    kern = _ccp_kernel(lift(as_points(candidates)[None]), x, np.array([tau**2]))
+    kern = _ccp_kernel(_lift_products(as_points(candidates)[None]), x, np.array([tau**2]))
     return float(-kern.sum(axis=1)[0])
+
+
+def _moments(q: np.ndarray, kern: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Kernel-weighted means (11, A) of the lifted products (A, 11, M) under
+    weights kern (A, M) that sum to total (A,): rows 0-2 are the mean-shift
+    point S1 / S0, rows 5-10 the second moments E[q_i q_j]."""
+    m = np.matmul(q, kern[:, :, None])[:, :, 0].T
+    return m / total
+
+
+def _mean_shift(q: np.ndarray, kern: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """The mean-shift point S1 / S0 (A, 3): the position solver's fallback."""
+    return np.ascontiguousarray(_moments(q, kern, total)[:3].T)
+
+
+def _newton_step(q: np.ndarray, kern: np.ndarray, total: np.ndarray, x: np.ndarray,
+                 tau2: np.ndarray) -> np.ndarray:
+    """The Newton point x + H^-1 d of F(x) = sum_i exp(-|q_i - x|^2 / tau^2)
+    where H is positive definite, and the mean-shift point S1 / S0 = x + d
+    elsewhere: (A, 3).
+
+    d is the mean-shift vector and H = I - (2 / tau^2)(C + d d^T), with C
+    the kernel-weighted covariance of the candidates about S1 / S0; grad F
+    and minus its Hessian are d and H times 2 S0 / tau^2, so H is positive
+    definite where F is locally concave.  Sylvester's criterion tests H and
+    its adjugate solves it, elementwise over the rows.
+    """
+    m = _moments(q, kern, total)
+    mu = m[:3]
+    d = mu - x.T
+    i, j = _SYM
+    # C + d d^T = E[q q^T] - mu mu^T + d d^T
+    h = (mu[i] * mu[j] - d[i] * d[j] - m[5:]) * (2.0 / tau2)
+    h[:3] += 1.0
+    cof = h[_COFACTOR[0]] * h[_COFACTOR[1]] - h[_COFACTOR[2]] * h[_COFACTOR[3]]
+    # sums written out, not einsum, whose rounding depends on the batch size
+    e = h[_ENTRY[0]] * cof[0]
+    det = e[0] + e[1] + e[2]
+    concave = (h[0] > 0.0) & (cof[2, 2] > 0.0) & (det > 0.0)
+    step = cof[:, 0] * d[0] + cof[:, 1] * d[1] + cof[:, 2] * d[2]
+    step /= np.where(concave, det, 1.0)
+    return np.ascontiguousarray(np.where(concave, x.T + step, mu).T)
 
 
 def position_mode_batch(q: np.ndarray, params: ConsensusParams, init: np.ndarray,
                         tau: np.ndarray):
-    """Mean-shift each row of (A, M, 3) candidates from (A, 3) inits with
-    bandwidths tau (A,), all positive.
+    """Find the mode of each row of (A, M, 3) candidates from (A, 3) inits with
+    bandwidths tau (A,), all positive, by Newton steps (`_newton_step`) on
+    the kernel density, the mean-shift step where it is not locally concave.
 
-    A point converges when a step moves it less than tol_pos * tau, so the
-    iterations do not depend on the cloud's scale.  A point whose step would
-    raise the loss stops where it was; one whose kernel weights all underflow
-    to zero stops at its nearest candidate; both unconverged.  The
-    candidates are lifted once; each step is one matmul of the weights with
-    them.  Returns (positions (A, 3), losses (A,), iterations (A,),
-    converged (A,)).
+    A point whose Newton point would raise the loss is retried at the
+    mean-shift point, a minorize-maximize step whose loss rises only by
+    round-off.  A point converges when a step moves it less than
+    tol_pos * tau, so the iterations do not depend on the cloud's scale.  A
+    point whose mean-shift step would raise the loss stops where it was;
+    one whose kernel weights all underflow to zero stops at its nearest
+    candidate; both unconverged.  The candidates and their products are
+    lifted once (`_lift_products`); each step is one matmul of the weights
+    with them.  The second moments lose digits to cancellation when the
+    candidates sit far from the origin against their spread, as the lifted
+    exponents do, so callers pass candidates relative to a nearby point.
+    Returns (positions (A, 3), losses (A,), iterations (A,), converged (A,)).
     """
     return _descend(
-        lift(q), np.array(init, dtype=np.float64),
+        _lift_products(q), np.array(init, dtype=np.float64),
         lambda q, x, tau2, tol: _ccp_kernel(q, x, tau2),
-        lambda q, kern, total, x: np.matmul(kern[:, None, :], q[..., :3])[:, 0] / total[:, None],
+        lambda q, kern, total, x, tau2, tol: _newton_step(q, kern, total, x, tau2),
         lambda x_new, x, tau2, tol: np.linalg.norm(x_new - x, axis=1) < tol,
-        lambda q, x: q[np.arange(len(q)), _ccp_exponent(q, x, np.ones(len(q))).argmax(axis=1), :3],
-        params.max_iters, tau**2, params.tol_pos * tau)
+        lambda q, x: q[np.arange(len(q)), :3, _ccp_exponent(q, x, np.ones(len(q))).argmax(axis=1)],
+        params.max_iters, tau**2, params.tol_pos * tau,
+        fallback=lambda q, kern, total, x, tau2, tol: _mean_shift(q, kern, total))
 
 
 def position_mode(candidates, params: ConsensusParams, init, tau: float) -> ModeResult:

@@ -5,6 +5,9 @@ single-item views of the library's batched kernels (`fit_plane`,
 `score_candidate`, `mean_mode_normal`, `point_noise_level`), independent
 brute-force references (`grid_min_normal`, `brute_force_knn`), the
 `eigh` update that the normal solver's power step replaces (`eigen_step`), the
+plain Gaussian mean shift that the position solver's Newton steps replace
+and the matrix whose definiteness selects them (`mean_shift_modes`,
+`newton_matrix`), the
 single-point widening k-NN query that `knn_batch` must match and the rows
 it widens (`knn_widening`, `widened_rows`), the
 `eigh` solve of every row that `plane_fit`'s closed form replaces
@@ -33,7 +36,7 @@ from normfit.config import _leaves
 from normfit.consensus import _ccp_exponent, _power_step
 from normfit.errors import EmptyCandidates, NormalNotUnit, NormfitError, ParseError
 from normfit.geometry import (PointCloud, angles_unoriented, as_points, build_index,
-                              canonical_sign, fit_planes_batch, lift, plane_fit)
+                              canonical_sign, fit_planes_batch, plane_fit)
 from normfit.noise import DEFAULT_NOISE_K, NoiseProfile
 
 
@@ -334,6 +337,26 @@ def eigen_step(m, w, n):
     return v[:, :, 2]
 
 
+def mean_shift_modes(q, init, tau, tol_pos, max_iters):
+    """Gaussian mean shift x <- sum_i w_i q_i / sum_i w_i, w_i = exp(-|q_i -
+    x|^2 / tau^2) by the direct formula, per row of (A, M, 3) candidates from
+    (A, 3) inits with (A,) bandwidths, until a step moves less than tol_pos
+    * tau.  Returns (positions (A, 3), iterations (A,), rows still moving
+    after max_iters)."""
+    x = np.array(init, dtype=np.float64)
+    iterations = np.zeros(len(q), dtype=np.int64)
+    act = np.arange(len(q))
+    for _ in range(max_iters):
+        if len(act) == 0:
+            break
+        qa, xa = q[act], x[act]
+        w = np.exp(-((qa - xa[:, None]) ** 2).sum(axis=2) / tau[act, None] ** 2)
+        x[act] = (w[:, :, None] * qa).sum(axis=1) / w.sum(axis=1)[:, None]
+        iterations[act] += 1
+        act = act[np.linalg.norm(x[act] - xa, axis=1) >= tol_pos * tau[act]]
+    return x, iterations, act
+
+
 def gather_with_self(points, nbr_idx, query_idx):
     """Each query point's neighbours followed by the point itself, in one
     gather: (len(query_idx), k + 1, 3) from the (len(query_idx), k) `nbr_idx`."""
@@ -444,18 +467,33 @@ def normal_mode_batch_loop(m, params, init, hits=None):
     return n + 0.0, loss, iterations, converged
 
 
+def newton_matrix(q, w, x, tau2):
+    """I - (2 / tau^2) sum_i w_i (q_i - x)(q_i - x)^T / sum_i w_i per row of
+    (A, M, 3) candidates, (A, M) weights, (A, 3) positions and (A,) squared
+    bandwidths: (A, 3, 3), positive definite where the kernel density
+    sum_i w_i is locally concave, summed about x directly."""
+    r = q - x[:, None]
+    k = np.einsum("am,ami,amj->aij", w, r, r) / w.sum(axis=1)[:, None, None]
+    return np.eye(3) - (2.0 / tau2)[:, None, None] * k
+
+
 def position_mode_batch_loop(q, params, init, tau, hits=None):
     """`position_mode_batch` gathering the active rows from full-size arrays
     and scattering them back on every iteration.  Reads
     `consensus._LOSS_SLACK` and `consensus._ccp_kernel` at call time, on
-    the candidates lifted once (`geometry.lift`), and takes the library's
-    matmul step; counts its branches in `hits` as `normal_mode_batch_loop`
-    does, an "underflow" point stopping at its nearest candidate (largest
-    `_ccp_exponent`)."""
+    the candidates lifted once (`consensus._lift_products`).  Takes the
+    library's Newton point (`_newton_step`) where `newton_matrix`, by its
+    eigenvalues, is positive definite, the library's mean-shift point
+    (`_mean_shift`) where it is not, and the mean-shift point again where
+    the Newton point raised the loss.  Counts its branches in `hits` as
+    `normal_mode_batch_loop` does, an "underflow" point stopping at its
+    nearest candidate (largest `_ccp_exponent`), and two more:
+    "not_concave" (a step from a row whose matrix is not positive definite)
+    and "retried" (a Newton point raised the loss)."""
     hits = Counter() if hits is None else hits
     tau2 = tau**2
     x = np.array(init, dtype=np.float64)
-    ql = lift(q)
+    ql = consensus._lift_products(q)
     kern = consensus._ccp_kernel(ql, x, tau2)
     loss = -kern.sum(axis=1)
     iterations = np.zeros(len(q), dtype=np.int64)
@@ -476,10 +514,20 @@ def position_mode_batch_loop(q, params, init, tau, hits=None):
             live = ~empty
             act, qa, xa, w, total = act[live], qa[live], xa[live], w[live], total[live]
         la, t2 = loss[act], tau2[act]
-        x_new = np.matmul(w[:, None, :], qa[..., :3])[:, 0] / total[:, None]
+        concave = np.linalg.eigvalsh(newton_matrix(q[act], w, xa, t2))[:, 0] > 0.0
+        hits["not_concave"] += int(np.count_nonzero(~concave))
+        shift = consensus._mean_shift(qa, w, total)
+        x_new = np.where(concave[:, None], consensus._newton_step(qa, w, total, xa, t2), shift)
         new_kern = consensus._ccp_kernel(qa, x_new, t2)
         new_loss = -new_kern.sum(axis=1)
         up = new_loss > la + consensus._LOSS_SLACK
+        retry = up & concave
+        if retry.any():
+            hits["retried"] += int(np.count_nonzero(retry))
+            x_new[retry] = shift[retry]
+            new_kern[retry] = consensus._ccp_kernel(qa[retry], shift[retry], t2[retry])
+            new_loss[retry] = -new_kern[retry].sum(axis=1)
+            up[retry] = new_loss[retry] > la[retry] + consensus._LOSS_SLACK
         hits["gave_up"] += int(np.count_nonzero(up))
         moved = ~up
         x[act[moved]] = x_new[moved]

@@ -2,14 +2,16 @@
 rule and the einsum centroids against their loop and reduction forms:
 every returned array must match byte for byte.
 
-Both solver steps are minorize-maximize steps, whose loss can rise only by
-round-off, so natural inputs do not reach the branch that stops a point whose
-step raised its loss.  The solver properties therefore also run both
-implementations with `consensus._LOSS_SLACK` negative, which makes every step
-that does not lower the loss by that much count as a rise, and with a
-heavy-tailed kernel swapped in (the profile 1 / (1 - e) for exp(e), on the
-library's lifted exponent e), under which a step is no longer a
-minorize-maximize step.  Each asserts that every
+The normal solver's power step and the position solver's mean-shift step
+are minorize-maximize steps, whose loss can rise only by round-off, so
+natural inputs do not reach the branch that stops a point whose step raised
+its loss; a Newton point of the position solver can raise its loss, and the
+point is then retried at its mean-shift point.  The solver properties
+therefore also run both implementations with `consensus._LOSS_SLACK`
+negative, which makes every step that does not lower the loss by that much
+count as a rise, and with a heavy-tailed kernel swapped in (the profile
+1 / (1 - e) for exp(e), on the library's lifted exponent e), under which a
+step is no longer a minorize-maximize step.  Each asserts that every
 branch of its solver was taken.  Two further properties bound the loss each
 solver returns by its initial loss plus what the guard lets through.
 """
@@ -23,17 +25,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from normfit import consensus
 from normfit.candidates import POSITION_SUBSET, _draw_index_sets, point_rng, sample_position_block
-from normfit.consensus import (ConsensusParams, _ccp_exponent, normal_mode_batch,
-                               position_mode_batch)
-from normfit.geometry import canonical_sign, lift
+from normfit.consensus import (ConsensusParams, _ccp_exponent, _lift_products,
+                               normal_mode_batch, position_mode_batch)
+from normfit.geometry import canonical_sign
 
 from conftest import (canonical_sign_argmax, draw_index_sets_sorted, normal_mode_batch_loop,
                       position_mode_batch_loop, random_units)
 
 SLACKS = st.sampled_from([consensus._LOSS_SLACK, -1e-3])
 MAX_ITERS = st.sampled_from([1, 2, 5, 50])
-# the oracles' branch counters (see conftest) that each solver property must reach
+# the oracles' branch counters (see conftest) that each solver property must
+# reach; the position solver's Newton step adds two
 BRANCHES = ("gave_up", "converged", "max_iters", "underflow")
+POSITION_BRANCHES = BRANCHES + ("not_concave", "retried")
 # unit vectors on which the sign rule meets a tie |x| = |y| or |y| = |z|
 TIED_UNITS = np.array([[1.0, -1.0, 0.0], [0.0, -1.0, 1.0], [-1.0, 1.0, -1.0],
                        [-1.0, 0.0, -1.0]])
@@ -231,7 +235,7 @@ def test_position_mode_batch_matches_loop():
         assert_same_bytes(got, want)
 
     check()
-    assert all(hits[b] for b in BRANCHES), hits
+    assert all(hits[b] for b in POSITION_BRANCHES), hits
 
 
 @settings(max_examples=200, deadline=None)
@@ -240,5 +244,5 @@ def test_position_loss_never_rises_past_the_guard(case):
     q, init, tau, params, _, kernel = case
     with mock.patch.object(consensus, "_ccp_kernel", kernel):
         _, loss, iterations, _ = position_mode_batch(q, params, init, tau)
-    start = initial_loss(kernel, lift(q), init, tau**2)
+    start = initial_loss(kernel, _lift_products(q), init, tau**2)
     assert (loss <= start + iterations * consensus._LOSS_SLACK).all(), (loss, start)

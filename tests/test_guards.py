@@ -1,6 +1,6 @@
 """Guards for what the library's own tests would not notice: the names the
 benchmark tracer wraps, the stages a single-point call reaches, the one
-eigen kernel, the one k-NN tree query, the one walk over the parameter
+eigen kernel, the one linear solve, the one k-NN tree query, the one walk over the parameter
 tree, the one mode-solver loop, the one subset draw, kernel sum and survivor
 step of the consensus chain, the one row-chunk rule, the one parallel
 backend, unused private code, whole-cloud k-NN blocks, outputs under any
@@ -93,6 +93,24 @@ def test_one_eigen_kernel():
     # plane_fit (with its eigh fallback) is the covariance/eigen kernel; the
     # normal mode solver takes power steps, not eigen solves
     assert library_scopes(is_eigen_call) == [("geometry", "plane_fit")]
+
+
+def test_one_linear_solve():
+    # the position solver's Newton step is the library's one linear solve:
+    # it solves its 3x3 systems by their adjugate, elementwise, so nothing
+    # calls a LAPACK solve, and only that step reads the cofactor table
+    def is_lapack_solve(node):
+        f = getattr(node, "func", None)
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        return isinstance(node, ast.Call) and name in (
+            "solve", "det", "slogdet", "inv", "pinv", "cholesky", "lstsq", "tensorsolve")
+
+    def reads_cofactors(node):
+        return (isinstance(node, ast.Name) and node.id == "_COFACTOR"
+                and isinstance(node.ctx, ast.Load))
+
+    assert library_scopes(is_lapack_solve) == []
+    assert set(library_scopes(reads_cofactors)) == {("consensus", "_newton_step")}
 
 
 def test_one_parameter_walk():
@@ -239,19 +257,22 @@ import hashlib
 from dataclasses import fields
 from normfit import (EstimationParams, NoiseSpec, RunReport, ShapeSpec, add_noise,
                      denoise_all, estimate_all, gen_shape)
-cloud = add_noise(gen_shape(ShapeSpec(kind="wedge", n_points=600, seed=1)),
-                  NoiseSpec(std_pct_bbox_diag=1.0, seed=2))
-est, report = estimate_all(cloud, EstimationParams(seed=3))
-out = denoise_all(cloud, EstimationParams(seed=3))
-for a in [est.normals, out.points] + [getattr(report, f.name) for f in fields(RunReport)[1:]]:
-    print(hashlib.md5(a.tobytes()).hexdigest())
+for kind in ("wedge", "plane"):
+    cloud = add_noise(gen_shape(ShapeSpec(kind=kind, n_points=600, seed=1)),
+                      NoiseSpec(std_pct_bbox_diag=1.0, seed=2))
+    est, report = estimate_all(cloud, EstimationParams(seed=3))
+    out = denoise_all(cloud, EstimationParams(seed=3))
+    for a in [est.normals, out.points] + [getattr(report, f.name) for f in fields(RunReport)[1:]]:
+        print(hashlib.md5(a.tobytes()).hexdigest())
 """
 
 
 def test_outputs_independent_of_blas_threads():
-    # the stacked matmuls and eigen solves run in OpenBLAS, whose thread
-    # count must not change a byte of the normals, the report or the
-    # denoised points; the three runs go one after another
+    # the stacked matmuls (the kernels, the power step and the position
+    # solver's moments) and the eigen solves run in OpenBLAS and LAPACK,
+    # whose thread count must not change a byte of the normals, the report
+    # or the denoised points of a wedge or a plane; the three runs go one
+    # after another
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     digests = []
@@ -263,7 +284,7 @@ def test_outputs_independent_of_blas_threads():
                               text=True, timeout=300)
         assert done.returncode == 0, done.stderr[-2000:]
         digests.append(done.stdout.split())
-    assert len(digests[0]) == 7
+    assert len(digests[0]) == 14
     assert digests[0] == digests[1] == digests[2]
 
 

@@ -38,7 +38,7 @@ import numpy as np
 import pytest
 
 from normfit.candidates import score_plane_block, score_position_block
-from normfit.consensus import _ccn_kernel, _ccp_kernel
+from normfit.consensus import _ccn_kernel, _ccp_kernel, _lift_products, _newton_step
 from normfit.geometry import lift
 
 from conftest import random_units
@@ -124,7 +124,7 @@ def test_position_solver_kernel_matches_direct_formula(seed, scale):
     q = rng.normal(size=(6, 40, 3)) * scale
     x = q[:, :10].mean(axis=1)
     tau2 = (rng.uniform(0.1, 2.0, 6) * scale) ** 2
-    got = _ccp_kernel(lift(q), x, tau2)
+    got = _ccp_kernel(_lift_products(q), x, tau2)
     want = np.exp(-((q - x[:, None]) ** 2).sum(axis=2) / tau2[:, None])
     assert within(got, want, 21 * U * position_magnitude(q, x, tau2)).all()
     assert (got <= 1.0).all()
@@ -140,7 +140,8 @@ def test_coincident_terms_are_exactly_one():
     # a neighbour on the plane, a candidate at the neighbour, two of them
     assert score_plane_block(p, unit, p, np.array([0.25]))[0, 0] == 1.0
     assert score_position_block(p, p, np.array([0.5]))[0, 0] == 1.0
-    assert (_ccp_kernel(lift(np.repeat(p, 2, axis=1)), p[0], np.array([0.25])) == 1.0).all()
+    assert (_ccp_kernel(_lift_products(np.repeat(p, 2, axis=1)), p[0],
+                        np.array([0.25])) == 1.0).all()
     # a candidate normal equal to the normal, or opposite, at any bandwidth
     for tau in (0.02, 0.1, 0.3, 1.0):
         assert (_ccn_kernel(np.concatenate([unit, -unit], axis=1), unit[0], tau) == 1.0).all()
@@ -154,7 +155,7 @@ def test_far_terms_are_exactly_zero_in_the_solvers_and_clamped_in_the_scores():
     # exponents of -4e6 and below: exp underflows to 0 unless clamped at -700
     assert score_plane_block(far, unit, p, np.array([0.25]))[0, 0] == clamped
     assert score_position_block(far, p, np.array([0.25]))[0, 0] == clamped
-    assert (_ccp_kernel(lift(np.concatenate([far, 2 * far], axis=1)), p[0],
+    assert (_ccp_kernel(_lift_products(np.concatenate([far, 2 * far], axis=1)), p[0],
                         np.array([0.25])) == 0.0).all()
     # a perpendicular candidate normal: exponent -1 / 0.02^2 = -2500
     side = np.array([[[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]])
@@ -181,12 +182,18 @@ def kernels(rng):
         ("plane score", score_plane_block, (nbrs, normals, anchors, sigma)),
         ("position score", score_position_block, (nbrs_p, positions, sigma_p)),
         ("normal solver", lambda m, n: _ccn_kernel(m, n, 0.3), (m, random_units(rng, 200))),
-        ("position solver", lambda q, x, t2: _ccp_kernel(lift(q), x, t2),
+        ("position solver", lambda q, x, t2: _ccp_kernel(_lift_products(q), x, t2),
          (q, q[:, :5].mean(axis=1), rng.uniform(0.1, 1.0, 200) ** 2)),
+        # the moments matmul and the Newton step; the wider bandwidths make
+        # about half the rows concave
+        ("position step", lambda q, w, x, t2: _newton_step(_lift_products(q), w, w.sum(axis=1),
+                                                           x, t2),
+         (q, rng.uniform(0.0, 1.0, (200, 45)), q[:, :5].mean(axis=1),
+          rng.uniform(0.1, 3.0, 200) ** 2)),
     ]
 
 
-@pytest.mark.parametrize("which", range(4))
+@pytest.mark.parametrize("which", range(5))
 def test_row_bytes_do_not_depend_on_the_stack(which):
     # the byte contract across thread counts, block sizes and single-point
     # calls rests on this: a row's result must be the same computed alone,
@@ -194,9 +201,13 @@ def test_row_bytes_do_not_depend_on_the_stack(which):
     name, fn, args = kernels(np.random.default_rng(5))[which]
     stack = fn(*args)
     odd = [misaligned(a) for a in args]
-    for r in (0, 1, 37, 100, 198):
+    # every row alone: a sum whose rounding follows the batch size (einsum's
+    # can) differs on some rows only
+    for r in range(len(stack)):
         alone = fn(*(a[r:r + 1].copy() for a in args))
+        assert alone[0].tobytes() == stack[r].tobytes(), (name, r)
+    for r in (0, 1, 37, 100, 198):
         sliced = fn(*(a[r:r + 2] for a in odd))
         tail = fn(*(a[r:] for a in odd))
-        for got in (alone[0], sliced[0], tail[0]):
+        for got in (sliced[0], tail[0]):
             assert got.tobytes() == stack[r].tobytes(), (name, r)

@@ -164,8 +164,8 @@ class TestDenoise:
 
     @pytest.mark.parametrize("scale", [1e-6, 1e3])
     def test_scale_invariant(self, scale):
-        # the mean-shift tolerance is relative to each point's bandwidth; an
-        # absolute one stopped after the first step at scale 1e-6
+        # the position solver's step tolerance is relative to each point's
+        # bandwidth; an absolute one stopped after the first step at scale 1e-6
         clean = gen_shape(ShapeSpec(kind="plane", n_points=300, seed=31))
         noisy = add_noise(clean, NoiseSpec(std_pct_bbox_diag=1.0, seed=32))
         params = EstimationParams(seed=33)
