@@ -9,8 +9,8 @@ class PersistentDegeneracy(NormfitError):
     """Every resampling attempt produced a degenerate point set."""
 
 
-class TooFewNeighbors(NormfitError):
-    """Neighborhood is too small for the requested sample size."""
+class TooFewNeighbors(NormfitError, ValueError):
+    """The cloud or neighborhood has too few points for the requested size."""
 
 
 class EmptyCandidates(NormfitError):

@@ -19,6 +19,8 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .errors import TooFewNeighbors
+
 # relative eigenvalue gap below which a point set is treated as collinear
 DEGENERACY_RTOL = 1e-12
 # relative eigen-gap at or below which plane_fit uses eigh, not its closed form
@@ -30,17 +32,17 @@ _TINY = np.finfo(np.float64).tiny
 _BLOCK_ELEMENTS = 2**18
 
 
-def row_chunks(n: int, row_elements: int, most=None) -> list:
-    """Consecutive slices of range(n), each max(1, min(most, _BLOCK_ELEMENTS // row_elements))
-    rows long but the last: the one rule that turns the 2 MB budget into rows."""
-    step = max(1, min(n if most is None else most, _BLOCK_ELEMENTS // row_elements))
+def row_chunks(n: int, row_elements: int) -> list:
+    """Consecutive slices of range(n), each max(1, _BLOCK_ELEMENTS // row_elements) rows
+    long but the last: the one rule that turns the 2 MB budget into rows."""
+    step = max(1, _BLOCK_ELEMENTS // row_elements)
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def as_points(a) -> np.ndarray:
     """Coerce input to a float64 (N, 3) array, validating finiteness."""
     pts = np.asarray(a, dtype=np.float64)
-    if pts.ndim == 1:
+    if pts.shape == (3,):
         pts = pts.reshape(1, 3)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (N, 3) point array, got shape {pts.shape}")
@@ -121,12 +123,13 @@ class NeighborIndex:
         """k-NN of points `rows` (default: every point) at once, self excluded.
 
         Returns (indices, distances) arrays of shape (len(rows), k), each row
-        sorted by (distance, index).  Raises ValueError unless 1 <= k <= N - 1
-        and every row lies in [0, N).
+        sorted by (distance, index).  Raises TooFewNeighbors if k > N - 1 or
+        N = 1, and ValueError if k < 1 or a row lies outside [0, N).
         """
         n = self.n_points
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"k={k} out of range for {n} points")
+        if not 1 <= k <= n - 1:    # a lone point has no neighbors for any k
+            raise (TooFewNeighbors if n <= max(k, 1) else ValueError)(
+                f"k={k} out of range for {n} points")
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
         if len(rows) and not (0 <= rows.min() and rows.max() < n):
             raise ValueError(f"point indices out of range: must lie in [0, {n})")
@@ -169,11 +172,12 @@ def neighborhood_fits(index: NeighborIndex, k: int):
     Walks range(N) in the `row_chunks` of its (rows, k + 1, 3) gather, 2 MB
     each, so the peak is the O(N) outputs plus one chunk.  `knn_batch` and
     `plane_fit` compute each row independently of the others, so the chunk
-    size changes no byte.  Raises ValueError unless 1 <= k <= N - 1.
+    size changes no byte.  Raises as `knn_batch` does for k.
     """
     n = index.n_points
     if not 1 <= k <= n - 1:
-        raise ValueError(f"k={k} out of range for {n} points")
+        raise (TooFewNeighbors if n <= max(k, 1) else ValueError)(
+            f"k={k} out of range for {n} points")
     chunks = row_chunks(n, 3 * (k + 1))
     normals = np.empty((n, 3))
     eigenvalues = np.empty((n, 3))
@@ -297,6 +301,7 @@ def lift(p: np.ndarray, s2=None) -> np.ndarray:
     and lift(p, s2) is [2p, -|p|^2, -1] / s2 (s2 broadcast over p's leading
     axes), so lift(q).lift(p, s2) = -|p - q|^2 / s2 and one stacked matmul
     gives a block's Gaussian exponents; lift(q)[..., :4] is [q, 1]."""
+    p = np.ascontiguousarray(p)     # so that |p|^2 rounds the same for any memory order
     sq = np.einsum("...c,...c->...", p, p)
     out = np.empty(p.shape[:-1] + (5,))
     if s2 is None:

@@ -1,22 +1,22 @@
 """Whole-cloud orchestration: normal estimation and denoising.
 
 Points run the three-stage chain (sample hypotheses, score + reject, seek the
-main mode) in blocks of P = min(ceil(N / w), 2**18 // (3 * s * M)) points, for
-the w = min(n_threads, usable CPUs) workers that run and subsets of s points:
-one block per worker on small clouds, and on large ones as many points as keep
-a block's (P * M, s, 3) subset gather near 2 MB.  A block's neighborhoods come
-from one k-NN tree query, and its (P, k, M) plane scores and (P, M, k) position
-scores are computed in row chunks of 2**18 // (M * k) points, so each kernel
-matrix also stays near 2 MB; the noise profile, taken once per cloud, streams
-in 2 MB row chunks too.  The blocks are a fixed partition of range(N): the
-caller runs the first of min(w, blocks) contiguous shares of them, and the
-forked workers of one persistent pool the others.  Every random draw is a pure
-function of (seed, point index, candidate slot, attempt), and every stage
-computes each point's rows independently of the others, so outputs are
-identical for any worker count and block size.  `estimate_normal` and
-`denoise_point` run the same block function on a block of one and give that
-point's result byte for byte.  One rule, `geometry.row_chunks`, cuts the
-blocks and every chunk.
+main mode) in blocks.  range(N) is cut into one equal contiguous share for each
+of the w = min(n_threads, usable CPUs, N) workers, and each share into blocks of
+P = min(share, 2**18 // (3 * s * M)) points for subsets of s points: one block
+per share on small clouds, and on large ones as many points as keep a block's
+(P * M, s, 3) subset gather near 2 MB.  A block's neighborhoods come from one
+k-NN tree query, and its (P, k, M) plane scores and (P, M, k) position scores
+are computed in row chunks of 2**18 // (M * k) points, so each kernel matrix
+also stays near 2 MB; the noise profile, taken once per cloud, streams in 2 MB
+row chunks too.  The caller runs the first share and the forked workers of one
+persistent pool the others, each worker over the caller's cloud and an index it
+builds.  Every random draw is a pure function of (seed, point index, candidate
+slot, attempt), and every stage computes each point's rows independently of the
+others, so outputs are identical for any worker count and block size.
+`estimate_normal` and `denoise_point` run the same block function on a block of
+one and give that point's result byte for byte.  One rule, `geometry.row_chunks`,
+cuts the blocks and every chunk.
 """
 
 from __future__ import annotations
@@ -83,14 +83,6 @@ def _require_points(cloud: PointCloud, need: int) -> None:
         raise TooFewNeighbors(f"need more than {need} points, got {len(cloud)}")
 
 
-def _blocks(n: int, workers: int, n_candidates: int, subset: int) -> list:
-    """The fixed partition of range(n) into blocks: an equal share of the n points per
-    worker, cut by `row_chunks` so that a block's (P * M, subset, 3) gather of candidate
-    subsets holds at most 2 MB."""
-    ids = np.arange(n)
-    return [ids[s] for s in row_chunks(n, 3 * subset * n_candidates, most=-(-n // workers))]
-
-
 def _survivors(score, nbrs: np.ndarray, cands: np.ndarray, fraction: float,
                *per_point) -> np.ndarray:
     """Survivors (P, M', 3) of cands (P, M, 3): each row best first by score(nbrs, cands,
@@ -139,34 +131,36 @@ def _pool(workers: int, broken=None):
         return _POOL[0]
 
 
-def _share_rows(block_fn, points: np.ndarray, share: list, *args) -> list:
-    """A worker's rows of its share of blocks, over a rebuilt cloud and index."""
-    cloud = PointCloud(points=points)
-    index = build_index(cloud)
-    return [block_fn(cloud, index, ts, *args) for ts in share]
+def _share(block_fn, cloud: PointCloud, index, rows: np.ndarray, row_elements: int,
+           *args) -> list:
+    """block_fn(cloud, index, ts, *args) on each 2 MB `row_chunks` block ts of `rows`; workers
+    get index None and build one: sending the caller's k-d tree made 2-worker calls slower."""
+    if index is None:
+        index = build_index(cloud)
+    return [block_fn(cloud, index, rows[part], *args)
+            for part in row_chunks(len(rows), row_elements)]
 
 
 def _run_blocks(block_fn, cloud: PointCloud, index: NeighborIndex, n_candidates: int,
                 subset: int, n_threads: int, *args) -> list:
-    """block_fn(cloud, index, ts, *args) on each block ts, in block order, over blocks sized
-    for the w = min(n_threads, usable CPUs) workers that run: the caller runs the first of
-    min(w, blocks) contiguous shares, the pool the others (rerun once if it breaks)."""
-    w = min(n_threads, len(os.sched_getaffinity(0)))
-    blocks = _blocks(len(cloud), w, n_candidates, subset)
-    w = min(w, len(blocks))
-    if w == 1:
-        return [block_fn(cloud, index, ts, *args) for ts in blocks]
+    """block_fn(cloud, index, ts, *args) on each block ts, in order, over w = min(n_threads,
+    usable CPUs, N) equal contiguous shares of range(N) cut into `_share` blocks: the caller
+    runs the first share, the pool the others (rerun once if it breaks)."""
+    w = min(n_threads, len(os.sched_getaffinity(0)), len(cloud))
+    mine, *theirs = np.array_split(np.arange(len(cloud)), w)
+    args = (3 * subset * n_candidates, *args)
+    if not theirs:
+        return _share(block_fn, cloud, index, mine, *args)
     from concurrent.futures.process import BrokenProcessPool
-    cut = [len(blocks) * i // w for i in range(w + 1)]
-    pool = mine = None
+    pool = done = None
     for retry in (False, True):
         pool = _pool(w - 1, broken=pool)
         try:
-            futures = [pool.submit(_share_rows, block_fn, cloud.points, blocks[a:b], *args)
-                       for a, b in zip(cut[1:], cut[2:])]
-            if mine is None:
-                mine = [block_fn(cloud, index, ts, *args) for ts in blocks[:cut[1]]]
-            return mine + [rows for f in futures for rows in f.result()]
+            sent = PointCloud(points=cloud.points)      # the points only, not the normals
+            futures = [pool.submit(_share, block_fn, sent, None, rows, *args) for rows in theirs]
+            if done is None:
+                done = _share(block_fn, cloud, index, mine, *args)
+            return done + [rows for f in futures for rows in f.result()]
         except BrokenProcessPool:
             if retry:
                 raise

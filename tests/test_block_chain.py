@@ -30,6 +30,7 @@ from normfit import (
     estimate_all,
     estimate_normal,
     gen_shape,
+    pca_baseline,
 )
 from normfit import candidates as cand, geometry, pipeline
 from normfit.candidates import POSITION_SUBSET, _draw_index_sets
@@ -112,8 +113,8 @@ class TestBatchOfOne:
         cloud, params = blob(150, 5), EstimationParams(seed=7)
         est, report = estimate_all(cloud, params)
         ts = np.arange(len(cloud))              # one block: the whole cloud on one thread
-        blocks = pipeline._blocks(len(cloud), 1, params.sampling.n_candidates,
-                                  params.sampling.k_s)
+        blocks = pipeline._run_blocks(block_rows, cloud, None, params.sampling.n_candidates,
+                                      params.sampling.k_s, 1)
         assert [block.tolist() for block in blocks] == [ts.tolist()]
         rel, nbr_d = pipeline._neighborhoods(cloud, build_index(cloud), ts, report.k_hat)
         nrm, anc, failed = cand.sample_plane_block(rel, point_rng(params.seed, ts),
@@ -186,17 +187,25 @@ class TestBlockSize:
                 call(cloud, EstimationParams(), n_threads)
         assert pipeline._POOL is pool
 
-    def test_block_size(self):
-        # at the defaults (M = 100, subsets of 4) the cap is 2**18 // 1200
-        for n, workers, block in ((200, 1, 200), (200, 2, 100), (200, 3, 67),
-                                  (2000, 1, 218), (2000, 3, 218), (1, 2, 1)):
-            blocks = pipeline._blocks(n, workers, 100, 4)
-            assert len(blocks[0]) == block, (n, workers)
-            assert np.concatenate(blocks).tolist() == list(range(n))
+    def test_block_size(self, monkeypatch):
+        # range(n) is cut into one equal share per worker, at most n, and each
+        # share into blocks of at most 2**18 // 1200 = 218 points at the
+        # defaults (M = 100, subsets of 4); the usable CPUs are patched to the
+        # worker count, so the 3-worker cases fork two workers on any box
+        try:
+            for n, workers, block in ((200, 1, 200), (200, 2, 100), (200, 3, 67),
+                                      (2000, 1, 218), (2000, 3, 218), (1, 2, 1)):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+                cloud = PointCloud(points=np.zeros((n, 3)))
+                blocks = pipeline._run_blocks(block_rows, cloud, None, 100, 4, workers)
+                assert len(blocks[0]) == block, (n, workers)
+                assert np.concatenate(blocks).tolist() == list(range(n))
+        finally:
+            drop_pool()     # later tests fork their workers at the real CPU count
 
     def test_blocks_sized_by_the_workers_that_run(self):
         # n_threads above the usable CPU count runs on one worker per CPU, so
-        # it cuts the blocks of that count (150 points each on two CPUs), not
+        # it cuts the shares of that count (150 points each on two CPUs), not
         # of the count asked for (5 points each at 64); no more processes
         # start than there are usable CPUs
         cpus = len(os.sched_getaffinity(0))
@@ -569,6 +578,51 @@ class TestTinyClouds:
         assert np.isfinite(out.points).all()
         for t in range(n):
             assert denoise_point(cloud, index, t, params).tobytes() == out.points[t].tobytes()
+
+    # entry point -> (call(cloud, k), its neighbourhood size k, whether it
+    # clamps k to n - 1); k_s and the position subset are 4
+    K = 6
+    ENTRIES = {
+        "knn_batch": (lambda c, k: build_index(c).knn_batch(k, [0]), K, False),
+        "knn": (lambda c, k: build_index(c).knn(0, k), K, False),
+        "neighborhood_fits": (lambda c, k: geometry.neighborhood_fits(build_index(c), k), K,
+                              False),
+        "pca_baseline": (pca_baseline, K, False),
+        "cloud_noise_scale": (lambda c, k: cloud_noise_scale(c, build_index(c), k), K, True),
+        "estimate_all": (lambda c, k: estimate_all(c, EstimationParams()), 4, False),
+        "denoise_all": (lambda c, k: denoise_all(c, EstimationParams()), POSITION_SUBSET, False),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("n", ["1", "2", "k"])
+    def test_too_few_points_for_k(self, entry, n):
+        # a cloud of n <= k points is too small for k neighbours: TooFewNeighbors,
+        # which is also a ValueError; the noise profile takes at most n - 1
+        # neighbours, so it runs unless the cloud is one lone point
+        call, k, clamps = self.ENTRIES[entry]
+        n = k if n == "k" else int(n)
+        cloud = blob(n, n)
+        if clamps and n > 1:
+            call(cloud, k)
+            return
+        with pytest.raises(TooFewNeighbors) as info:
+            call(cloud, k)
+        assert isinstance(info.value, ValueError)
+        if entry not in ("estimate_all", "denoise_all"):
+            got = k if entry != "cloud_noise_scale" else 0    # min(k, n - 1) for n = 1
+            assert str(info.value) == f"k={got} out of range for {n} points"
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_is_a_plain_value_error(self, k):
+        # enough points, but no neighbourhood: the argument is wrong, not the cloud
+        cloud = blob(10, 3)
+        for call in (lambda: build_index(cloud).knn_batch(k, [0]),
+                     lambda: geometry.neighborhood_fits(build_index(cloud), k),
+                     lambda: pca_baseline(cloud, k),
+                     lambda: cloud_noise_scale(cloud, build_index(cloud), k)):
+            with pytest.raises(ValueError, match=f"k={k} out of range for 10 points") as info:
+                call()
+            assert type(info.value) is ValueError
 
     @pytest.mark.parametrize("command", ["estimate", "denoise"])
     def test_cli_one_point(self, command, tmp_path, capsys):

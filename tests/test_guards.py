@@ -3,8 +3,8 @@ benchmark tracer wraps, the stages a single-point call reaches, the one
 eigen kernel, the one linear solve, the one k-NN tree query, the one walk over the parameter
 tree, the one mode-solver loop, the one subset draw, kernel sum and survivor
 step of the consensus chain, the one row-chunk rule, the one parallel
-backend, unused private code, whole-cloud k-NN blocks, outputs under any
-BLAS thread count, and the demos."""
+backend, the one index build, unused private code, whole-cloud k-NN
+blocks, outputs under any BLAS thread count, and the demos."""
 
 import ast
 import importlib.util
@@ -181,8 +181,8 @@ def test_one_mode_loop():
 
 def test_one_row_chunk_rule():
     # the 2 MB budget turns into rows in one place: every row-chunk loop and
-    # the block partition take their slices from geometry.row_chunks, and no
-    # other module binds or reads the budget
+    # the blocks of each worker's share take their slices from
+    # geometry.row_chunks, and no other module binds or reads the budget
     def reads_budget(node):
         return ((isinstance(node, ast.Name) and node.id == "_BLOCK_ELEMENTS"
                  and isinstance(node.ctx, ast.Load))
@@ -215,6 +215,15 @@ def test_one_parallel_backend():
     assert [s for path in sorted(Path(normfit.__file__).parent.glob("*.py"))
             for s in scopes_of(path, names_thread_pool)] == []
     assert library_scopes(makes_executor) == [("pipeline", "_pool")]
+
+
+def test_one_index_build():
+    # a whole-cloud call builds the k-NN index once in the caller, and each
+    # worker once per call, in `_share`, from the cloud it is sent
+    assert library_scopes(calls_to("build_index")) == [
+        ("metrics", "pca_baseline"), ("pipeline", "_share"), ("pipeline", "denoise_all"),
+        ("pipeline", "estimate_all")]
+    assert library_scopes(calls_to("NeighborIndex")) == [("geometry", "build_index")]
 
 
 def test_every_private_name_is_used():

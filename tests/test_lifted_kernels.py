@@ -211,3 +211,16 @@ def test_row_bytes_do_not_depend_on_the_stack(which):
         tail = fn(*(a[r:] for a in odd))
         for got in (sliced[0], tail[0]):
             assert got.tobytes() == stack[r].tobytes(), (name, r)
+
+
+@pytest.mark.parametrize("s2", [None, 0.37], ids=["points", "bandwidth"])
+def test_lift_bytes_do_not_depend_on_memory_order(s2):
+    # |p|^2 is summed over a C-ordered copy: an F-ordered copy or a strided
+    # view of the same points lifts to the same bytes
+    rng = np.random.default_rng(11)
+    p = rng.normal(size=(200, 3)) * [1.0, 1e3, 1e-3]
+    wide = np.zeros((400, 5))
+    wide[::2, 1:4] = p
+    ref = lift(p, s2).tobytes()
+    for other in (np.asfortranarray(p), wide[::2, 1:4]):
+        assert lift(other, s2).tobytes() == ref
