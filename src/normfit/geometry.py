@@ -7,7 +7,8 @@ Conventions used throughout the library:
   absolute value is positive (normals are unoriented, the sign is only a
   deterministic representative)
 * k-NN is exact: rows sorted by ascending distance, ties by ascending point
-  index, the query point left out; `knn` is a batch of one of `knn_batch`
+  index, the query point left out; `knn` is a batch of one of `knn_batch`, and
+  every neighbourhood is its gather in `neighborhoods`, each point last
 """
 
 from __future__ import annotations
@@ -122,14 +123,12 @@ class NeighborIndex:
     def knn_batch(self, k: int, rows=None):
         """k-NN of points `rows` (default: every point) at once, self excluded.
 
-        Returns (indices, distances) arrays of shape (len(rows), k), each row
-        sorted by (distance, index).  Raises TooFewNeighbors if k > N - 1 or
-        N = 1, and ValueError if k < 1 or a row lies outside [0, N).
+        Returns (indices, distances) arrays of shape (len(rows), k), each row sorted by
+        (distance, index).  Raises TooFewNeighbors if k > N - 1 or N = 1, and ValueError
+        if k < 1, a row lies outside [0, N), or a distance overflows (points 1.3e154 apart).
         """
         n = self.n_points
-        if not 1 <= k <= n - 1:    # a lone point has no neighbors for any k
-            raise (TooFewNeighbors if n <= max(k, 1) else ValueError)(
-                f"k={k} out of range for {n} points")
+        _require_k(n, k)
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
         if len(rows) and not (0 <= rows.min() and rows.max() < n):
             raise ValueError(f"point indices out of range: must lie in [0, {n})")
@@ -143,6 +142,8 @@ class NeighborIndex:
             for part in (left[chunk] for chunk in row_chunks(len(left), 2 * kq)):
                 ts = rows[part]
                 d, idx = self._tree.query(self._points[ts], k=kq)
+                if not np.isfinite(d[:, k]).all():      # columns ascend: all k + 1 finite
+                    raise ValueError("k-NN distances overflow: points lie 1.3e154 or more apart")
                 # a row with no tie starts at its query point, in (distance, index) order
                 tied = np.flatnonzero((idx[:, 0] != ts) | (d[:, 1:] <= d[:, :-1]).any(axis=1))
                 out_i[part], out_d[part] = idx[:, 1:k + 1], d[:, 1:k + 1]
@@ -160,6 +161,21 @@ class NeighborIndex:
             left, kq = np.concatenate(wider), min(n, 2 * kq)
         return out_i, out_d
 
+    def neighborhoods(self, k: int, rows, out=None):
+        """The `knn_batch` neighbours of points `rows`, each followed by the point: (P, k + 1, 3),
+        written into `out` when given, and their (P, k) distances.  Raises as `knn_batch` does."""
+        rows = np.asarray(rows, dtype=np.intp)
+        idx, dist = self.knn_batch(k, rows)
+        sets = np.concatenate([idx, rows[:, None]], axis=1)
+        # "clip": mode "raise" copies through a temporary, and knn_batch never gives index N
+        return np.take(self._points, sets, axis=0, out=out, mode="clip"), dist
+
+
+def _require_k(n: int, k: int) -> None:
+    if not 1 <= k <= n - 1:    # a lone point has no neighbors for any k
+        raise (TooFewNeighbors if n <= max(k, 1) else ValueError)(
+            f"k={k} out of range for {n} points")
+
 
 def build_index(cloud: PointCloud) -> NeighborIndex:
     return NeighborIndex(cloud)
@@ -169,30 +185,20 @@ def neighborhood_fits(index: NeighborIndex, k: int):
     """`plane_fit` of every indexed point's k nearest neighbours followed by
     the point itself: (normals (N, 3), eigenvalues (N, 3)).
 
-    Walks range(N) in the `row_chunks` of its (rows, k + 1, 3) gather, 2 MB
-    each, so the peak is the O(N) outputs plus one chunk.  `knn_batch` and
-    `plane_fit` compute each row independently of the others, so the chunk
-    size changes no byte.  Raises as `knn_batch` does for k.
+    Walks range(N) in the 2 MB `row_chunks` of its (rows, k + 1, 3) `neighborhoods` gather,
+    so the peak is the O(N) outputs plus one chunk.  Each row is computed independently of
+    the others, so the chunk size changes no byte.  Raises as `knn_batch` does for k.
     """
     n = index.n_points
-    if not 1 <= k <= n - 1:
-        raise (TooFewNeighbors if n <= max(k, 1) else ValueError)(
-            f"k={k} out of range for {n} points")
+    _require_k(n, k)
     chunks = row_chunks(n, 3 * (k + 1))
-    normals = np.empty((n, 3))
-    eigenvalues = np.empty((n, 3))
-    # one index and one gather buffer for every chunk: allocating them per
-    # chunk makes the allocator hand the pages back and fault them in again;
-    # the gather clips because mode "raise" copies through a temporary, and
-    # knn_batch indices are in range
-    full = np.empty((chunks[0].stop, k + 1), dtype=np.intp)
-    gather = np.empty((len(full), k + 1, 3))
+    normals, eigenvalues = np.empty((n, 3)), np.empty((n, 3))
+    # one gather buffer for every chunk: allocating it per chunk makes the
+    # allocator hand the pages back and fault them in again
+    gather = np.empty((chunks[0].stop, k + 1, 3))
     for part in chunks:
-        rows = np.arange(part.start, part.stop)
-        sets, pts = full[:len(rows)], gather[:len(rows)]
-        sets[:, :-1] = index.knn_batch(k, rows)[0]
-        sets[:, -1] = rows
-        np.take(index._points, sets, axis=0, out=pts, mode="clip")
+        pts, _ = index.neighborhoods(k, np.arange(part.start, part.stop),
+                                     out=gather[:part.stop - part.start])
         normals[part], _, eigenvalues[part] = plane_fit(pts)
     return normals, eigenvalues
 

@@ -5,18 +5,18 @@ main mode) in blocks.  range(N) is cut into one equal contiguous share for each
 of the w = min(n_threads, usable CPUs, N) workers, and each share into blocks of
 P = min(share, 2**18 // (3 * s * M)) points for subsets of s points: one block
 per share on small clouds, and on large ones as many points as keep a block's
-(P * M, s, 3) subset gather near 2 MB.  A block's neighborhoods come from one
-k-NN tree query, and its (P, k, M) plane scores and (P, M, k) position scores
-are computed in row chunks of 2**18 // (M * k) points, so each kernel matrix
-also stays near 2 MB; the noise profile, taken once per cloud, streams in 2 MB
-row chunks too.  The caller runs the first share and the forked workers of one
-persistent pool the others, each worker over the caller's cloud and an index it
-builds.  Every random draw is a pure function of (seed, point index, candidate
-slot, attempt), and every stage computes each point's rows independently of the
-others, so outputs are identical for any worker count and block size.
-`estimate_normal` and `denoise_point` run the same block function on a block of
-one and give that point's result byte for byte.  One rule, `geometry.row_chunks`,
-cuts the blocks and every chunk.
+(P * M, s, 3) subset gather near 2 MB.  A block's neighborhoods, the PCA
+fallback's too, are one `NeighborIndex.neighborhoods` gather; its (P, k, M)
+plane and (P, M, k) position scores are computed in row chunks of
+2**18 // (M * k) points, so each kernel matrix also stays near 2 MB; the noise
+profile streams in 2 MB row chunks too.  The caller runs the first share and
+the forked workers of one persistent pool the others, each worker over the
+caller's cloud and an index it builds.  Every random draw is a pure function of
+(seed, point index, candidate slot, attempt), and every stage computes each
+point's rows independently of the others, so outputs are identical for any
+worker count and block size.  `estimate_normal` and `denoise_point` run the
+same block function on a block of one and give that point's result byte for
+byte.  One rule, `geometry.row_chunks`, cuts the blocks and every chunk.
 """
 
 from __future__ import annotations
@@ -95,13 +95,6 @@ def _survivors(score, nbrs: np.ndarray, cands: np.ndarray, fraction: float,
     return np.take_along_axis(cands, keep[:, :, None], axis=1)
 
 
-def _neighborhoods(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k: int):
-    """(neighbors relative to their query point (P, k, 3), distances (P, k))."""
-    idx, dist = index.knn_batch(k, ts)
-    pts = cloud.points
-    return np.take(pts, idx, axis=0) - np.take(pts, ts, axis=0)[:, None, :], dist
-
-
 def _exit_with(parent: int) -> None:
     """Pool initializer: a worker exits once the process that made the pool is gone, also
     when a signal killed it (no exit handler ran).  Not PR_SET_PDEATHSIG: that fires when
@@ -133,17 +126,17 @@ def _pool(workers: int, broken=None):
 
 def _share(block_fn, cloud: PointCloud, index, rows: np.ndarray, row_elements: int,
            *args) -> list:
-    """block_fn(cloud, index, ts, *args) on each 2 MB `row_chunks` block ts of `rows`; workers
+    """block_fn(index, ts, *args) on each 2 MB `row_chunks` block ts of `rows`; workers
     get index None and build one: sending the caller's k-d tree made 2-worker calls slower."""
     if index is None:
         index = build_index(cloud)
-    return [block_fn(cloud, index, rows[part], *args)
+    return [block_fn(index, rows[part], *args)
             for part in row_chunks(len(rows), row_elements)]
 
 
 def _run_blocks(block_fn, cloud: PointCloud, index: NeighborIndex, n_candidates: int,
                 subset: int, n_threads: int, *args) -> list:
-    """block_fn(cloud, index, ts, *args) on each block ts, in order, over w = min(n_threads,
+    """block_fn(index, ts, *args) on each block ts, in order, over w = min(n_threads,
     usable CPUs, N) equal contiguous shares of range(N) cut into `_share` blocks: the caller
     runs the first share, the pool the others (rerun once if it breaks)."""
     w = min(n_threads, len(os.sched_getaffinity(0)), len(cloud))
@@ -170,15 +163,16 @@ def _k_hat(cloud: PointCloud, f_cloud: float, params: EstimationParams) -> int:
     return min(adaptive_k(f_cloud, params.adaptive), len(cloud) - 1)
 
 
-def _estimate_block(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k_hat: int,
-                    reject: bool, params: EstimationParams):
+def _estimate_block(index: NeighborIndex, ts: np.ndarray, k_hat: int, reject: bool,
+                    params: EstimationParams):
     """Rows of block ts: (normals (P, 3), then the `RunReport` arrays).
 
     A point whose candidate slots stay degenerate after every resampling
     attempt gets the PCA normal of its neighborhood plus itself.
     """
     sp = params.sampling
-    rel, nbr_d = _neighborhoods(cloud, index, ts, k_hat)
+    pts, nbr_d = index.neighborhoods(k_hat, ts)
+    rel = pts[:, :k_hat] - pts[:, k_hat:]       # the neighbours relative to their point
     nrm, anc, failed = cand.sample_plane_block(rel, point_rng(params.seed, ts), sp)
     normals = np.empty((len(ts), 3))
     survivors = np.zeros(len(ts), dtype=np.int64)
@@ -186,9 +180,7 @@ def _estimate_block(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k_h
     converged = np.zeros(len(ts), dtype=bool)
     loss = np.zeros(len(ts))
     if failed.any():
-        # PCA over the neighborhood plus the point itself (the origin)
-        pts = np.concatenate([rel[failed], np.zeros((np.count_nonzero(failed), 1, 3))], axis=1)
-        normals[failed] = plane_fit(pts)[0]
+        normals[failed] = plane_fit(pts[failed])[0]     # pca_baseline's normal at k_hat
     ok = ~failed
     if ok.any():
         nrm = _survivors(cand.score_plane_block, rel[ok], nrm[ok],
@@ -209,7 +201,7 @@ def estimate_normal(cloud: PointCloud, index: NeighborIndex, t: int, f_cloud: fl
     """
     _require_points(cloud, params.sampling.k_s)
     k_hat = _k_hat(cloud, f_cloud, params)
-    normals, *cols = _estimate_block(cloud, index, np.array([t]), k_hat,
+    normals, *cols = _estimate_block(index, np.array([t]), k_hat,
                                      rejection_enabled(f_cloud, params.adaptive), params)
     return normals[0], RunReport(k_hat, *cols)
 
@@ -243,7 +235,7 @@ def _denoise_k(cloud: PointCloud, params: EstimationParams) -> int:
     return min(params.denoise_k, len(cloud) - 1)
 
 
-def _denoise_block(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k: int,
+def _denoise_block(index: NeighborIndex, ts: np.ndarray, k: int,
                    params: EstimationParams) -> np.ndarray:
     """Denoised positions (P, 3) of block ts.
 
@@ -251,9 +243,10 @@ def _denoise_block(cloud: PointCloud, index: NeighborIndex, ts: np.ndarray, k: i
     keeps its position.
     """
     sp = params.sampling
-    rel, nbr_d = _neighborhoods(cloud, index, ts, k)
+    pts, nbr_d = index.neighborhoods(k, ts)
+    rel = pts[:, :k] - pts[:, k:]
     sigma = nbr_d[:, :_DENOISE_SIGMA_K].mean(axis=1)
-    out = np.take(cloud.points, ts, axis=0)
+    out = pts[:, k].copy()
     live = sigma > 0.0
     rel, sigma = rel[live], sigma[live]
     pos = cand.sample_position_block(rel, point_rng(params.seed, ts[live]), sp.n_candidates)
@@ -269,7 +262,7 @@ def denoise_point(cloud: PointCloud, index: NeighborIndex, t: int,
 
     The block chain on a block of one: gives what `denoise_all` gives for t.
     """
-    return _denoise_block(cloud, index, np.array([t]), _denoise_k(cloud, params), params)[0]
+    return _denoise_block(index, np.array([t]), _denoise_k(cloud, params), params)[0]
 
 
 def denoise_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1) -> PointCloud:

@@ -116,7 +116,8 @@ class TestBatchOfOne:
         blocks = pipeline._run_blocks(block_rows, cloud, None, params.sampling.n_candidates,
                                       params.sampling.k_s, 1)
         assert [block.tolist() for block in blocks] == [ts.tolist()]
-        rel, nbr_d = pipeline._neighborhoods(cloud, build_index(cloud), ts, report.k_hat)
+        pts, nbr_d = build_index(cloud).neighborhoods(report.k_hat, ts)
+        rel = pts[:, :-1] - pts[:, -1:]
         nrm, anc, failed = cand.sample_plane_block(rel, point_rng(params.seed, ts),
                                                    params.sampling)
         ok = ~failed
@@ -225,12 +226,12 @@ class TestBlockSize:
         assert points[0] == points[1]
 
 
-def block_rows(cloud, index, ts):
+def block_rows(index, ts):
     """A block function that returns the rows of its block."""
     return ts
 
 
-def fail_in_a_worker(cloud, index, ts):
+def fail_in_a_worker(index, ts):
     """A block function that fails on every block but the first, naming the
     process it ran in."""
     if ts[0] > 0:
@@ -484,6 +485,18 @@ class TestDegenerateNeighborhoods:
         assert normal.tobytes() == est.normals[t].tobytes()
         assert_report_row(one, report, t)
 
+    @pytest.mark.parametrize("make", [spike_cloud, copies_cloud, uniform_and_copies_cloud],
+                             ids=["spike", "copies", "uniform-and-copies"])
+    def test_fallback_is_the_pca_baseline_at_k_hat(self, make):
+        # a fallback point's normal is `plane_fit` of the block's own gather,
+        # which is the PCA baseline's gather at k_hat: the same bytes
+        cloud = make()
+        est, report = estimate_all(cloud, EstimationParams())
+        fallback = report.fallback
+        assert fallback.any()
+        pca = pca_baseline(cloud, report.k_hat).normals
+        assert est.normals[fallback].tobytes() == pca[fallback].tobytes()
+
     def test_denoise_keeps_coincident_points(self):
         cloud = copies_cloud()
         out = denoise_all(cloud, EstimationParams())
@@ -537,6 +550,54 @@ class TestDegenerateClouds:
         assert np.allclose(np.linalg.norm(est.normals, axis=1), 1.0)
         assert report.k_hat == 4 and report.fallback.all()
         assert np.isfinite(denoise_all(cloud, EstimationParams()).points).all()
+
+
+def scaled_wedge(scale):
+    """The 600-point wedge at 1% noise, scaled by `scale`."""
+    return PointCloud(points=noisy("wedge", 600, 0).points * scale)
+
+
+class TestCoordinateLimit:
+    """The k-d tree squares its distances, so they overflow once points lie
+    about 1.3e154 apart.  Every entry point then raises one ValueError: it
+    used to raise an IndexError or a LinAlgError, after overflow warnings.
+    Warnings are errors here, so each call also runs warning-free."""
+
+    ENTRIES = {
+        "estimate_all-1": lambda c, i: estimate_all(c, EstimationParams(), 1),
+        "estimate_all-2": lambda c, i: estimate_all(c, EstimationParams(), 2),
+        "denoise_all-1": lambda c, i: denoise_all(c, EstimationParams(), 1),
+        "denoise_all-2": lambda c, i: denoise_all(c, EstimationParams(), 2),
+        "pca_baseline": lambda c, i: pca_baseline(c, 64),
+        "cloud_noise_scale": lambda c, i: cloud_noise_scale(c, i),
+        "knn": lambda c, i: i.knn(0, 128),
+        "knn_batch": lambda c, i: i.knn_batch(128, np.arange(len(c))),
+        "estimate_normal": lambda c, i: estimate_normal(c, i, 0, 0.01, EstimationParams()),
+        "denoise_point": lambda c, i: denoise_point(c, i, 0, EstimationParams()),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    def test_beyond_the_limit_raises(self, entry, scale):
+        cloud = scaled_wedge(scale)
+        with pytest.raises(ValueError, match="k-NN distances overflow") as raised:
+            self.ENTRIES[entry](cloud, build_index(cloud))
+        assert type(raised.value) is ValueError      # LinAlgError is a ValueError too
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_below_the_limit_runs(self, entry):
+        cloud = scaled_wedge(1e153)
+        self.ENTRIES[entry](cloud, build_index(cloud))
+
+    @pytest.mark.parametrize("command", ["estimate", "denoise"])
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    def test_cli_beyond_the_limit(self, command, scale, tmp_path, capsys):
+        src, dst = tmp_path / "in.xyz", tmp_path / "out.xyz"
+        write_cloud(scaled_wedge(scale), src)
+        assert cli_main([command, "--in", str(src), "--out", str(dst)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "k-NN distances overflow" in err[0] and not dst.exists()
 
 
 class TestTinyClouds:

@@ -271,6 +271,41 @@ class TestKnnBatchProperty:
             assert np.allclose(got_d[r], want_d)
 
 
+class TestNeighborhoods:
+    """`NeighborIndex.neighborhoods`, the library's one neighbourhood gather:
+    each row's `knn_batch` neighbours, then the point itself."""
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["random", "tied-lattice"])
+    @pytest.mark.parametrize("k", [1, 6, 40])
+    def test_equals_the_knn_batch_gather_with_the_point_last(self, tied, k, rng):
+        pts = tie_grid() if tied else rng.normal(size=(175, 3))
+        index = build_index(PointCloud(points=pts))
+        rows = np.array([0, 17, 3, len(pts) - 1, 17, 60])
+        ids, want_d = index.knn_batch(k, rows)
+        want = np.concatenate([pts[ids], pts[rows][:, None]], axis=1)
+        got, dist = index.neighborhoods(k, rows)
+        assert got.shape == (len(rows), k + 1, 3)
+        assert got.tobytes() == want.tobytes() and dist.tobytes() == want_d.tobytes()
+        buf = np.full_like(want, np.nan)
+        into, dist = index.neighborhoods(k, rows, out=buf)
+        assert into is buf and buf.tobytes() == want.tobytes()
+        assert dist.tobytes() == want_d.tobytes()
+
+    def test_no_rows(self, rng):
+        index = build_index(PointCloud(points=rng.normal(size=(10, 3))))
+        pts, dist = index.neighborhoods(3, [])
+        assert pts.shape == (0, 4, 3) and dist.shape == (0, 3)
+
+    @pytest.mark.parametrize("k", [-2, -1, 0, 10, 11])
+    def test_a_bad_k_raises_what_knn_batch_raises(self, k, rng):
+        index = build_index(PointCloud(points=rng.normal(size=(10, 3))))
+        with pytest.raises(ValueError) as want:
+            index.knn_batch(k, [0, 1])
+        with pytest.raises(ValueError) as got:
+            index.neighborhoods(k, [0, 1])
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
 class TestCovarianceEigen:
     def test_single_point(self):
         _, c, w = plane_fit(np.array([[[2.0, 3.0, 4.0]]]))

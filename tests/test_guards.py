@@ -1,10 +1,11 @@
 """Guards for what the library's own tests would not notice: the names the
 benchmark tracer wraps, the stages a single-point call reaches, the one
-eigen kernel, the one linear solve, the one k-NN tree query, the one walk over the parameter
-tree, the one mode-solver loop, the one subset draw, kernel sum and survivor
-step of the consensus chain, the one row-chunk rule, the one parallel
-backend, the one index build, unused private code, whole-cloud k-NN
-blocks, outputs under any BLAS thread count, and the demos."""
+eigen kernel, the one linear solve, the one k-NN tree query, the one
+neighbourhood gather, the one walk over the parameter tree, the one
+mode-solver loop, the one subset draw, kernel sum and survivor step of the
+consensus chain, the one row-chunk rule, the one parallel backend, the one
+index build, unused private code, whole-cloud k-NN blocks, outputs under any
+BLAS thread count, and the demos."""
 
 import ast
 import importlib.util
@@ -134,6 +135,23 @@ def test_one_knn_query():
                 and f.value.attr == "_tree")
 
     assert library_scopes(is_tree_query) == [("geometry", "knn_batch")]
+
+
+def test_one_neighbourhood_gather():
+    # NeighborIndex.neighborhoods gathers every neighbourhood: the library
+    # calls knn_batch only there and in knn, its batch of one, and nothing
+    # outside NeighborIndex reads the indexed points
+    assert library_scopes(calls_to("knn_batch")) == [("geometry", "knn"),
+                                                      ("geometry", "neighborhoods")]
+    inside, everywhere = set(), set()
+    for path in sorted(Path(normfit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
+                              and n.name == "NeighborIndex"]:
+            reads = {(path.name, n.lineno, n.col_offset) for n in ast.walk(node)
+                     if isinstance(n, ast.Attribute) and n.attr == "_points"}
+            (everywhere if node is tree else inside).update(reads)
+    assert inside and inside == everywhere
 
 
 def calls_to(name):

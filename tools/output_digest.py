@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python3 tools/output_digest.py           # the synth matrix
     PYTHONPATH=src python3 tools/output_digest.py --bench   # the benchmark's clouds
+    PYTHONPATH=src python3 tools/output_digest.py --degenerate   # clouds with fallbacks
 
 The synth matrix is every `synth` shape at 0% and 1% noise, at 10, 200, 201,
 2000 and 4001 points, each run at 1, 2 and 3 threads.  For each cloud and
@@ -9,6 +10,8 @@ thread count the digest takes the `estimate_all` normals, the five per-point
 `RunReport` arrays and the `denoise_all` points, in that order.  `--bench`
 digests the check and timing clouds of the benchmark's workloads at seed 0
 instead, at 1 and 2 threads, through the benchmark's own read -> call path.
+`--degenerate` digests five clouds without a surface everywhere, whose points
+take the PCA fallback (no synth cloud does), at 1, 2 and 3 threads and seed 0.
 Run it on two trees with the same arguments and compare the printed lines.
 """
 
@@ -21,7 +24,9 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
-from normfit import (EstimationParams, NoiseSpec, RunReport, ShapeSpec, add_noise,
+import numpy as np
+
+from normfit import (EstimationParams, NoiseSpec, PointCloud, RunReport, ShapeSpec, add_noise,
                      denoise_all, estimate_all, gen_shape, io, metrics)
 
 SHAPES = ("plane", "sphere", "cylinder", "cube", "wedge")
@@ -56,6 +61,36 @@ def synth_digest(h) -> int:
     return cases
 
 
+def degenerate_clouds() -> dict:
+    """Name -> cloud: a line, one point repeated, uniform points plus copies of one of
+    them, two blobs 1e6 apart, and a plane with a collinear spike standing on it."""
+    line = np.zeros((200, 3))
+    line[:, 0] = np.linspace(-1.0, 1.0, 200)
+    uniform = np.random.default_rng(1).uniform(-1.0, 1.0, (100, 3))
+    spike = np.zeros((60, 3))
+    spike[:, 2] = 0.01 * np.arange(1, 61)
+    clouds = {
+        "collinear": line,
+        "copies": np.tile([0.3, -0.2, 0.7], (200, 1)),
+        "uniform-and-copies": np.vstack([uniform, np.repeat(uniform[:1], 100, axis=0)]),
+        "far-blobs": np.vstack([np.random.default_rng(2).normal(size=(150, 3)),
+                                np.random.default_rng(3).normal(size=(150, 3)) + 1e6]),
+        "spike": np.vstack([gen_shape(ShapeSpec(kind="plane", n_points=600, seed=0)).points,
+                            spike]),
+    }
+    return {name: PointCloud(points=pts) for name, pts in clouds.items()}
+
+
+def degenerate_digest(h) -> int:
+    cases = 0
+    for cloud in degenerate_clouds().values():
+        for n_threads in THREADS:
+            add_estimate(h, cloud, 0, n_threads)
+            add_denoise(h, cloud, 0, n_threads)
+            cases += 1
+    return cases
+
+
 def bench_digest(h) -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     from workloads import PCA_K, WORKLOADS, make_inputs
@@ -80,11 +115,16 @@ def bench_digest(h) -> int:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--bench", action="store_true",
-                        help="digest the benchmark's clouds instead of the synth matrix")
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument("--bench", action="store_true",
+                       help="digest the benchmark's clouds instead of the synth matrix")
+    which.add_argument("--degenerate", action="store_true",
+                       help="digest the clouds whose points take the PCA fallback instead")
     args = parser.parse_args(argv)
     h = hashlib.md5()
-    cases = bench_digest(h) if args.bench else synth_digest(h)
+    digest = (bench_digest if args.bench else degenerate_digest if args.degenerate
+              else synth_digest)
+    cases = digest(h)
     print(f"{h.hexdigest()}  {cases} cases")
 
 
