@@ -205,10 +205,13 @@ def score_plane_block(nbrs: np.ndarray, normals: np.ndarray, anchors: np.ndarray
     """Gaussian-kernel consensus score (P, M) of each plane over its point's
     neighbors: (P, k, 3) neighbors, (P, M, 3) planes, (P,) bandwidths.
     Distances (p - a).n / sigma are one stacked matmul of lifted neighbors
-    [p, 1] and planes [n, -a.n] / sigma."""
+    [p, 1] and planes [n, -a.n] / sigma; the neighbours' four columns are
+    built here, since `lift`'s fifth, |p|^2, is not read."""
     planes = np.concatenate([normals, -np.einsum("pmc,pmc->pm", anchors, normals)[..., None]], 2)
     planes /= sigma[:, None, None]
-    e = np.matmul(lift(nbrs)[:, :, :4], planes.transpose(0, 2, 1))      # (P, k, M)
+    points = np.empty(nbrs.shape[:-1] + (4,))
+    points[..., :3], points[..., 3] = nbrs, 1.0
+    e = np.matmul(points, planes.transpose(0, 2, 1))      # (P, k, M)
     np.square(e, out=e)
     np.negative(e, out=e)
     return _kernel_sum(e, axis=1)

@@ -62,7 +62,8 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
     ax, ay, az = np.abs(x), np.abs(y), np.abs(z)
     lead = np.where((ax >= ay) & (ax >= az), x, np.where(ay >= az, y, z))
-    return np.where((lead < 0)[..., None], -v, v)
+    # times a +-1 row sign: the bytes of np.where(lead < 0, -v, v) without building -v
+    return v * np.where(lead < 0, -1.0, 1.0)[..., None]
 
 
 @dataclass
@@ -306,7 +307,7 @@ def lift(p: np.ndarray, s2=None) -> np.ndarray:
     """Homogeneous lifts (..., 5) of points (..., 3): lift(q) is [q, 1, |q|^2]
     and lift(p, s2) is [2p, -|p|^2, -1] / s2 (s2 broadcast over p's leading
     axes), so lift(q).lift(p, s2) = -|p - q|^2 / s2 and one stacked matmul
-    gives a block's Gaussian exponents; lift(q)[..., :4] is [q, 1]."""
+    gives a block's Gaussian exponents."""
     p = np.ascontiguousarray(p)     # so that |p|^2 rounds the same for any memory order
     sq = np.einsum("...c,...c->...", p, p)
     out = np.empty(p.shape[:-1] + (5,))

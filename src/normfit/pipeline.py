@@ -6,9 +6,14 @@ of the w = min(n_threads, usable CPUs, N) workers, and each share into blocks of
 P = min(share, 2**18 // (3 * s * M)) points for subsets of s points: one block
 per share on small clouds, and on large ones as many points as keep a block's
 (P * M, s, 3) subset gather near 2 MB.  A block's neighborhoods, the PCA
-fallback's too, are one `NeighborIndex.neighborhoods` gather; its (P, k, M)
+fallback's too, are one `NeighborIndex.neighborhoods` gather, and the
+neighbours relative to their point one contiguous (P, k, 3) array built by one
+2-D subtraction per coordinate (`_relative`); its (P, k, M)
 plane and (P, M, k) position scores are computed in row chunks of
-2**18 // (M * k) points, so each kernel matrix also stays near 2 MB; the noise
+2**18 // (M * k) points, so each kernel matrix also stays near 2 MB, and each
+point's survivors are one `np.take` of the flattened (P * M, 3) candidates
+(`_survivors`).  A block copies its rows out by a boolean mask only when one
+of them takes the PCA fallback or has denoising bandwidth 0.  The noise
 profile streams in 2 MB row chunks too.  The caller runs the first share and
 the forked workers of one persistent pool the others, each worker over the
 caller's cloud and an index it builds.  Every random draw is a pure function of
@@ -88,11 +93,24 @@ def _survivors(score, nbrs: np.ndarray, cands: np.ndarray, fraction: float,
     """Survivors (P, M', 3) of cands (P, M, 3): each row best first by score(nbrs, cands,
     *per_point) -> (P, M), less its lowest `fraction`.  Scored in the `row_chunks` of a (rows,
     k, M) kernel matrix, 2 MB each; no rows give (0, M', 3)."""
-    scores = np.empty(cands.shape[:2])
-    for part in row_chunks(len(scores), cands.shape[1] * nbrs.shape[1]):
+    rows, m = cands.shape[:2]
+    scores = np.empty((rows, m))
+    for part in row_chunks(rows, m * nbrs.shape[1]):
         scores[part] = score(nbrs[part], cands[part], *(a[part] for a in per_point))
     keep = cand.rejection_order(scores, fraction)
-    return np.take_along_axis(cands, keep[:, :, None], axis=1)
+    keep += (m * np.arange(rows))[:, None]     # rows of the flattened (P * M, 3) candidates
+    return np.take(cands.reshape(-1, 3), keep, axis=0)
+
+
+def _relative(pts: np.ndarray) -> np.ndarray:
+    """The neighbours of a (P, k + 1, 3) `neighborhoods` gather relative to their point, as
+    one contiguous (P, k, 3) array: the bytes of pts[:, :k] - pts[:, k:], one 2-D subtraction
+    per coordinate, which numpy runs faster than one over the strided (P, k, 3) view."""
+    k = pts.shape[1] - 1
+    rel = np.empty((len(pts), k, 3))
+    for c in range(3):
+        np.subtract(pts[:, :k, c], pts[:, k:, c], out=rel[:, :, c])
+    return rel
 
 
 def _exit_with(parent: int) -> None:
@@ -134,12 +152,20 @@ def _share(block_fn, cloud: PointCloud, index, rows: np.ndarray, row_elements: i
             for part in row_chunks(len(rows), row_elements)]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; all of them where the OS has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # sched_getaffinity exists on Linux only
+        return os.cpu_count() or 1
+
+
 def _run_blocks(block_fn, cloud: PointCloud, index: NeighborIndex, n_candidates: int,
                 subset: int, n_threads: int, *args) -> list:
     """block_fn(index, ts, *args) on each block ts, in order, over w = min(n_threads,
     usable CPUs, N) equal contiguous shares of range(N) cut into `_share` blocks: the caller
     runs the first share, the pool the others (rerun once if it breaks)."""
-    w = min(n_threads, len(os.sched_getaffinity(0)), len(cloud))
+    w = 1 if n_threads == 1 else min(n_threads, _usable_cpus(), len(cloud))
     mine, *theirs = np.array_split(np.arange(len(cloud)), w)
     args = (3 * subset * n_candidates, *args)
     if not theirs:
@@ -172,20 +198,22 @@ def _estimate_block(index: NeighborIndex, ts: np.ndarray, k_hat: int, reject: bo
     """
     sp = params.sampling
     pts, nbr_d = index.neighborhoods(k_hat, ts)
-    rel = pts[:, :k_hat] - pts[:, k_hat:]       # the neighbours relative to their point
+    rel = _relative(pts)
     nrm, anc, failed = cand.sample_plane_block(rel, point_rng(params.seed, ts), sp)
     normals = np.empty((len(ts), 3))
     survivors = np.zeros(len(ts), dtype=np.int64)
     iterations = np.zeros(len(ts), dtype=np.int64)
     converged = np.zeros(len(ts), dtype=bool)
     loss = np.zeros(len(ts))
+    ok = slice(None)        # every row; copied out by the mask only when one failed
     if failed.any():
         normals[failed] = plane_fit(pts[failed])[0]     # pca_baseline's normal at k_hat
-    ok = ~failed
-    if ok.any():
-        nrm = _survivors(cand.score_plane_block, rel[ok], nrm[ok],
-                         sp.rejection_fraction_normals if reject else 0.0, anc[ok],
-                         cand.rejection_sigma(nbr_d[ok]))
+        ok = ~failed
+        rel, nrm, anc, nbr_d = rel[ok], nrm[ok], anc[ok], nbr_d[ok]
+    if len(rel):
+        nrm = _survivors(cand.score_plane_block, rel, nrm,
+                         sp.rejection_fraction_normals if reject else 0.0, anc,
+                         cand.rejection_sigma(nbr_d))
         normals[ok], loss[ok], iterations[ok], converged[ok] = normal_mode_batch(
             nrm, params.consensus, nrm[:, 0])    # the best survivor; rejection off keeps all M
         survivors[ok] = nrm.shape[1]
@@ -244,12 +272,13 @@ def _denoise_block(index: NeighborIndex, ts: np.ndarray, k: int,
     """
     sp = params.sampling
     pts, nbr_d = index.neighborhoods(k, ts)
-    rel = pts[:, :k] - pts[:, k:]
+    rel = _relative(pts)
     sigma = nbr_d[:, :_DENOISE_SIGMA_K].mean(axis=1)
     out = pts[:, k].copy()
     live = sigma > 0.0
-    rel, sigma = rel[live], sigma[live]
-    pos = cand.sample_position_block(rel, point_rng(params.seed, ts[live]), sp.n_candidates)
+    if not live.all():      # copied out by the mask only when a row has bandwidth 0
+        rel, sigma, ts = rel[live], sigma[live], ts[live]
+    pos = cand.sample_position_block(rel, point_rng(params.seed, ts), sp.n_candidates)
     pos = _survivors(cand.score_position_block, rel, pos, sp.rejection_fraction_positions, sigma)
     x, _, _, _ = position_mode_batch(pos, params.consensus, np.zeros((len(pos), 3)), sigma)
     out[live] += x

@@ -16,7 +16,10 @@ readers and writers must match (`read_xyz_lines`, `read_ply_lines`,
 `write_xyz_rows`, `write_ply_rows`), and the loop forms of the mode solvers, the subset draw
 and the sign rule that the compacted kernels must match byte for byte
 (`normal_mode_batch_loop`, `position_mode_batch_loop`,
-`draw_index_sets_sorted`, `canonical_sign_argmax`), and the whole-cloud
+`draw_index_sets_sorted`, `canonical_sign_argmax`), the copying forms of the
+sign rule, the relative neighbourhoods and the survivor gather that the
+block chain's copy-free steps must match byte for byte
+(`canonical_sign_where`, `relative_sliced`, `survivors_along_axis`), and the whole-cloud
 forms of the PCA baseline and the noise profile that the row-chunked
 `geometry.neighborhood_fits` must match byte for byte
 (`pca_baseline_whole`, `cloud_noise_scale_whole`), and the config writer
@@ -31,7 +34,8 @@ import numpy as np
 import pytest
 
 from normfit import consensus
-from normfit.candidates import _GOLDEN, CandidatePlanes, _mix64, score_candidates
+from normfit.candidates import (_GOLDEN, CandidatePlanes, _mix64, rejection_order,
+                                score_candidates)
 from normfit.config import _leaves
 from normfit.consensus import _ccp_exponent, _power_step
 from normfit.errors import EmptyCandidates, NormalNotUnit, NormfitError, ParseError
@@ -404,6 +408,31 @@ def canonical_sign_argmax(v):
     i = np.argmax(np.abs(v), axis=1)
     lead = v[np.arange(len(v)), i]
     return np.where((lead < 0)[:, None], -v, v)
+
+
+def canonical_sign_where(v):
+    """`geometry.canonical_sign` choosing between v and a built -v with an
+    (N, 3) `np.where`, in place of a multiply by a +-1 row sign."""
+    v = np.asarray(v, dtype=np.float64)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    ax, ay, az = np.abs(x), np.abs(y), np.abs(z)
+    lead = np.where((ax >= ay) & (ax >= az), x, np.where(ay >= az, y, z))
+    return np.where((lead < 0)[..., None], -v, v)
+
+
+def relative_sliced(pts):
+    """`pipeline._relative`: one subtraction over the strided (P, k, 3) view
+    of the gather, in place of one 2-D subtraction per coordinate."""
+    k = pts.shape[1] - 1
+    return pts[:, :k] - pts[:, k:]
+
+
+def survivors_along_axis(score, nbrs, cands, fraction, *per_point):
+    """`pipeline._survivors` scoring every row at once and gathering the
+    survivors with `np.take_along_axis`'s broadcast index, in place of one
+    `np.take` of the flattened (P * M, 3) candidates."""
+    keep = rejection_order(score(nbrs, cands, *per_point), fraction)
+    return np.take_along_axis(cands, keep[:, :, None], axis=1)
 
 
 def draw_index_sets_sorted(keys, counters, pool, k):

@@ -32,6 +32,7 @@ from normfit import (
     gen_shape,
     pca_baseline,
 )
+from normfit.bench import run_suite
 from normfit import candidates as cand, geometry, pipeline
 from normfit.candidates import POSITION_SUBSET, _draw_index_sets
 from normfit.cli import cli_main
@@ -39,12 +40,14 @@ from normfit.consensus import normal_mode_batch
 from normfit.io import write_cloud
 from normfit.pipeline import point_rng
 
+from conftest import relative_sliced, survivors_along_axis
+
 
 THREADS = 4
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
 
 # with one usable CPU every n_threads runs in the caller and no pool is made
-needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+needs_two_cpus = pytest.mark.skipif(pipeline._usable_cpus() < 2,
                                     reason="one usable CPU: no worker processes")
 
 
@@ -196,7 +199,7 @@ class TestBlockSize:
         try:
             for n, workers, block in ((200, 1, 200), (200, 2, 100), (200, 3, 67),
                                       (2000, 1, 218), (2000, 3, 218), (1, 2, 1)):
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+                monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
                 cloud = PointCloud(points=np.zeros((n, 3)))
                 blocks = pipeline._run_blocks(block_rows, cloud, None, 100, 4, workers)
                 assert len(blocks[0]) == block, (n, workers)
@@ -209,7 +212,7 @@ class TestBlockSize:
         # it cuts the shares of that count (150 points each on two CPUs), not
         # of the count asked for (5 points each at 64); no more processes
         # start than there are usable CPUs
-        cpus = len(os.sched_getaffinity(0))
+        cpus = pipeline._usable_cpus()
         cloud = noisy("plane", 300, 17)
         index = build_index(cloud)
         params = EstimationParams(seed=18)
@@ -224,6 +227,35 @@ class TestBlockSize:
         assert blocks[0] == blocks[1]
         assert normals[0] == normals[1] and reports[0] == reports[1]
         assert points[0] == points[1]
+
+
+class TestWithoutAffinityCall:
+    # os.sched_getaffinity exists on Linux only: one thread never asks for
+    # the usable CPUs, and more threads count them with os.cpu_count there
+    def test_runs_where_the_call_is_missing(self, monkeypatch):
+        cloud = noisy("wedge", 120, 31)
+        params = EstimationParams(seed=32)
+
+        def outputs(n_threads):
+            est, report = estimate_all(cloud, params, n_threads)
+            return ([est.normals.tobytes()]
+                    + [getattr(report, f.name).tobytes() for f in fields(RunReport)[1:]]
+                    + [denoise_all(cloud, params, n_threads).points.tobytes()])
+
+        want = outputs(1)
+        suite = run_suite(points_per_cloud=40, candidate_counts=(10,), seeds=(0,))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        asked, pool = [], pipeline._pool
+        monkeypatch.setattr(pipeline, "_pool",
+                            lambda workers, broken=None: asked.append(workers) or pool(workers,
+                                                                                       broken))
+        assert outputs(1) == want and asked == []
+        assert run_suite(points_per_cloud=40, candidate_counts=(10,), seeds=(0,)) == suite
+        for cpus, workers in ((None, []), (1, []), (2, [1, 1])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            asked.clear()
+            assert outputs(2) == want, cpus
+            assert asked == workers, cpus      # one pool call per estimate_all and denoise_all
 
 
 def block_rows(index, ts):
@@ -515,6 +547,74 @@ class TestDegenerateNeighborhoods:
         out = capsys.readouterr().out
         count = int(out.split("PCA fallbacks = ")[1].split()[0])
         assert count > 0
+
+
+def tied_scores(nbrs, cands):
+    """A score with many ties: each candidate's first coordinate, rounded."""
+    return np.round(cands[..., 0])
+
+
+class TestCopyFreeSteps:
+    # the block chain's steps that copy nothing they do not need give the
+    # bytes of the copying forms they replace
+
+    @pytest.mark.parametrize("k", [1, 59])
+    def test_relative_matches_the_sliced_subtraction(self, k):
+        # k = 1 and k = N - 1 on a 60-point cloud
+        pts, _ = build_index(noisy("wedge", 60, 21)).neighborhoods(k, np.arange(60))
+        rel = pipeline._relative(pts)
+        assert rel.flags.c_contiguous
+        assert rel.tobytes() == relative_sliced(pts).tobytes()
+
+    @pytest.mark.parametrize("score", ["plane", "position", "tied"])
+    @pytest.mark.parametrize("rows, m", [(1, 1), (1, 100), (7, 1), (7, 13), (40, 100)])
+    @pytest.mark.parametrize("fraction", [0.0, 0.2])
+    def test_survivors_match_take_along_axis(self, score, rows, m, fraction):
+        rng = np.random.default_rng(1000 * rows + m)
+        nbrs, cands = rng.normal(size=(rows, 30, 3)), rng.normal(size=(rows, m, 3))
+        sigma = rng.uniform(0.5, 2.0, rows)
+        if score == "plane":
+            cands /= np.linalg.norm(cands, axis=2, keepdims=True)
+            fn, per_point = cand.score_plane_block, (rng.normal(size=(rows, m, 3)), sigma)
+        elif score == "position":
+            fn, per_point = cand.score_position_block, (sigma,)
+        else:
+            fn, per_point = tied_scores, ()
+        got = pipeline._survivors(fn, nbrs, cands, fraction, *per_point)
+        want = survivors_along_axis(fn, nbrs, cands, fraction, *per_point)
+        assert got.shape == (rows, m - int(fraction * m), 3)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("reject", [True, False])
+    def test_fallback_rows_leave_the_good_rows_alone(self, reject):
+        # a block that mixes PCA-fallback rows (the top of the spike) with
+        # good rows gives each the bytes of a block of its own kind only
+        cloud, params = spike_cloud(), EstimationParams(seed=5)
+        index = build_index(cloud)
+        ts = np.random.default_rng(6).permutation(np.r_[np.arange(0, 600, 41),
+                                                        np.arange(600, 660, 4)])
+        mixed = pipeline._estimate_block(index, ts, 32, reject, params)
+        failed = mixed[-1]
+        assert failed.any() and not failed.all()
+        for rows in (~failed, failed):
+            alone = pipeline._estimate_block(index, ts[rows], 32, reject, params)
+            for got, want in zip(mixed, alone):
+                assert got[rows].tobytes() == want.tobytes()
+
+    def test_zero_bandwidth_rows_leave_the_live_rows_alone(self):
+        # the copies have bandwidth 0 and keep their positions; the uniform
+        # points get the bytes of a block without the copies
+        cloud, params = uniform_and_copies_cloud(), EstimationParams(seed=7)
+        index = build_index(cloud)
+        ts = np.random.default_rng(8).permutation(np.r_[np.arange(1, 100, 3),
+                                                        np.arange(100, 200, 9)])
+        zero = ts >= 100
+        mixed = pipeline._denoise_block(index, ts, 64, params)
+        assert mixed[zero].tobytes() == cloud.points[ts[zero]].tobytes()
+        alone = pipeline._denoise_block(index, ts[~zero], 64, params)
+        assert mixed[~zero].tobytes() == alone.tobytes()
+        assert pipeline._denoise_block(index, ts[zero], 64, params).tobytes() == \
+            mixed[zero].tobytes()
 
 
 class TestDegenerateClouds:

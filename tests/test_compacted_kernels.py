@@ -29,8 +29,8 @@ from normfit.consensus import (ConsensusParams, _ccp_exponent, _lift_products,
                                normal_mode_batch, position_mode_batch)
 from normfit.geometry import canonical_sign
 
-from conftest import (canonical_sign_argmax, draw_index_sets_sorted, normal_mode_batch_loop,
-                      position_mode_batch_loop, random_units)
+from conftest import (canonical_sign_argmax, canonical_sign_where, draw_index_sets_sorted,
+                      normal_mode_batch_loop, position_mode_batch_loop, random_units)
 
 SLACKS = st.sampled_from([consensus._LOSS_SLACK, -1e-3])
 MAX_ITERS = st.sampled_from([1, 2, 5, 50])
@@ -76,6 +76,37 @@ COMPONENTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]),
 def test_canonical_sign_matches_argmax(rows):
     v = np.array(rows, dtype=np.float64).reshape(-1, 3)
     assert_same_bytes([canonical_sign(v)], [canonical_sign_argmax(v)])
+
+
+# signed zeros, subnormals, magnitudes near 1e154 (the coordinate limit) and
+# a few values that tie in |component| with their negations
+EDGE_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                     1e154, -1e154, 1.3e154, -1.3e154]),
+    st.floats(min_value=-1.3e154, max_value=1.3e154),
+    st.floats(min_value=-1e-300, max_value=1e-300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(EDGE_COMPONENTS, EDGE_COMPONENTS, EDGE_COMPONENTS), min_size=1,
+                max_size=40))
+@example([(0.0, -0.0, 0.0), (-0.0, -0.0, -0.0), (-5e-324, 5e-324, 0.0), (-1e154, 1e154, 0.5),
+          (-0.5, 0.5, -0.5), (0.0, -1e-310, 1e-310)])
+def test_canonical_sign_matches_where(rows):
+    # the +-1 row sign gives the bytes of choosing between v and -v, on
+    # every single vector and on the batch
+    v = np.array(rows, dtype=np.float64)
+    assert_same_bytes([canonical_sign(v)], [canonical_sign_where(v)])
+    for row in v:
+        assert_same_bytes([canonical_sign(row)], [canonical_sign_where(row)])
+
+
+def test_canonical_sign_matches_where_on_random_rows():
+    v = np.random.default_rng(41).normal(size=(20000, 3))
+    v[::7] *= -1e-310
+    v[1::7] *= 1e154
+    assert_same_bytes([canonical_sign(v)], [canonical_sign_where(v)])
+    assert_same_bytes([canonical_sign(TIED_UNITS)], [canonical_sign_where(TIED_UNITS)])
 
 
 @settings(max_examples=200, deadline=None)

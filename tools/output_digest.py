@@ -1,8 +1,8 @@
 """One md5 over normfit's outputs, to show that a change moves no output byte.
 
-    PYTHONPATH=src python3 tools/output_digest.py           # the synth matrix
-    PYTHONPATH=src python3 tools/output_digest.py --bench   # the benchmark's clouds
-    PYTHONPATH=src python3 tools/output_digest.py --degenerate   # clouds with fallbacks
+    python3 tools/output_digest.py                # the synth matrix
+    python3 tools/output_digest.py --bench        # the benchmark's clouds
+    python3 tools/output_digest.py --degenerate   # clouds with fallbacks
 
 The synth matrix is every `synth` shape at 0% and 1% noise, at 10, 200, 201,
 2000 and 4001 points, each run at 1, 2 and 3 threads.  For each cloud and
@@ -13,6 +13,9 @@ instead, at 1 and 2 threads, through the benchmark's own read -> call path.
 `--degenerate` digests five clouds without a surface everywhere, whose points
 take the PCA fallback (no synth cloud does), at 1, 2 and 3 threads and seed 0.
 Run it on two trees with the same arguments and compare the printed lines.
+It digests the normfit of its own tree, the `src/` beside `tools/`, from any
+working directory and whatever `PYTHONPATH` holds, and exits if that
+`normfit` is missing or another one is imported.
 """
 
 from __future__ import annotations
@@ -26,8 +29,16 @@ from pathlib import Path
 
 import numpy as np
 
-from normfit import (EstimationParams, NoiseSpec, PointCloud, RunReport, ShapeSpec, add_noise,
-                     denoise_all, estimate_all, gen_shape, io, metrics)
+SRC = Path(__file__).resolve().parents[1] / "src"
+if not (SRC / "normfit" / "__init__.py").is_file():
+    sys.exit(f"output_digest: no normfit source at {SRC / 'normfit'}")
+sys.path.insert(0, str(SRC))
+import normfit  # noqa: E402  (this tree's src/ first on the path)
+
+if SRC not in Path(normfit.__file__).resolve().parents:
+    sys.exit(f"output_digest: normfit imported from {normfit.__file__}, not from {SRC}")
+from normfit import (EstimationParams, NoiseSpec, PointCloud, RunReport, ShapeSpec,  # noqa: E402
+                     add_noise, denoise_all, estimate_all, gen_shape, io, metrics)
 
 SHAPES = ("plane", "sphere", "cylinder", "cube", "wedge")
 NOISE_PCT = (0.0, 1.0)
