@@ -32,7 +32,7 @@ def main():
     est, report = estimate_all(noisy, EstimationParams(seed=3), n_threads=4)
 
     index = build_index(noisy)
-    profile = cloud_noise_scale(noisy, index, 64)
+    profile = cloud_noise_scale(index, 64)
     k_hat = adaptive_k(profile.cloud_f, AdaptiveConfig())
     base = pca_baseline(noisy, k_hat)
     print(f"estimated noise level f = {profile.cloud_f:.4f} -> neighborhood k = {k_hat}")

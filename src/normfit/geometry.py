@@ -111,6 +111,11 @@ class NeighborIndex:
         self._points = cloud.points
         self._tree = cKDTree(self._points)
 
+    def __reduce__(self):
+        # pickled as its points: loading builds the tree anew, which a worker does
+        # faster than it receives a pickled one
+        return build_index, (PointCloud(points=self._points),)
+
     @property
     def n_points(self) -> int:
         return len(self._points)
@@ -126,11 +131,12 @@ class NeighborIndex:
 
         Returns (indices, distances) arrays of shape (len(rows), k), each row sorted by
         (distance, index).  Raises TooFewNeighbors if k > N - 1 or N = 1, and ValueError
-        if k < 1, a row lies outside [0, N), or a distance overflows (points 1.3e154 apart).
+        if k < 1, `rows` is not a 1-D sequence of integers, a row lies outside [0, N), or a
+        distance overflows (points 1.3e154 apart).
         """
         n = self.n_points
         _require_k(n, k)
-        rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+        rows = np.arange(n) if rows is None else _point_rows(rows)
         if len(rows) and not (0 <= rows.min() and rows.max() < n):
             raise ValueError(f"point indices out of range: must lie in [0, {n})")
         kq = min(n, k + 3)
@@ -165,11 +171,20 @@ class NeighborIndex:
     def neighborhoods(self, k: int, rows, out=None):
         """The `knn_batch` neighbours of points `rows`, each followed by the point: (P, k + 1, 3),
         written into `out` when given, and their (P, k) distances.  Raises as `knn_batch` does."""
-        rows = np.asarray(rows, dtype=np.intp)
+        rows = _point_rows(rows)
         idx, dist = self.knn_batch(k, rows)
         sets = np.concatenate([idx, rows[:, None]], axis=1)
         # "clip": mode "raise" copies through a temporary, and knn_batch never gives index N
         return np.take(self._points, sets, axis=0, out=out, mode="clip"), dist
+
+
+def _point_rows(rows) -> np.ndarray:
+    """`rows` as an intp array; ValueError unless a 1-D sequence of integers (or empty)."""
+    a = np.asarray(rows)
+    if a.ndim != 1 or (a.dtype.kind not in "iu" and len(a)):
+        raise ValueError("point indices must be a 1-D sequence of integers, "
+                         f"got dtype {a.dtype} and shape {a.shape}")
+    return a.astype(np.intp, copy=False)
 
 
 def _require_k(n: int, k: int) -> None:

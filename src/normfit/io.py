@@ -18,7 +18,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import NormalNotUnit, ParseError
-from .geometry import PointCloud, angles_unoriented
+from .geometry import PointCloud, angles_unoriented, as_points
 
 _FMT = "%.17g"
 # rows formatted per write; bounds the text held for one write
@@ -121,8 +121,8 @@ def _error_colors(normals, reference_normals):
 
 
 def write_ply(cloud: PointCloud, path, reference_normals=None) -> None:
-    """Write ASCII PLY; when reference normals are given, vertices are
-    colored by normal-angle error (blue = 0, red = 90 degrees)."""
+    """Write ASCII PLY; when reference normals are given, one row per point,
+    vertices are colored by normal-angle error (blue = 0, red = 90 degrees)."""
     columns = [cloud.points]
     if cloud.normals is not None:
         columns.append(cloud.normals)
@@ -130,8 +130,11 @@ def write_ply(cloud: PointCloud, path, reference_normals=None) -> None:
     if reference_normals is not None:
         if cloud.normals is None:
             raise ValueError("cloud has no normals to compare against the reference")
-        columns.append(_error_colors(cloud.normals,
-                                     np.asarray(reference_normals, dtype=np.float64)))
+        reference_normals = as_points(reference_normals)
+        if len(reference_normals) != len(cloud):
+            raise ValueError(f"need one reference normal per point: {len(cloud)} points, "
+                             f"{len(reference_normals)} reference normals")
+        columns.append(_error_colors(cloud.normals, reference_normals))
         fmts += ["%d"] * 3
     with open(path, "w") as fh:
         fh.write("ply\nformat ascii 1.0\n")

@@ -4,9 +4,9 @@ The per-point noise level is the surface variation of a small covariance
 neighborhood: lam1 / (lam1 + lam2 + lam3), which is 0 on an exact plane and
 1/3 for isotropic scatter.  The cloud-level mean selects one of four
 neighborhood sizes and decides whether low-score candidates get rejected.
-The profile streams the cloud in the 2 MB `geometry.row_chunks` of a
-neighbourhood gather (`geometry.neighborhood_fits`), so its peak memory is
-O(N) plus 2 MB.
+The profile takes the cloud's k-NN index, which holds its points, and streams
+them in the 2 MB `geometry.row_chunks` of a neighbourhood gather
+(`geometry.neighborhood_fits`), so its peak memory is O(N) plus 2 MB.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import NeighborIndex, PointCloud, neighborhood_fits
+from .geometry import NeighborIndex, neighborhood_fits
 
 # size of the covariance neighborhood used for noise estimation; fixed and
 # independent of the adaptive size to avoid circularity
@@ -57,14 +57,14 @@ class NoiseProfile:
     cloud_f: float
 
 
-def cloud_noise_scale(cloud: PointCloud, index: NeighborIndex, k_f: int = DEFAULT_NOISE_K) -> NoiseProfile:
-    """Per-point noise levels and their mean.
+def cloud_noise_scale(index: NeighborIndex, k_f: int = DEFAULT_NOISE_K) -> NoiseProfile:
+    """Per-point noise levels of the indexed points and their mean.
 
     Each point's level is the surface variation of its k_f neighbors plus
     the point itself; a set whose eigenvalues all vanish (coincident points)
-    gets 0.  `index` must be built over `cloud`.
+    gets 0.
     """
-    _, w = neighborhood_fits(index, min(k_f, len(cloud) - 1))
+    _, w = neighborhood_fits(index, min(k_f, index.n_points - 1))
     total = w.sum(axis=1)
     f = np.where(total > 0.0, w[:, 0] / np.where(total > 0.0, total, 1.0), 0.0)
     return NoiseProfile(per_point_f=f, cloud_f=float(f.mean()))

@@ -15,11 +15,12 @@ point's survivors are one `np.take` of the flattened (P * M, 3) candidates
 (`_survivors`).  A block copies its rows out by a boolean mask only when one
 of them takes the PCA fallback or has denoising bandwidth 0.  The noise
 profile streams in 2 MB row chunks too.  The caller runs the first share and
-the forked workers of one persistent pool the others, each worker over the
-caller's cloud and an index it builds.  Every random draw is a pure function of
-(seed, point index, candidate slot, attempt), and every stage computes each
-point's rows independently of the others, so outputs are identical for any
-worker count and block size.  `estimate_normal` and `denoise_point` run the
+the forked workers of one persistent pool the others, each over the caller's
+index, pickled as its points, whose tree the worker builds.  Every random draw
+is a pure function of (seed, point index, candidate slot, attempt), and every
+stage computes each point's rows independently of the others, so outputs are
+identical for any worker count and block size.  `estimate_normal` and
+`denoise_point` take the cloud's index, the one handle on its points, run the
 same block function on a block of one and give that point's result byte for
 byte.  One rule, `geometry.row_chunks`, cuts the blocks and every chunk.
 """
@@ -82,10 +83,10 @@ def _require_threads(n_threads: int) -> None:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
 
 
-def _require_points(cloud: PointCloud, need: int) -> None:
-    """Raise TooFewNeighbors unless each point has at least `need` neighbors."""
-    if len(cloud) <= need:
-        raise TooFewNeighbors(f"need more than {need} points, got {len(cloud)}")
+def _require_points(n: int, need: int) -> None:
+    """Raise TooFewNeighbors unless each of n points has at least `need` neighbors."""
+    if n <= need:
+        raise TooFewNeighbors(f"need more than {need} points, got {n}")
 
 
 def _survivors(score, nbrs: np.ndarray, cands: np.ndarray, fraction: float,
@@ -142,14 +143,9 @@ def _pool(workers: int, broken=None):
         return _POOL[0]
 
 
-def _share(block_fn, cloud: PointCloud, index, rows: np.ndarray, row_elements: int,
-           *args) -> list:
-    """block_fn(index, ts, *args) on each 2 MB `row_chunks` block ts of `rows`; workers
-    get index None and build one: sending the caller's k-d tree made 2-worker calls slower."""
-    if index is None:
-        index = build_index(cloud)
-    return [block_fn(index, rows[part], *args)
-            for part in row_chunks(len(rows), row_elements)]
+def _share(block_fn, index: NeighborIndex, rows: np.ndarray, row_elements: int, *args) -> list:
+    """block_fn(index, ts, *args) on each `row_chunks(len(rows), row_elements)` block ts."""
+    return [block_fn(index, rows[part], *args) for part in row_chunks(len(rows), row_elements)]
 
 
 def _usable_cpus() -> int:
@@ -160,33 +156,31 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_blocks(block_fn, cloud: PointCloud, index: NeighborIndex, n_candidates: int,
-                subset: int, n_threads: int, *args) -> list:
+def _run_blocks(block_fn, index: NeighborIndex, row_elements: int, n_threads: int, *args) -> list:
     """block_fn(index, ts, *args) on each block ts, in order, over w = min(n_threads,
     usable CPUs, N) equal contiguous shares of range(N) cut into `_share` blocks: the caller
     runs the first share, the pool the others (rerun once if it breaks)."""
-    w = 1 if n_threads == 1 else min(n_threads, _usable_cpus(), len(cloud))
-    mine, *theirs = np.array_split(np.arange(len(cloud)), w)
-    args = (3 * subset * n_candidates, *args)
+    w = 1 if n_threads == 1 else min(n_threads, _usable_cpus(), index.n_points)
+    mine, *theirs = np.array_split(np.arange(index.n_points), w)
     if not theirs:
-        return _share(block_fn, cloud, index, mine, *args)
+        return _share(block_fn, index, mine, row_elements, *args)
     from concurrent.futures.process import BrokenProcessPool
     pool = done = None
     for retry in (False, True):
         pool = _pool(w - 1, broken=pool)
         try:
-            sent = PointCloud(points=cloud.points)      # the points only, not the normals
-            futures = [pool.submit(_share, block_fn, sent, None, rows, *args) for rows in theirs]
+            futures = [pool.submit(_share, block_fn, index, rows, row_elements, *args)
+                       for rows in theirs]
             if done is None:
-                done = _share(block_fn, cloud, index, mine, *args)
+                done = _share(block_fn, index, mine, row_elements, *args)
             return done + [rows for f in futures for rows in f.result()]
         except BrokenProcessPool:
             if retry:
                 raise
 
 
-def _k_hat(cloud: PointCloud, f_cloud: float, params: EstimationParams) -> int:
-    return min(adaptive_k(f_cloud, params.adaptive), len(cloud) - 1)
+def _k_hat(n: int, f_cloud: float, params: EstimationParams) -> int:
+    return min(adaptive_k(f_cloud, params.adaptive), n - 1)
 
 
 def _estimate_block(index: NeighborIndex, ts: np.ndarray, k_hat: int, reject: bool,
@@ -220,15 +214,14 @@ def _estimate_block(index: NeighborIndex, ts: np.ndarray, k_hat: int, reject: bo
     return normals, survivors, iterations, converged, loss, failed
 
 
-def estimate_normal(cloud: PointCloud, index: NeighborIndex, t: int, f_cloud: float,
-                    params: EstimationParams):
-    """Estimate one point's normal; returns (unit normal, RunReport of that point).
+def estimate_normal(index: NeighborIndex, t: int, f_cloud: float, params: EstimationParams):
+    """Estimate the normal of indexed point t; returns (unit normal, RunReport of that point).
 
     The block chain on a block of one: gives what `estimate_all` gives for
     t, PCA fallback included.
     """
-    _require_points(cloud, params.sampling.k_s)
-    k_hat = _k_hat(cloud, f_cloud, params)
+    _require_points(index.n_points, params.sampling.k_s)
+    k_hat = _k_hat(index.n_points, f_cloud, params)
     normals, *cols = _estimate_block(index, np.array([t]), k_hat,
                                      rejection_enabled(f_cloud, params.adaptive), params)
     return normals[0], RunReport(k_hat, *cols)
@@ -245,22 +238,21 @@ def estimate_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1
     ValueError if n_threads is below 1.
     """
     _require_threads(n_threads)
-    _require_points(cloud, params.sampling.k_s)
+    _require_points(len(cloud), params.sampling.k_s)
     index = build_index(cloud)
-    profile = cloud_noise_scale(cloud, index, params.noise_k)
-    f = profile.cloud_f
-    k_hat = _k_hat(cloud, f, params)
+    f = cloud_noise_scale(index, params.noise_k).cloud_f
+    k_hat = _k_hat(len(cloud), f, params)
     reject = rejection_enabled(f, params.adaptive)
     sp = params.sampling
-    rows = _run_blocks(_estimate_block, cloud, index, sp.n_candidates, sp.k_s, n_threads,
+    rows = _run_blocks(_estimate_block, index, 3 * sp.k_s * sp.n_candidates, n_threads,
                        k_hat, reject, params)
     normals, *cols = (np.concatenate(c) for c in zip(*rows))
     return PointCloud(points=cloud.points.copy(), normals=normals), RunReport(k_hat, *cols)
 
 
-def _denoise_k(cloud: PointCloud, params: EstimationParams) -> int:
-    _require_points(cloud, cand.POSITION_SUBSET)
-    return min(params.denoise_k, len(cloud) - 1)
+def _denoise_k(n: int, params: EstimationParams) -> int:
+    _require_points(n, cand.POSITION_SUBSET)
+    return min(params.denoise_k, n - 1)
 
 
 def _denoise_block(index: NeighborIndex, ts: np.ndarray, k: int,
@@ -285,13 +277,12 @@ def _denoise_block(index: NeighborIndex, ts: np.ndarray, k: int,
     return out
 
 
-def denoise_point(cloud: PointCloud, index: NeighborIndex, t: int,
-                  params: EstimationParams) -> np.ndarray:
-    """Move one point to the main mode of its position candidates.
+def denoise_point(index: NeighborIndex, t: int, params: EstimationParams) -> np.ndarray:
+    """Move indexed point t to the main mode of its position candidates.
 
     The block chain on a block of one: gives what `denoise_all` gives for t.
     """
-    return _denoise_block(index, np.array([t]), _denoise_k(cloud, params), params)[0]
+    return _denoise_block(index, np.array([t]), _denoise_k(index.n_points, params), params)[0]
 
 
 def denoise_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1) -> PointCloud:
@@ -302,8 +293,9 @@ def denoise_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1)
     than 4 points, and ValueError if n_threads is below 1.
     """
     _require_threads(n_threads)
-    k = _denoise_k(cloud, params)
+    k = _denoise_k(len(cloud), params)
     index = build_index(cloud)
-    blocks = _run_blocks(_denoise_block, cloud, index, params.sampling.n_candidates,
-                         cand.POSITION_SUBSET, n_threads, k, params)
+    sp = params.sampling
+    blocks = _run_blocks(_denoise_block, index, 3 * cand.POSITION_SUBSET * sp.n_candidates,
+                         n_threads, k, params)
     return PointCloud(points=np.concatenate(blocks))

@@ -115,7 +115,7 @@ class TestAcceptance:
         est, _ = estimate_all(noisy, EstimationParams(seed=305), n_threads=8)
 
         index = build_index(noisy)
-        profile = cloud_noise_scale(noisy, index, 64)
+        profile = cloud_noise_scale(index, 64)
         k_hat = adaptive_k(profile.cloud_f, AdaptiveConfig())
         base = pca_baseline(noisy, k_hat)
 
@@ -135,7 +135,7 @@ class TestAcceptance:
         cloud = gen_shape(ShapeSpec(kind="sphere", n_points=10000, seed=404))
         est, _ = estimate_all(cloud, EstimationParams(seed=405), n_threads=8)
         index = build_index(cloud)
-        profile = cloud_noise_scale(cloud, index, 64)
+        profile = cloud_noise_scale(index, 64)
         k_hat = adaptive_k(profile.cloud_f, AdaptiveConfig())
         base = pca_baseline(cloud, k_hat)
         rms_ours = rms_angle(est.normals, cloud.normals)

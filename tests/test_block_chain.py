@@ -87,11 +87,11 @@ class TestBatchOfOne:
         params = EstimationParams(seed=7)
         est, report = estimate_all(cloud, params, n_threads=THREADS)
         index = build_index(cloud)
-        f = cloud_noise_scale(cloud, index, min(params.noise_k, len(cloud) - 1)).cloud_f
+        f = cloud_noise_scale(index, min(params.noise_k, len(cloud) - 1)).cloud_f
         sp = params.sampling
-        blocks = pipeline._run_blocks(block_rows, cloud, index, sp.n_candidates, sp.k_s, THREADS)
+        blocks = pipeline._run_blocks(block_rows, index, 3 * sp.k_s * sp.n_candidates, THREADS)
         for t in sampled_points(blocks):
-            normal, one = estimate_normal(cloud, index, t, f, params)
+            normal, one = estimate_normal(index, t, f, params)
             assert normal.tobytes() == est.normals[t].tobytes(), t
             assert_report_row(one, report, t)
 
@@ -101,10 +101,10 @@ class TestBatchOfOne:
         params = EstimationParams(seed=8)
         out = denoise_all(cloud, params, n_threads=THREADS)
         index = build_index(cloud)
-        blocks = pipeline._run_blocks(block_rows, cloud, index, params.sampling.n_candidates,
-                                      POSITION_SUBSET, THREADS)
+        blocks = pipeline._run_blocks(block_rows, index,
+                                      3 * POSITION_SUBSET * params.sampling.n_candidates, THREADS)
         for t in sampled_points(blocks):
-            assert denoise_point(cloud, index, t, params).tobytes() == out.points[t].tobytes(), t
+            assert denoise_point(index, t, params).tobytes() == out.points[t].tobytes(), t
 
     def test_rejection_is_off_on_the_blob(self):
         _, report = estimate_all(blob(150, 5), EstimationParams(seed=7))
@@ -116,8 +116,8 @@ class TestBatchOfOne:
         cloud, params = blob(150, 5), EstimationParams(seed=7)
         est, report = estimate_all(cloud, params)
         ts = np.arange(len(cloud))              # one block: the whole cloud on one thread
-        blocks = pipeline._run_blocks(block_rows, cloud, None, params.sampling.n_candidates,
-                                      params.sampling.k_s, 1)
+        blocks = pipeline._run_blocks(block_rows, build_index(cloud),
+                                      3 * params.sampling.k_s * params.sampling.n_candidates, 1)
         assert [block.tolist() for block in blocks] == [ts.tolist()]
         pts, nbr_d = build_index(cloud).neighborhoods(report.k_hat, ts)
         rel = pts[:, :-1] - pts[:, -1:]
@@ -201,7 +201,7 @@ class TestBlockSize:
                                       (2000, 1, 218), (2000, 3, 218), (1, 2, 1)):
                 monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
                 cloud = PointCloud(points=np.zeros((n, 3)))
-                blocks = pipeline._run_blocks(block_rows, cloud, None, 100, 4, workers)
+                blocks = pipeline._run_blocks(block_rows, build_index(cloud), 3 * 4 * 100, workers)
                 assert len(blocks[0]) == block, (n, workers)
                 assert np.concatenate(blocks).tolist() == list(range(n))
         finally:
@@ -218,7 +218,7 @@ class TestBlockSize:
         params = EstimationParams(seed=18)
         blocks, normals, reports, points = [], [], [], []
         for n_threads in (cpus, cpus + 62):
-            rows = pipeline._run_blocks(block_rows, cloud, index, 100, 4, n_threads)
+            rows = pipeline._run_blocks(block_rows, index, 3 * 4 * 100, n_threads)
             blocks.append([ts.tolist() for ts in rows])
             est, report = estimate_all(cloud, params, n_threads)
             normals.append(est.normals.tobytes())
@@ -315,7 +315,7 @@ class TestWorkerPool:
         cloud = noisy("plane", 100, 13)
         with pytest.raises(TooFewNeighbors) as info:
             # M = 100 and subsets of 4 on two workers: two 50-point blocks
-            pipeline._run_blocks(fail_in_a_worker, cloud, build_index(cloud), 100, 4, 2)
+            pipeline._run_blocks(fail_in_a_worker, build_index(cloud), 3 * 4 * 100, 2)
         assert type(info.value) is TooFewNeighbors
         message = str(info.value)
         assert message.startswith("block 50 in process ")
@@ -510,9 +510,9 @@ class TestDegenerateNeighborhoods:
         params = EstimationParams()
         est, report = estimate_all(cloud, params)
         index = build_index(cloud)
-        f = cloud_noise_scale(cloud, index, min(params.noise_k, len(cloud) - 1)).cloud_f
+        f = cloud_noise_scale(index, min(params.noise_k, len(cloud) - 1)).cloud_f
         t = len(cloud) - 1
-        normal, one = estimate_normal(cloud, index, t, f, params)
+        normal, one = estimate_normal(index, t, f, params)
         assert one.fallback[0] and report.fallback[t]
         assert normal.tobytes() == est.normals[t].tobytes()
         assert_report_row(one, report, t)
@@ -534,7 +534,7 @@ class TestDegenerateNeighborhoods:
         out = denoise_all(cloud, EstimationParams())
         assert np.array_equal(out.points, cloud.points)
         index = build_index(cloud)
-        assert np.array_equal(denoise_point(cloud, index, 0, EstimationParams()), cloud.points[0])
+        assert np.array_equal(denoise_point(index, 0, EstimationParams()), cloud.points[0])
 
     def test_denoise_spike_finite(self):
         out = denoise_all(spike_cloud(), EstimationParams())
@@ -669,11 +669,11 @@ class TestCoordinateLimit:
         "denoise_all-1": lambda c, i: denoise_all(c, EstimationParams(), 1),
         "denoise_all-2": lambda c, i: denoise_all(c, EstimationParams(), 2),
         "pca_baseline": lambda c, i: pca_baseline(c, 64),
-        "cloud_noise_scale": lambda c, i: cloud_noise_scale(c, i),
+        "cloud_noise_scale": lambda c, i: cloud_noise_scale(i),
         "knn": lambda c, i: i.knn(0, 128),
         "knn_batch": lambda c, i: i.knn_batch(128, np.arange(len(c))),
-        "estimate_normal": lambda c, i: estimate_normal(c, i, 0, 0.01, EstimationParams()),
-        "denoise_point": lambda c, i: denoise_point(c, i, 0, EstimationParams()),
+        "estimate_normal": lambda c, i: estimate_normal(i, 0, 0.01, EstimationParams()),
+        "denoise_point": lambda c, i: denoise_point(i, 0, EstimationParams()),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
@@ -713,14 +713,14 @@ class TestTinyClouds:
             with pytest.raises(TooFewNeighbors):
                 estimate_all(cloud, params)
             with pytest.raises(TooFewNeighbors):
-                estimate_normal(cloud, index, 0, 0.0, params)
+                estimate_normal(index, 0, 0.0, params)
             return
         est, report = estimate_all(cloud, params)
         assert np.allclose(np.linalg.norm(est.normals, axis=1), 1.0)
         assert report.k_hat == n - 1
-        f = cloud_noise_scale(cloud, index, n - 1).cloud_f
+        f = cloud_noise_scale(index, n - 1).cloud_f
         for t in range(n):
-            normal, one = estimate_normal(cloud, index, t, f, params)
+            normal, one = estimate_normal(index, t, f, params)
             assert normal.tobytes() == est.normals[t].tobytes(), t
             assert_report_row(one, report, t)
 
@@ -733,12 +733,12 @@ class TestTinyClouds:
             with pytest.raises(TooFewNeighbors):
                 denoise_all(cloud, params)
             with pytest.raises(TooFewNeighbors):
-                denoise_point(cloud, index, 0, params)
+                denoise_point(index, 0, params)
             return
         out = denoise_all(cloud, params)
         assert np.isfinite(out.points).all()
         for t in range(n):
-            assert denoise_point(cloud, index, t, params).tobytes() == out.points[t].tobytes()
+            assert denoise_point(index, t, params).tobytes() == out.points[t].tobytes()
 
     # entry point -> (call(cloud, k), its neighbourhood size k, whether it
     # clamps k to n - 1); k_s and the position subset are 4
@@ -749,7 +749,7 @@ class TestTinyClouds:
         "neighborhood_fits": (lambda c, k: geometry.neighborhood_fits(build_index(c), k), K,
                               False),
         "pca_baseline": (pca_baseline, K, False),
-        "cloud_noise_scale": (lambda c, k: cloud_noise_scale(c, build_index(c), k), K, True),
+        "cloud_noise_scale": (lambda c, k: cloud_noise_scale(build_index(c), k), K, True),
         "estimate_all": (lambda c, k: estimate_all(c, EstimationParams()), 4, False),
         "denoise_all": (lambda c, k: denoise_all(c, EstimationParams()), POSITION_SUBSET, False),
     }
@@ -780,7 +780,7 @@ class TestTinyClouds:
         for call in (lambda: build_index(cloud).knn_batch(k, [0]),
                      lambda: geometry.neighborhood_fits(build_index(cloud), k),
                      lambda: pca_baseline(cloud, k),
-                     lambda: cloud_noise_scale(cloud, build_index(cloud), k)):
+                     lambda: cloud_noise_scale(build_index(cloud), k)):
             with pytest.raises(ValueError, match=f"k={k} out of range for 10 points") as info:
                 call()
             assert type(info.value) is ValueError

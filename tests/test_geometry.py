@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from itertools import permutations, product
 
@@ -290,6 +291,21 @@ class TestNeighborhoods:
         into, dist = index.neighborhoods(k, rows, out=buf)
         assert into is buf and buf.tobytes() == want.tobytes()
         assert dist.tobytes() == want_d.tobytes()
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["random", "tied-lattice"])
+    def test_a_pickled_index_is_its_points(self, tied, rng):
+        # a worker loads the index by building its own tree over the points,
+        # so the pickle holds the points and no tree
+        pts = tie_grid() if tied else rng.normal(size=(175, 3))
+        index = build_index(PointCloud(points=pts))
+        sent = pickle.dumps(index)
+        assert len(sent) <= pts.nbytes + 1024
+        loaded = pickle.loads(sent)
+        assert loaded.n_points == len(pts)
+        rows = np.arange(len(pts))
+        for k in (1, 6, 40):
+            got, want = loaded.neighborhoods(k, rows), index.neighborhoods(k, rows)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
     def test_no_rows(self, rng):
         index = build_index(PointCloud(points=rng.normal(size=(10, 3))))

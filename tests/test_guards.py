@@ -4,8 +4,9 @@ eigen kernel, the one linear solve, the one k-NN tree query, the one
 neighbourhood gather, the one walk over the parameter tree, the one
 mode-solver loop, the one subset draw, kernel sum and survivor step of the
 consensus chain, the one row-chunk rule, the one parallel backend, the one
-index build, unused private code, whole-cloud k-NN blocks, outputs under any
-BLAS thread count, and the demos."""
+index build, the index as the one handle on a call's points, unused private
+code, whole-cloud k-NN blocks, outputs under any BLAS thread count, and the
+demos."""
 
 import ast
 import importlib.util
@@ -52,9 +53,9 @@ def test_single_point_calls_reach_no_single_point_stage():
               and p.name != "candidates.fit_planes_batch"}
     # looked up on the module at call time, where the tracer installs its wrappers
     with tracer.Tracer(probes) as tr:
-        pipeline.estimate_normal(cloud, index, 5, 0.0, params)    # rejection on
-        pipeline.estimate_normal(cloud, index, 6, 0.5, params)    # rejection off
-        pipeline.denoise_point(cloud, index, 7, params)
+        pipeline.estimate_normal(index, 5, 0.0, params)    # rejection on
+        pipeline.estimate_normal(index, 6, 0.5, params)    # rejection off
+        pipeline.denoise_point(index, 7, params)
     names = {name for _, _, name, _, _ in tr.spans}
     assert {"pipeline.estimate_normal", "pipeline.denoise_point"} <= names
     assert not names & single, names & single
@@ -236,12 +237,42 @@ def test_one_parallel_backend():
 
 
 def test_one_index_build():
-    # a whole-cloud call builds the k-NN index once in the caller, and each
-    # worker once per call, in `_share`, from the cloud it is sent
-    assert library_scopes(calls_to("build_index")) == [
-        ("metrics", "pca_baseline"), ("pipeline", "_share"), ("pipeline", "denoise_all"),
-        ("pipeline", "estimate_all")]
+    # a whole-cloud call builds the k-NN index once in the caller, and
+    # `NeighborIndex.__reduce__` is the one place that names `build_index`
+    # for a worker: the index pickles as its points, and a worker builds its
+    # own tree once per call when it loads the index it is sent
+    def names_build_index(node):
+        return (isinstance(node, ast.Name) and node.id == "build_index"
+                and isinstance(node.ctx, ast.Load))
+
+    callers = [("metrics", "pca_baseline"), ("pipeline", "denoise_all"),
+               ("pipeline", "estimate_all")]
+    assert library_scopes(calls_to("build_index")) == callers
+    assert library_scopes(names_build_index) == sorted(callers + [("geometry", "__reduce__")])
     assert library_scopes(calls_to("NeighborIndex")) == [("geometry", "build_index")]
+
+
+def test_one_handle_on_the_points():
+    # the index is the one handle on a call's points: no function takes a
+    # cloud beside an index, so no call can pair an index with another cloud
+    def kinds(arg):
+        note = ast.unparse(arg.annotation) if arg.annotation is not None else ""
+        return {kind for kind, name, cls in (("cloud", "cloud", "PointCloud"),
+                                             ("index", "index", "NeighborIndex"))
+                if arg.arg == name or cls in note}
+
+    both, seen = [], set()
+    for path in sorted(Path(normfit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                found = set().union(*(kinds(arg) for arg in
+                                      a.posonlyargs + a.args + a.kwonlyargs))
+                seen |= found
+                if found == {"cloud", "index"}:
+                    both.append(f"{path.stem}.{node.name}")
+    assert seen == {"cloud", "index"}, seen
+    assert both == []
 
 
 def test_every_private_name_is_used():

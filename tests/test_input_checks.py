@@ -2,6 +2,7 @@
 error its check names, and each accepted edge case gives what it should."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,8 @@ from normfit.candidates import SamplingParams, rejection_order, rejection_sigma
 from normfit.cli import cli_main
 from normfit.consensus import ConsensusParams
 from normfit.errors import ConfigError, ParseError
-from normfit.geometry import PointCloud, as_points
+from normfit.geometry import PointCloud, as_points, build_index
+from normfit.pipeline import EstimationParams, denoise_point, estimate_normal
 from normfit.noise import AdaptiveConfig, rejection_enabled
 from normfit.synth import ShapeSpec
 
@@ -22,6 +24,13 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(normfit.__file__)))
 
 
 FRACTIONS = r"rejection fractions must lie in \[0, 1\)"
+# an index over 40 points: enough for the single-point calls at the default parameters
+INDEX = build_index(PointCloud(points=np.random.default_rng(0).normal(size=(40, 3))))
+
+
+def rows_error(dtype, shape):
+    return re.escape("point indices must be a 1-D sequence of integers, "
+                     f"got dtype {dtype} and shape {shape}")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -59,8 +68,19 @@ def test_consensus_checks(kwargs, message):
     (lambda: PointCloud(points=np.empty((0, 3))), "at least one point"),
     (lambda: PointCloud(points=np.zeros((3, 3)), normals=[[0.0, 0.0, 1.0]] * 2),
      "normals length must match points length"),
+    (lambda: INDEX.knn_batch(3, [2.5]), rows_error("float64", "(1,)")),
+    (lambda: INDEX.knn_batch(3, [True, False]), rows_error("bool", "(2,)")),
+    (lambda: INDEX.knn_batch(3, [[1, 2], [3, 4]]), rows_error("int64", "(2, 2)")),
+    (lambda: INDEX.knn_batch(3, 2), rows_error("int64", "()")),
+    (lambda: INDEX.knn(2.0, 3), rows_error("float64", "(1,)")),
+    (lambda: INDEX.neighborhoods(3, np.array([1.0, 2.0])), rows_error("float64", "(2,)")),
+    (lambda: INDEX.neighborhoods(3, [True]), rows_error("bool", "(1,)")),
+    (lambda: INDEX.neighborhoods(3, [[1, 2]]), rows_error("int64", "(1, 2)")),
+    (lambda: INDEX.neighborhoods(3, 2), rows_error("int64", "()")),
 ], ids=["two-columns", "three-axes", "two-values", "no-values", "nan", "inf", "no-points",
-        "normals-count"])
+        "normals-count", "knn-batch-float-rows", "knn-batch-bool-rows", "knn-batch-2d-rows",
+        "knn-batch-scalar-rows", "knn-float-query", "neighborhoods-float-rows",
+        "neighborhoods-bool-rows", "neighborhoods-2d-rows", "neighborhoods-scalar-rows"])
 def test_geometry_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -70,6 +90,34 @@ def test_as_points_takes_one_point():
     pts = as_points([1, 2, 3])
     assert pts.shape == (1, 3) and pts.dtype == np.float64
     assert pts.tolist() == [[1.0, 2.0, 3.0]]
+
+
+@pytest.mark.parametrize("rows", [[3, 7], np.array([3, 7], dtype=np.int32),
+                                  np.array([3, 7], dtype=np.uint8), (np.int64(3), 7)],
+                         ids=["list", "int32", "uint8", "numpy-scalars"])
+def test_point_indices_take_any_integer_type(rows):
+    want_i, want_d = INDEX.knn_batch(3, np.array([3, 7], dtype=np.intp))
+    got_i, got_d = INDEX.knn_batch(3, rows)
+    assert got_i.tobytes() == want_i.tobytes() and got_d.tobytes() == want_d.tobytes()
+    pts, _ = INDEX.neighborhoods(3, rows)
+    assert pts.tobytes() == INDEX.neighborhoods(3, [3, 7])[0].tobytes()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: estimate_normal(INDEX, 2.9, 0.0, EstimationParams()), rows_error("float64", "(1,)")),
+    (lambda: estimate_normal(INDEX, np.float64(2.0), 0.0, EstimationParams()),
+     rows_error("float64", "(1,)")),
+    (lambda: estimate_normal(INDEX, True, 0.0, EstimationParams()), rows_error("bool", "(1,)")),
+    (lambda: estimate_normal(INDEX, [1, 2], 0.0, EstimationParams()),
+     rows_error("int64", "(1, 2)")),
+    (lambda: denoise_point(INDEX, 2.9, EstimationParams()), rows_error("float64", "(1,)")),
+    (lambda: denoise_point(INDEX, True, EstimationParams()), rows_error("bool", "(1,)")),
+    (lambda: denoise_point(INDEX, [1, 2], EstimationParams()), rows_error("int64", "(1, 2)")),
+], ids=["estimate-float", "estimate-numpy-float", "estimate-bool", "estimate-2d",
+        "denoise-float", "denoise-bool", "denoise-2d"])
+def test_pipeline_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("call, message", [
@@ -138,6 +186,23 @@ def test_write_ply_reference_needs_normals(tmp_path):
     cloud = PointCloud(points=np.zeros((2, 3)))
     with pytest.raises(ValueError, match="cloud has no normals to compare against the reference"):
         io.write_ply(cloud, tmp_path / "out.ply", reference_normals=[[0.0, 0.0, 1.0]] * 2)
+    assert not (tmp_path / "out.ply").exists()
+
+
+ONE_PER_POINT = "need one reference normal per point: 2 points, "
+
+
+@pytest.mark.parametrize("reference, message", [
+    ([0.0, 0.0, 1.0], ONE_PER_POINT + "1 reference normals"),
+    ([[0.0, 0.0, 1.0]], ONE_PER_POINT + "1 reference normals"),
+    ([[0.0, 0.0, 1.0]] * 3, ONE_PER_POINT + "3 reference normals"),
+    (np.ones((2, 2)), r"expected \(N, 3\) point array, got shape \(2, 2\)"),
+], ids=["one-vector", "one-row", "too-many-rows", "two-columns"])
+def test_write_ply_reference_needs_one_row_per_point(reference, message, tmp_path):
+    # a single reference row is not broadcast over every vertex
+    cloud = PointCloud(points=np.zeros((2, 3)), normals=[[0.0, 0.0, 1.0]] * 2)
+    with pytest.raises(ValueError, match=message):
+        io.write_ply(cloud, tmp_path / "out.ply", reference_normals=reference)
     assert not (tmp_path / "out.ply").exists()
 
 

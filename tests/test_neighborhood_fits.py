@@ -60,7 +60,7 @@ def assert_matches_whole(cloud, k):
     assert est.normals.tobytes() == pca_baseline_whole(cloud, k).normals.tobytes()
     assert est.points.tobytes() == cloud.points.tobytes()
     index = build_index(cloud)
-    got, want = cloud_noise_scale(cloud, index, k), cloud_noise_scale_whole(cloud, index, k)
+    got, want = cloud_noise_scale(index, k), cloud_noise_scale_whole(cloud, index, k)
     assert got.per_point_f.tobytes() == want.per_point_f.tobytes()
     assert np.float64(got.cloud_f).tobytes() == np.float64(want.cloud_f).tobytes()
 
@@ -143,7 +143,7 @@ class TestMemory:
 
     def test_noise_profile_peak_within_budget(self):
         index = build_index(self.CLOUD)
-        peak = self.peak(lambda: cloud_noise_scale(self.CLOUD, index, 64))
+        peak = self.peak(lambda: cloud_noise_scale(index, 64))
         assert peak < 16e6, peak
 
     def test_coincident_points_peak_within_budget(self):
@@ -155,4 +155,4 @@ class TestMemory:
         cloud = PointCloud(points=pts)
         index = build_index(cloud)
         assert self.peak(lambda: geometry.neighborhood_fits(index, 64)) < 16e6
-        assert self.peak(lambda: cloud_noise_scale(cloud, index, 64)) < 16e6
+        assert self.peak(lambda: cloud_noise_scale(index, 64)) < 16e6

@@ -87,7 +87,7 @@ class TestCloudNoiseScale:
         pts = rng.normal(size=(60, 3))
         cloud = make_cloud(pts)
         index = build_index(cloud)
-        profile = cloud_noise_scale(cloud, index, k_f=20)
+        profile = cloud_noise_scale(index, k_f=20)
         per_point = [point_noise_level(cloud, index, t, k_f=20) for t in range(60)]
         assert np.allclose(profile.per_point_f, per_point, atol=1e-10)
         assert profile.cloud_f == pytest.approx(np.mean(per_point))
@@ -95,7 +95,7 @@ class TestCloudNoiseScale:
     def test_bounded(self, rng):
         pts = rng.normal(size=(100, 3))
         cloud = make_cloud(pts)
-        profile = cloud_noise_scale(cloud, build_index(cloud), k_f=30)
+        profile = cloud_noise_scale(build_index(cloud), k_f=30)
         assert np.all(profile.per_point_f >= 0)
         assert np.all(profile.per_point_f <= 1 / 3 + 1e-9)
 
@@ -105,7 +105,7 @@ class TestRotatedCleanPlane:
     # noise level, which made adaptive_k reject the cloud
     def test_noise_levels_nonnegative(self):
         for cloud, _ in rotated_clean_planes():
-            profile = cloud_noise_scale(cloud, build_index(cloud))
+            profile = cloud_noise_scale(build_index(cloud))
             assert np.all(profile.per_point_f >= 0.0)
 
     def test_estimate_completes(self):

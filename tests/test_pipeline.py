@@ -87,7 +87,7 @@ class TestEstimate:
         kept = reject_candidates(cands, params.sampling.rejection_fraction_normals)
         _, oracle_loss = grid_min_normal(kept.normals, params.consensus.tau_normal,
                                          step_deg=1.0)
-        n_hat, _ = estimate_normal(clean, index, t, 0.0, params)
+        n_hat, _ = estimate_normal(index, t, 0.0, params)
         solver_loss = ccn_loss(n_hat, kept.normals, params.consensus.tau_normal)
         assert solver_loss <= oracle_loss + 1e-9
 
@@ -152,7 +152,7 @@ class TestDenoise:
         index = build_index(noisy)
         _, d = index.knn(0, 12)
         sigma = float(d.mean())
-        moved = denoise_point(noisy, index, 0, EstimationParams(seed=18))
+        moved = denoise_point(index, 0, EstimationParams(seed=18))
         assert abs(moved[2]) < 3 * sigma
 
     def test_chamfer_decreases(self):
