@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PersistentDegeneracy, TooFewNeighbors
-from .geometry import as_points, fit_planes_batch, lift
+from .geometry import as_points, fit_planes_batch, lift, require_count
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -46,15 +46,12 @@ class SamplingParams:
     max_resample_attempts: int = 20
 
     def __post_init__(self):
-        if self.k_s < 3:
-            raise ValueError("k_s must be >= 3")
-        if self.n_candidates < 1:
-            raise ValueError("n_candidates must be >= 1")
+        require_count("k_s", self.k_s, 3)
+        require_count("n_candidates", self.n_candidates, 1)
+        require_count("max_resample_attempts", self.max_resample_attempts, 1)
         for frac in (self.rejection_fraction_normals, self.rejection_fraction_positions):
             if not 0.0 <= frac < 1.0:
                 raise ValueError("rejection fractions must lie in [0, 1)")
-        if self.max_resample_attempts < 1:
-            raise ValueError("max_resample_attempts must be >= 1")
 
 
 @dataclass
@@ -92,7 +89,7 @@ def point_rng(seed: int, t):
     whatever block or thread it runs in.
     """
     t = np.asarray(t)
-    base = _mix64(np.array([seed & _U64], dtype=np.uint64))
+    base = _mix64(np.array([int(seed) & _U64], dtype=np.uint64))     # int: a numpy seed overflows
     keys = _mix64(base + _GOLDEN * t.astype(np.uint64).reshape(-1))
     return keys.reshape(t.shape)[()]
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Optional, get_args, get_type_hints
 
 from .errors import ConfigError
+from .geometry import require_count
 from .pipeline import EstimationParams
 
 
@@ -35,8 +36,7 @@ class RunConfig:
     output_path: str = ""
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        require_count("threads", self.threads, 1)
 
 
 def _map(obj, fn):

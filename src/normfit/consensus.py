@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCandidates
-from .geometry import angles_unoriented, as_points, canonical_sign, lift
+from .geometry import angles_unoriented, as_points, canonical_sign, lift, require_count
 
 # default kernel bandwidth: sin(30 degrees)
 DEFAULT_TAU = math.sin(math.pi / 6)
@@ -47,8 +47,7 @@ class ConsensusParams:
     def __post_init__(self):
         if not 0.0 < self.tau_normal <= 1.0:
             raise ValueError("tau_normal must lie in (0, 1]")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        require_count("max_iters", self.max_iters, 1)
         # a negative tolerance can never be met, so every point would run to max_iters
         for name in ("tol_deg", "tol_pos"):
             if not 0.0 <= getattr(self, name) < math.inf:

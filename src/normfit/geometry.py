@@ -9,6 +9,9 @@ Conventions used throughout the library:
 * k-NN is exact: rows sorted by ascending distance, ties by ascending point
   index, the query point left out; `knn` is a batch of one of `knn_batch`, and
   every neighbourhood is its gather in `neighborhoods`, each point last
+* every size, count and thread number passes one rule, `require_count`: a
+  Python or numpy integer, not a bool, at least its least value, or one
+  ValueError that names the parameter
 """
 
 from __future__ import annotations
@@ -38,6 +41,15 @@ def row_chunks(n: int, row_elements: int) -> list:
     long but the last: the one rule that turns the 2 MB budget into rows."""
     step = max(1, _BLOCK_ELEMENTS // row_elements)
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def require_count(name: str, value, least: Optional[int] = None) -> None:
+    """The one count rule: ValueError unless `value` is a Python or numpy integer, not a
+    bool, that is at least `least` (any integer when None)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def as_points(a) -> np.ndarray:
@@ -131,8 +143,8 @@ class NeighborIndex:
 
         Returns (indices, distances) arrays of shape (len(rows), k), each row sorted by
         (distance, index).  Raises TooFewNeighbors if k > N - 1 or N = 1, and ValueError
-        if k < 1, `rows` is not a 1-D sequence of integers, a row lies outside [0, N), or a
-        distance overflows (points 1.3e154 apart).
+        if k is not an integer or below 1, `rows` is not a 1-D sequence of integers, a row
+        lies outside [0, N), or a distance overflows (points 1.3e154 apart).
         """
         n = self.n_points
         _require_k(n, k)
@@ -188,6 +200,7 @@ def _point_rows(rows) -> np.ndarray:
 
 
 def _require_k(n: int, k: int) -> None:
+    require_count("k", k)
     if not 1 <= k <= n - 1:    # a lone point has no neighbors for any k
         raise (TooFewNeighbors if n <= max(k, 1) else ValueError)(
             f"k={k} out of range for {n} points")

@@ -193,7 +193,10 @@ def read_cloud(path) -> PointCloud:
 
 
 def write_cloud(cloud: PointCloud, path, reference_normals=None) -> None:
+    """Dispatch on extension as `read_cloud` does; only PLY takes reference normals."""
     if os.path.splitext(str(path))[1].lower() == ".ply":
         write_ply(cloud, path, reference_normals=reference_normals)
+    elif reference_normals is not None:
+        raise ValueError(f"{path}: reference normals need a .ply path, XYZ has no colour columns")
     else:
         write_xyz(cloud, path)

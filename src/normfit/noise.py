@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import NeighborIndex, neighborhood_fits
+from .geometry import NeighborIndex, neighborhood_fits, require_count
 
 # size of the covariance neighborhood used for noise estimation; fixed and
 # independent of the adaptive size to avoid circularity
@@ -41,6 +41,9 @@ class AdaptiveConfig:
     rejection_interval_max: int = 2
 
     def __post_init__(self):
+        for i, size in enumerate(self.sizes):
+            require_count(f"sizes[{i}]", size, 1)
+        require_count("rejection_interval_max", self.rejection_interval_max)
         if not _strictly_increasing(self.thresholds):
             raise ValueError("thresholds must be strictly increasing")
         if not _strictly_increasing(self.sizes):
@@ -64,6 +67,7 @@ def cloud_noise_scale(index: NeighborIndex, k_f: int = DEFAULT_NOISE_K) -> Noise
     the point itself; a set whose eigenvalues all vanish (coincident points)
     gets 0.
     """
+    require_count("k_f", k_f)
     _, w = neighborhood_fits(index, min(k_f, index.n_points - 1))
     total = w.sum(axis=1)
     f = np.where(total > 0.0, w[:, 0] / np.where(total > 0.0, total, 1.0), 0.0)

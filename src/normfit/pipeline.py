@@ -40,7 +40,7 @@ from .consensus import ConsensusParams, normal_mode_batch, position_mode_batch
 # unused here: perfbench/tracer.py probes these two names on this module
 from .consensus import normal_mode, position_mode  # noqa: F401
 from .errors import TooFewNeighbors
-from .geometry import NeighborIndex, PointCloud, build_index, plane_fit, row_chunks
+from .geometry import NeighborIndex, PointCloud, build_index, plane_fit, require_count, row_chunks
 from .noise import AdaptiveConfig, DEFAULT_NOISE_K, adaptive_k, cloud_noise_scale, rejection_enabled
 
 # neighbors whose mean distance sets the denoising bandwidth
@@ -60,10 +60,9 @@ class EstimationParams:
     noise_k: int = DEFAULT_NOISE_K
 
     def __post_init__(self):
-        if self.noise_k < 1:
-            raise ValueError("noise_k must be >= 1")
-        if self.denoise_k < cand.POSITION_SUBSET:
-            raise ValueError(f"denoise_k must be >= {cand.POSITION_SUBSET}")
+        require_count("seed", self.seed)
+        require_count("noise_k", self.noise_k, 1)
+        require_count("denoise_k", self.denoise_k, cand.POSITION_SUBSET)
 
 
 @dataclass
@@ -76,11 +75,6 @@ class RunReport:
     converged: np.ndarray          # bool: the mode solver met its tolerance
     loss: np.ndarray               # final consensus loss; 0 on fallback
     fallback: np.ndarray           # bool: PCA normal, every resampling attempt stayed degenerate
-
-
-def _require_threads(n_threads: int) -> None:
-    if n_threads < 1:
-        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
 
 
 def _require_points(n: int, need: int) -> None:
@@ -235,9 +229,9 @@ def estimate_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1
     candidate slots stay degenerate after every resampling attempt gets the
     PCA normal of its neighborhood plus itself and is flagged `fallback`.
     Raises TooFewNeighbors if the cloud has no more than k_s points, and
-    ValueError if n_threads is below 1.
+    ValueError unless n_threads is an integer >= 1.
     """
-    _require_threads(n_threads)
+    require_count("n_threads", n_threads, 1)
     _require_points(len(cloud), params.sampling.k_s)
     index = build_index(cloud)
     f = cloud_noise_scale(index, params.noise_k).cloud_f
@@ -290,9 +284,9 @@ def denoise_all(cloud: PointCloud, params: EstimationParams, n_threads: int = 1)
 
     A point whose nearest neighbors all coincide with it (bandwidth 0)
     keeps its position.  Raises TooFewNeighbors if the cloud has no more
-    than 4 points, and ValueError if n_threads is below 1.
+    than 4 points, and ValueError unless n_threads is an integer >= 1.
     """
-    _require_threads(n_threads)
+    require_count("n_threads", n_threads, 1)
     k = _denoise_k(len(cloud), params)
     index = build_index(cloud)
     sp = params.sampling

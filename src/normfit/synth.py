@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud
+from .geometry import PointCloud, require_count
 
 SHAPE_KINDS = ("plane", "sphere", "cylinder", "cube", "wedge")
 
@@ -29,8 +29,8 @@ class ShapeSpec:
     def __post_init__(self):
         if self.kind not in SHAPE_KINDS:
             raise ValueError(f"unknown shape kind {self.kind!r}")
-        if self.n_points < 10:
-            raise ValueError("n_points must be >= 10")
+        require_count("n_points", self.n_points, 10)
+        require_count("seed", self.seed, 0)      # SeedSequence takes no negative entropy
         if self.extent <= 0:
             raise ValueError("extent must be positive")
         if not 0.0 < self.dihedral_deg < 180.0:
@@ -43,6 +43,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_count("seed", self.seed, 0)
         if self.std_pct_bbox_diag < 0:
             raise ValueError("noise std must be nonnegative")
 

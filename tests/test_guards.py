@@ -3,10 +3,10 @@ benchmark tracer wraps, the stages a single-point call reaches, the one
 eigen kernel, the one linear solve, the one k-NN tree query, the one
 neighbourhood gather, the one walk over the parameter tree, the one
 mode-solver loop, the one subset draw, kernel sum and survivor step of the
-consensus chain, the one row-chunk rule, the one parallel backend, the one
-index build, the index as the one handle on a call's points, unused private
-code, whole-cloud k-NN blocks, outputs under any BLAS thread count, and the
-demos."""
+consensus chain, the one row-chunk rule, the one count rule, the one parallel
+backend, the one index build, the index as the one handle on a call's points,
+unused private code, whole-cloud k-NN blocks, outputs under any BLAS thread
+count, and the demos."""
 
 import ast
 import importlib.util
@@ -212,6 +212,21 @@ def test_one_row_chunk_rule():
 
     assert library_scopes(reads_budget) == [("geometry", "row_chunks")]
     assert library_scopes(imports_budget) == []
+
+
+def test_one_count_rule():
+    # every size, count and thread number passes geometry.require_count: it
+    # alone builds a "must be >=" message, and no hand-written copy is left
+    def says_at_least(node):
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "must be >=" in node.value)
+
+    def names_thread_check(node):
+        return ((isinstance(node, ast.Name) and node.id == "_require_threads")
+                or (isinstance(node, ast.FunctionDef) and node.name == "_require_threads"))
+
+    assert library_scopes(says_at_least) == [("geometry", "require_count")]
+    assert library_scopes(names_thread_check) == []
 
 
 def test_one_parallel_backend():

@@ -10,22 +10,26 @@ import numpy as np
 import pytest
 
 import normfit
-from normfit import config, io
+from normfit import config, io, pipeline
 from normfit.candidates import SamplingParams, rejection_order, rejection_sigma
 from normfit.cli import cli_main
+from normfit.config import RunConfig
 from normfit.consensus import ConsensusParams
 from normfit.errors import ConfigError, ParseError
-from normfit.geometry import PointCloud, as_points, build_index
-from normfit.pipeline import EstimationParams, denoise_point, estimate_normal
-from normfit.noise import AdaptiveConfig, rejection_enabled
-from normfit.synth import ShapeSpec
+from normfit.geometry import PointCloud, as_points, build_index, neighborhood_fits
+from normfit.metrics import pca_baseline
+from normfit.pipeline import (EstimationParams, denoise_all, denoise_point, estimate_all,
+                              estimate_normal)
+from normfit.noise import AdaptiveConfig, cloud_noise_scale, rejection_enabled
+from normfit.synth import NoiseSpec, ShapeSpec, add_noise, gen_shape
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(normfit.__file__)))
 
 
 FRACTIONS = r"rejection fractions must lie in \[0, 1\)"
 # an index over 40 points: enough for the single-point calls at the default parameters
-INDEX = build_index(PointCloud(points=np.random.default_rng(0).normal(size=(40, 3))))
+CLOUD = PointCloud(points=np.random.default_rng(0).normal(size=(40, 3)))
+INDEX = build_index(CLOUD)
 
 
 def rows_error(dtype, shape):
@@ -139,6 +143,108 @@ def test_synth_checks(dihedral):
         ShapeSpec(kind="wedge", dihedral_deg=dihedral)
 
 
+# (parameter, call taking it, an integer it accepts): every size, count and thread
+# number passes geometry.require_count
+COUNTS = [
+    ("k_s", lambda v: SamplingParams(k_s=v), 4),
+    ("n_candidates", lambda v: SamplingParams(n_candidates=v), 20),
+    ("max_resample_attempts", lambda v: SamplingParams(max_resample_attempts=v), 20),
+    ("max_iters", lambda v: ConsensusParams(max_iters=v), 50),
+    ("seed", lambda v: EstimationParams(seed=v), 7),
+    ("noise_k", lambda v: EstimationParams(noise_k=v), 10),
+    ("denoise_k", lambda v: EstimationParams(denoise_k=v), 10),
+    ("threads", lambda v: RunConfig(threads=v), 2),
+    ("n_points", lambda v: ShapeSpec(kind="plane", n_points=v), 600),
+    ("seed", lambda v: ShapeSpec(kind="plane", seed=v), 3),
+    ("seed", lambda v: NoiseSpec(seed=v), 3),
+    ("sizes[1]", lambda v: AdaptiveConfig(sizes=(32, v, 256, 450)), 128),
+    ("rejection_interval_max", lambda v: AdaptiveConfig(rejection_interval_max=v), 2),
+    ("n_threads", lambda v: estimate_all(CLOUD, EstimationParams(), v), 2),
+    ("n_threads", lambda v: denoise_all(CLOUD, EstimationParams(), v), 2),
+    ("k", lambda v: INDEX.knn_batch(v, [0, 1]), 3),
+    ("k", lambda v: INDEX.neighborhoods(v, [0, 1]), 3),
+    ("k", lambda v: neighborhood_fits(INDEX, v), 3),
+    ("k", lambda v: pca_baseline(CLOUD, v), 3),
+    ("k_f", lambda v: cloud_noise_scale(INDEX, v), 10),
+]
+COUNT_IDS = ["k_s", "n_candidates", "attempts", "max_iters", "estimation-seed", "noise_k",
+             "denoise_k", "threads", "n_points", "shape-seed", "noise-seed", "sizes",
+             "rejection-interval", "estimate-n_threads", "denoise-n_threads", "knn_batch-k",
+             "neighborhoods-k", "neighborhood_fits-k", "pca_baseline-k", "k_f"]
+NOT_INTEGERS = [("float", lambda n: n + 0.5), ("numpy-float", np.float64), ("bool", bool),
+                ("str", str)]
+
+
+@pytest.mark.parametrize("kind, spoil", NOT_INTEGERS, ids=[kind for kind, _ in NOT_INTEGERS])
+@pytest.mark.parametrize("name, call, good", COUNTS, ids=COUNT_IDS)
+def test_counts_must_be_integers(name, call, good, kind, spoil):
+    value = spoil(good)
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("name, value, least, call", [
+    ("seed", -1, 0, lambda: ShapeSpec(kind="plane", seed=-1)),
+    ("seed", -1, 0, lambda: NoiseSpec(seed=-1)),
+    ("sizes[0]", 0, 1, lambda: AdaptiveConfig(sizes=(0, 128, 256, 450))),
+], ids=["shape-seed", "noise-seed", "sizes"])
+def test_counts_below_their_least(name, value, least, call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"{name} must be >= {least}, got {value}"
+
+
+def outputs_from_counts(count):
+    """(output bytes of every entry point, k_hat), each size, count and seed made by `count`."""
+    params = EstimationParams(
+        adaptive=AdaptiveConfig(sizes=tuple(count(s) for s in (16, 32, 48, 56)),
+                                rejection_interval_max=count(2)),
+        sampling=SamplingParams(k_s=count(4), n_candidates=count(20),
+                                max_resample_attempts=count(20)),
+        consensus=ConsensusParams(max_iters=count(50)),
+        seed=count(7), denoise_k=count(16), noise_k=count(16))
+    clean = gen_shape(ShapeSpec(kind="wedge", n_points=count(60), seed=count(3)))
+    cloud = add_noise(clean, NoiseSpec(std_pct_bbox_diag=0.5, seed=count(4)))
+    index = build_index(cloud)
+    est, report = estimate_all(cloud, params, count(2))
+    arrays = [est.normals, report.survivors, report.iterations, report.converged, report.loss,
+              report.fallback, denoise_all(cloud, params, count(2)).points,
+              estimate_normal(index, count(5), 0.0, params)[0],
+              denoise_point(index, count(5), params), pca_baseline(cloud, count(8)).normals,
+              *index.knn_batch(count(5), [0, 3]), *index.neighborhoods(count(5), [0, 3]),
+              *neighborhood_fits(index, count(6)), cloud_noise_scale(index, count(9)).per_point_f]
+    return b"".join(np.asarray(a).tobytes() for a in arrays), report.k_hat
+
+
+@pytest.mark.parametrize("count", [np.int64, np.int32], ids=["int64", "int32"])
+def test_numpy_integer_counts_give_the_same_bytes(count):
+    assert outputs_from_counts(count) == outputs_from_counts(int)
+    assert RunConfig(threads=count(2)).threads == 2
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"threads": 2.5}, "threads must be an integer, got 2.5"),
+    ({"k_s": "4"}, "k_s must be an integer, got '4'"),
+], ids=["float-threads", "str-k_s"])
+def test_config_counts_must_be_integers(values, message):
+    with pytest.raises(ConfigError) as info:
+        config.from_values(values)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("call", [estimate_all, denoise_all], ids=["estimate", "denoise"])
+def test_fractional_threads_fail_at_any_cpu_count(call, cpus, monkeypatch):
+    # the worker count is min(n_threads, usable CPUs, N): 2.5 must not pass as 2 on
+    # two CPUs and reach np.array_split as 2.5 on four
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    with pytest.raises(ValueError) as info:
+        call(CLOUD, EstimationParams(), 2.5)
+    assert str(info.value) == "n_threads must be an integer, got 2.5"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: config.parse("seed 3\n"), "line 1: expected 'key = value', got 'seed 3'"),
     (lambda: config.parse("seed = 3\nthreads\n"), "line 2: expected 'key = value'"),
@@ -187,6 +293,15 @@ def test_write_ply_reference_needs_normals(tmp_path):
     with pytest.raises(ValueError, match="cloud has no normals to compare against the reference"):
         io.write_ply(cloud, tmp_path / "out.ply", reference_normals=[[0.0, 0.0, 1.0]] * 2)
     assert not (tmp_path / "out.ply").exists()
+
+
+def test_write_xyz_takes_no_reference_normals(tmp_path):
+    # XYZ has no colour columns: reference normals raise before the file is opened
+    cloud = PointCloud(points=np.zeros((2, 3)))
+    path = tmp_path / "out.xyz"
+    with pytest.raises(ValueError, match="reference normals need a .ply path"):
+        io.write_cloud(cloud, path, reference_normals=np.ones((7, 2)))
+    assert not path.exists()
 
 
 ONE_PER_POINT = "need one reference normal per point: 2 points, "

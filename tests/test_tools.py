@@ -1,6 +1,7 @@
 """The repository's tools run from any working directory."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,14 @@ def test_output_digest_imports_its_own_tree(tmp_path):
                               cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr[-2000:]
         assert "--degenerate" in done.stdout
+
+
+def test_output_digest_degenerate_run(tmp_path):
+    # the digest that gates byte-identity claims runs to its one summary line
+    # from another directory with PYTHONPATH unset
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"),
+                           "--degenerate"], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert re.fullmatch(r"[0-9a-f]{32}  15 cases", done.stdout.strip()), done.stdout
