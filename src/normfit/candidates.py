@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PersistentDegeneracy, TooFewNeighbors
-from .geometry import as_points, fit_planes_batch, lift, require_count
+from .geometry import as_points, fit_planes_batch, lift, require_count, require_real
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -49,9 +49,8 @@ class SamplingParams:
         require_count("k_s", self.k_s, 3)
         require_count("n_candidates", self.n_candidates, 1)
         require_count("max_resample_attempts", self.max_resample_attempts, 1)
-        for frac in (self.rejection_fraction_normals, self.rejection_fraction_positions):
-            if not 0.0 <= frac < 1.0:
-                raise ValueError("rejection fractions must lie in [0, 1)")
+        require_real("rejection_fraction_normals", self.rejection_fraction_normals, "[0, 1)")
+        require_real("rejection_fraction_positions", self.rejection_fraction_positions, "[0, 1)")
 
 
 @dataclass
@@ -216,8 +215,7 @@ def score_plane_block(nbrs: np.ndarray, normals: np.ndarray, anchors: np.ndarray
 
 def score_candidates(neighbors, cands: CandidatePlanes, sigma: float) -> np.ndarray:
     """Gaussian-kernel consensus score of each plane over all neighbors."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    require_real("sigma", sigma, "(0, inf)")
     nbrs = as_points(neighbors)
     return score_plane_block(nbrs[None], cands.normals[None], cands.anchors[None],
                              np.array([sigma], dtype=np.float64))[0]
@@ -226,8 +224,7 @@ def score_candidates(neighbors, cands: CandidatePlanes, sigma: float) -> np.ndar
 def rejection_order(scores: np.ndarray, fraction: float) -> np.ndarray:
     """Per row of (P, M) scores, the survivors' indices by descending score
     (stable on ties); the lowest floor(fraction * M) of each row are dropped."""
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError("fraction must lie in [0, 1)")
+    require_real("fraction", fraction, "[0, 1)")
     m = scores.shape[1]
     order = np.argsort(-scores, axis=1, kind="stable")
     return order[:, : m - int(np.floor(fraction * m))]
@@ -273,8 +270,7 @@ def score_position_block(nbrs: np.ndarray, positions: np.ndarray, sigma: np.ndar
 
 def score_position_candidates(neighbors, cands: PositionCandidates, sigma: float) -> np.ndarray:
     """Gaussian-kernel density of neighbors around each candidate position."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    require_real("sigma", sigma, "(0, inf)")
     nbrs = as_points(neighbors)
     return score_position_block(nbrs[None], cands.positions[None],
                                 np.array([sigma], dtype=np.float64))[0]

@@ -37,6 +37,9 @@ class RunConfig:
 
     def __post_init__(self):
         require_count("threads", self.threads, 1)
+        for name in ("input_path", "output_path"):      # open() takes an int as a descriptor
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
 
 
 def _map(obj, fn):

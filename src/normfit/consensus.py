@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCandidates
-from .geometry import angles_unoriented, as_points, canonical_sign, lift, require_count
+from .geometry import angles_unoriented, as_points, canonical_sign, lift, require_count, require_real
 
 # default kernel bandwidth: sin(30 degrees)
 DEFAULT_TAU = math.sin(math.pi / 6)
@@ -45,13 +45,11 @@ class ConsensusParams:
     tol_pos: float = 1e-5          # position-mode step tolerance, a fraction of the bandwidth
 
     def __post_init__(self):
-        if not 0.0 < self.tau_normal <= 1.0:
-            raise ValueError("tau_normal must lie in (0, 1]")
+        require_real("tau_normal", self.tau_normal, "(0, 1]")
         require_count("max_iters", self.max_iters, 1)
         # a negative tolerance can never be met, so every point would run to max_iters
-        for name in ("tol_deg", "tol_pos"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+        require_real("tol_deg", self.tol_deg, "[0, inf)")
+        require_real("tol_pos", self.tol_pos, "[0, inf)")
 
 
 @dataclass
@@ -242,8 +240,7 @@ def _ccp_kernel(q: np.ndarray, x: np.ndarray, tau2: np.ndarray) -> np.ndarray:
 
 def ccp_loss(x, candidates, tau: float) -> float:
     """Candidate consensus loss for a trial position."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    require_real("tau", tau, "(0, inf)")
     x = np.asarray(x, dtype=np.float64).reshape(1, 3)
     kern = _ccp_kernel(_lift_products(as_points(candidates)[None]), x, np.array([tau**2]))
     return float(-kern.sum(axis=1)[0])
@@ -325,8 +322,7 @@ def position_mode(candidates, params: ConsensusParams, init, tau: float) -> Mode
     q = as_points(candidates)
     if len(q) == 0:
         raise EmptyCandidates("position_mode needs at least one candidate")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    require_real("tau", tau, "(0, inf)")
     init = np.asarray(init, dtype=np.float64).reshape(1, 3)
     x, loss, iterations, converged = position_mode_batch(q[None], params, init,
                                                          np.array([tau], dtype=np.float64))

@@ -9,9 +9,10 @@ Conventions used throughout the library:
 * k-NN is exact: rows sorted by ascending distance, ties by ascending point
   index, the query point left out; `knn` is a batch of one of `knn_batch`, and
   every neighbourhood is its gather in `neighborhoods`, each point last
-* every size, count and thread number passes one rule, `require_count`: a
-  Python or numpy integer, not a bool, at least its least value, or one
-  ValueError that names the parameter
+* one rule per kind of parameter, each one ValueError that names it: a size,
+  count or thread number passes `require_count` (a Python or numpy integer at
+  least its least value), a real number `require_real` (a Python or numpy real
+  inside its interval, written as printed: "(0, 1]"; NaN lies in none); no bool
 """
 
 from __future__ import annotations
@@ -44,12 +45,20 @@ def row_chunks(n: int, row_elements: int) -> list:
 
 
 def require_count(name: str, value, least: Optional[int] = None) -> None:
-    """The one count rule: ValueError unless `value` is a Python or numpy integer, not a
-    bool, that is at least `least` (any integer when None)."""
+    """The one count rule: a Python or numpy integer, not a bool, >= `least` when given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def require_real(name: str, value, interval: str) -> None:
+    """The one number rule: a Python or numpy real number, not a bool, inside `interval`."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not (lo <= value if interval[0] == "[" else lo < value)
+            or not (value <= hi if interval[-1] == "]" else value < hi)):
+        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
 
 
 def as_points(a) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import NeighborIndex, neighborhood_fits, require_count
+from .geometry import NeighborIndex, neighborhood_fits, require_count, require_real
 
 # size of the covariance neighborhood used for noise estimation; fixed and
 # independent of the adaptive size to avoid circularity
@@ -41,6 +41,8 @@ class AdaptiveConfig:
     rejection_interval_max: int = 2
 
     def __post_init__(self):
+        for i, threshold in enumerate(self.thresholds):
+            require_real(f"thresholds[{i}]", threshold, "(-inf, inf)")
         for i, size in enumerate(self.sizes):
             require_count(f"sizes[{i}]", size, 1)
         require_count("rejection_interval_max", self.rejection_interval_max)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud, require_count
+from .geometry import PointCloud, require_count, require_real
 
 SHAPE_KINDS = ("plane", "sphere", "cylinder", "cube", "wedge")
 
@@ -31,10 +31,8 @@ class ShapeSpec:
             raise ValueError(f"unknown shape kind {self.kind!r}")
         require_count("n_points", self.n_points, 10)
         require_count("seed", self.seed, 0)      # SeedSequence takes no negative entropy
-        if self.extent <= 0:
-            raise ValueError("extent must be positive")
-        if not 0.0 < self.dihedral_deg < 180.0:
-            raise ValueError("dihedral_deg must lie in (0, 180)")
+        require_real("extent", self.extent, "(0, inf)")
+        require_real("dihedral_deg", self.dihedral_deg, "(0, 180)")
 
 
 @dataclass(frozen=True)
@@ -44,8 +42,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         require_count("seed", self.seed, 0)
-        if self.std_pct_bbox_diag < 0:
-            raise ValueError("noise std must be nonnegative")
+        require_real("std_pct_bbox_diag", self.std_pct_bbox_diag, "[0, inf)")
 
 
 def _gen_plane(n, e, rng):

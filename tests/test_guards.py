@@ -3,10 +3,10 @@ benchmark tracer wraps, the stages a single-point call reaches, the one
 eigen kernel, the one linear solve, the one k-NN tree query, the one
 neighbourhood gather, the one walk over the parameter tree, the one
 mode-solver loop, the one subset draw, kernel sum and survivor step of the
-consensus chain, the one row-chunk rule, the one count rule, the one parallel
-backend, the one index build, the index as the one handle on a call's points,
-unused private code, whole-cloud k-NN blocks, outputs under any BLAS thread
-count, and the demos."""
+consensus chain, the one row-chunk rule, the one count rule, the one number
+rule, the one parallel backend, the one index build, the index as the one
+handle on a call's points, unused private code, whole-cloud k-NN blocks,
+outputs under any BLAS thread count, and the demos."""
 
 import ast
 import importlib.util
@@ -227,6 +227,22 @@ def test_one_count_rule():
 
     assert library_scopes(says_at_least) == [("geometry", "require_count")]
     assert library_scopes(names_thread_check) == []
+
+
+def test_one_number_rule():
+    # every real-valued parameter passes geometry.require_real: it alone builds a
+    # "must lie in" message for a number; as_points' finiteness check is on arrays,
+    # knn_batch's range is on point indices, and a noise level (a measured value,
+    # not a parameter; NaN selects the largest size) keeps its own sign check
+    words = ("must be positive", "must be finite", "must be nonnegative", "must lie in")
+
+    def says_range(node):
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and any(w in node.value for w in words))
+
+    assert library_scopes(says_range) == [
+        ("geometry", "as_points"), ("geometry", "knn_batch"), ("geometry", "require_real"),
+        ("noise", "adaptive_k"), ("noise", "rejection_enabled")]
 
 
 def test_one_parallel_backend():

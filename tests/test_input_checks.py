@@ -1,6 +1,7 @@
 """The public input checks, one table per module: each bad input raises the
 error its check names, and each accepted edge case gives what it should."""
 
+import math
 import os
 import re
 import subprocess
@@ -11,10 +12,12 @@ import pytest
 
 import normfit
 from normfit import config, io, pipeline
-from normfit.candidates import SamplingParams, rejection_order, rejection_sigma
+from normfit.candidates import (CandidatePlanes, PositionCandidates, SamplingParams,
+                                rejection_order, rejection_sigma, score_candidates,
+                                score_position_candidates)
 from normfit.cli import cli_main
 from normfit.config import RunConfig
-from normfit.consensus import ConsensusParams
+from normfit.consensus import ConsensusParams, ccp_loss, position_mode
 from normfit.errors import ConfigError, ParseError
 from normfit.geometry import PointCloud, as_points, build_index, neighborhood_fits
 from normfit.metrics import pca_baseline
@@ -26,7 +29,6 @@ from normfit.synth import NoiseSpec, ShapeSpec, add_noise, gen_shape
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(normfit.__file__)))
 
 
-FRACTIONS = r"rejection fractions must lie in \[0, 1\)"
 # an index over 40 points: enough for the single-point calls at the default parameters
 CLOUD = PointCloud(points=np.random.default_rng(0).normal(size=(40, 3)))
 INDEX = build_index(CLOUD)
@@ -39,8 +41,10 @@ def rows_error(dtype, shape):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: SamplingParams(n_candidates=0), "n_candidates must be >= 1"),
-    (lambda: SamplingParams(rejection_fraction_normals=-0.1), FRACTIONS),
-    (lambda: SamplingParams(rejection_fraction_positions=1.0), FRACTIONS),
+    (lambda: SamplingParams(rejection_fraction_normals=-0.1),
+     r"rejection_fraction_normals must lie in \[0, 1\)"),
+    (lambda: SamplingParams(rejection_fraction_positions=1.0),
+     r"rejection_fraction_positions must lie in \[0, 1\)"),
     (lambda: SamplingParams(max_resample_attempts=0), "max_resample_attempts must be >= 1"),
     (lambda: rejection_sigma(np.empty((2, 0))), "need at least one neighbor distance"),
     (lambda: rejection_order(np.ones((2, 5)), -0.5), r"fraction must lie in \[0, 1\)"),
@@ -243,6 +247,86 @@ def test_fractional_threads_fail_at_any_cpu_count(call, cpus, monkeypatch):
     with pytest.raises(ValueError) as info:
         call(CLOUD, EstimationParams(), 2.5)
     assert str(info.value) == "n_threads must be an integer, got 2.5"
+
+
+# (parameter, interval, call taking it, a value inside, a Python int inside): every
+# real-valued parameter passes geometry.require_real
+NBRS = CLOUD.points[:12]
+PLANES = CandidatePlanes(normals=np.eye(3), anchors=np.zeros((3, 3)))
+NUMBERS = [
+    ("rejection_fraction_normals", "[0, 1)",
+     lambda v: SamplingParams(rejection_fraction_normals=v), 0.2, 0),
+    ("rejection_fraction_positions", "[0, 1)",
+     lambda v: SamplingParams(rejection_fraction_positions=v), 0.1, 0),
+    ("fraction", "[0, 1)", lambda v: rejection_order(np.ones((2, 5)), v), 0.2, 0),
+    ("sigma", "(0, inf)", lambda v: score_candidates(NBRS, PLANES, v), 0.3, 1),
+    ("sigma", "(0, inf)",
+     lambda v: score_position_candidates(NBRS, PositionCandidates(positions=NBRS[:3]), v),
+     0.3, 1),
+    ("tau_normal", "(0, 1]", lambda v: ConsensusParams(tau_normal=v), 0.5, 1),
+    ("tol_deg", "[0, inf)", lambda v: ConsensusParams(tol_deg=v), 0.01, 0),
+    ("tol_pos", "[0, inf)", lambda v: ConsensusParams(tol_pos=v), 1e-5, 0),
+    ("tau", "(0, inf)", lambda v: ccp_loss(NBRS[0], NBRS, v), 0.3, 1),
+    ("tau", "(0, inf)", lambda v: position_mode(NBRS, ConsensusParams(), NBRS[0], v), 0.3, 1),
+    ("extent", "(0, inf)", lambda v: ShapeSpec(kind="plane", extent=v), 1.5, 2),
+    ("dihedral_deg", "(0, 180)", lambda v: ShapeSpec(kind="wedge", dihedral_deg=v), 60.0, 90),
+    ("std_pct_bbox_diag", "[0, inf)", lambda v: NoiseSpec(std_pct_bbox_diag=v), 0.5, 1),
+    ("thresholds[0]", "(-inf, inf)",
+     lambda v: AdaptiveConfig(thresholds=(v, 0.02, 0.14, 0.16, 0.3)), 0.01, 0),
+    ("thresholds[4]", "(-inf, inf)",
+     lambda v: AdaptiveConfig(thresholds=(0.0, 0.02, 0.14, 0.16, v)), 0.3, 1),
+]
+NUMBER_IDS = ["fraction-normals", "fraction-positions", "rejection-order", "plane-sigma",
+              "position-sigma", "tau_normal", "tol_deg", "tol_pos", "ccp-tau",
+              "position-mode-tau", "extent", "dihedral", "noise-std", "threshold-first",
+              "threshold-last"]
+NOT_REALS = [("nan", lambda good: math.nan), ("numpy-nan", lambda good: np.float64("nan")),
+             ("inf", lambda good: math.inf), ("minus-inf", lambda good: -math.inf),
+             ("str", str), ("bool", bool)]
+
+
+@pytest.mark.parametrize("kind, spoil", NOT_REALS, ids=[kind for kind, _ in NOT_REALS])
+@pytest.mark.parametrize("name, interval, call, good, whole", NUMBERS, ids=NUMBER_IDS)
+def test_numbers_must_lie_in_their_interval(name, interval, call, good, whole, kind, spoil):
+    value = spoil(good)
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{name} must lie in {interval}, got {value!r}"
+
+
+@pytest.mark.parametrize("name, interval, call, good, whole", NUMBERS, ids=NUMBER_IDS)
+def test_numbers_take_python_ints_and_numpy_floats(name, interval, call, good, whole):
+    for value in (good, np.float64(good), np.float32(good), whole, np.int64(whole)):
+        call(value)
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"tau_normal": "0.5"}, "tau_normal must lie in (0, 1], got '0.5'"),
+    ({"adaptive_l1": "0.02"}, "thresholds[1] must lie in (-inf, inf), got '0.02'"),
+    ({"tol_deg": "0.01"}, "tol_deg must lie in [0, inf), got '0.01'"),
+    ({"rejection_fraction_normals": "0.2"},
+     "rejection_fraction_normals must lie in [0, 1), got '0.2'"),
+    ({"tau_normal": math.nan}, "tau_normal must lie in (0, 1], got nan"),
+    ({"input_path": 5}, "input_path must be a string, got 5"),
+    ({"output_path": b"o.xyz"}, "output_path must be a string, got b'o.xyz'"),
+], ids=["str-tau_normal", "str-adaptive_l1", "str-tol_deg", "str-fraction", "nan-tau_normal",
+        "int-input_path", "bytes-output_path"])
+def test_config_values_of_the_wrong_kind(values, message):
+    # a string number used to reach a comparison and raise a bare TypeError
+    with pytest.raises(ConfigError) as info:
+        config.from_values(values)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("tau_normal = nan\n", "tau_normal must lie in (0, 1], got nan"),
+    ("adaptive_l4 = inf\n", "thresholds[4] must lie in (-inf, inf), got inf"),
+], ids=["nan-tau", "inf-threshold"])
+def test_config_file_numbers_outside_their_interval(text, message):
+    with pytest.raises(ConfigError) as info:
+        config.parse(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("call, message", [

@@ -851,13 +851,34 @@ class TestCli:
         assert cli_main(["estimate", "--in", paths["--in"], "--out", paths["--out"]]) == 2
         self.assert_one_error_line(capsys, str(tmp_path))
 
-    def test_synth_negative_noise_is_data_error(self, tmp_path, capsys):
-        # it used to write the clean cloud and exit 0
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--noise", "-1", "std_pct_bbox_diag must lie in [0, inf), got -1.0"),
+        ("--noise", "nan", "std_pct_bbox_diag must lie in [0, inf), got nan"),
+        ("--extent", "nan", "extent must lie in (0, inf), got nan"),
+        ("--extent", "inf", "extent must lie in (0, inf), got inf"),
+        ("--dihedral", "nan", "dihedral_deg must lie in (0, 180), got nan"),
+    ], ids=["noise-negative", "noise-nan", "extent-nan", "extent-inf", "dihedral-nan"])
+    def test_synth_number_outside_its_interval_is_data_error(self, flag, value, message,
+                                                             tmp_path, capsys):
+        # --noise -1 used to write the clean cloud and exit 0, and --extent nan
+        # and inf ended in an OverflowError traceback and exit 1
         out = tmp_path / "q.xyz"
-        assert cli_main(["synth", "--shape", "plane", "--n", "60", "--noise", "-1",
+        assert cli_main(["synth", "--shape", "wedge", "--n", "60", flag, value,
                          "--out", str(out)]) == 2
-        self.assert_one_error_line(capsys, "noise")
+        self.assert_one_error_line(capsys, message)
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_eval_extent_outside_its_interval_is_data_error(self, value, tmp_path, capsys):
+        # --extent nan used to print a p2s of nan and exit 0
+        cloud = tmp_path / "s.xyz"
+        cli_main(["synth", "--shape", "sphere", "--n", "60", "--out", str(cloud)])
+        capsys.readouterr()
+        assert cli_main(["eval", "--est", str(cloud), "--gt", str(cloud), "--surface", "sphere",
+                         "--extent", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: extent must lie in (0, inf), got {float(value)!r}\n"
 
     @pytest.mark.parametrize("seeds", ["0", "-1"])
     def test_bench_without_seeds_is_data_error(self, seeds, capsys):
